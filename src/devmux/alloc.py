@@ -134,9 +134,6 @@ class SlabPool:
             self._class_free[block].append(off)
         return True
 
-    def live_ranges(self):
-        return [(off, entry[0]) for off, entry in self.live.items()]
-
     def accounted_bytes(self) -> int:
         """Live blocks + free blocks + free pages; always equals the region size."""
         live = sum(e[1] for e in self.live.values())

@@ -89,7 +89,7 @@ class Arena:
     def _victim_bytes(self) -> dict:
         ctx = self.core.contexts[self.victim.lib_id]
         mem = self.platform.sysmem
-        pages = [bytes(mem.read(f, 0, PAGE_SIZE)) for f in self.victim._frames]
+        pages = [bytes(mem.read(f, 0, PAGE_SIZE)) for f in self.victim.pool.frames]
         pages.append(bytes(mem.read(self.extra_frame, 0, PAGE_SIZE)))
         return {"vram": bytes(self.device.vram[ctx.segment_base:ctx.segment_limit]),
                 "pages": pages}
@@ -221,7 +221,7 @@ def case_status_page_unmapped(arena: Arena):
         arena.world.step_device(256)
     _expect(arena.device.pending_flags & FLAG_IOMMU_FAULT,
             "fence to unmapped status page did not fault")
-    completed, _, _ = attacker._read_status()
+    completed, _, _ = attacker.pool.read_status()
     _expect(completed == seq1, "stale status page was overwritten anyway")
     return "fence write-back faulted; only the attacker lost its updates"
 

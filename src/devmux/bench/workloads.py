@@ -1,8 +1,8 @@
-"""Benchmark workloads runnable on either driver stack.
+"""Benchmark workloads, each written once and run on either driver stack.
 
-Each workload is a small Program with a fixed life cycle:
+A workload is a Program with a fixed life cycle:
 
-    prepare()   create driver/client state and buffers (library: no device
+    prepare()   open the stack and create buffers (library: no device
                 access yet, so it is legal before the first bind)
     start()     one-time uploads and mode setting (library: needs the bind)
     iterate()   run one full iteration, blocking until the device is done
@@ -10,20 +10,26 @@ Each workload is a small Program with a fixed life cycle:
     finalize()  read results back, verify against a host oracle, and return
                 result digests
 
-The same instruction streams are generated on both stacks so results (and
-their digests) must match bit for bit.
+``Matmul`` and ``Graphics`` (vertex-array or display-list, by spec kind)
+talk to the driver only through a small per-stack adapter: open, alloc,
+write, read, compute (operands as (buffer, byte offset) pairs), show,
+split, submit and wait.  ``_Library`` resolves operands to device addresses
+itself and cuts the stream into ring-sized batches; ``_Legacy`` hands
+buffer ids to the kernel, which validates and patches them.  Only the
+library stack can be scheduled, so only its adapter offers the
+non-blocking ``completed`` poll.  The instruction streams are the same on
+both stacks, so results (and their digests) must match bit for bit.
 """
 
 from __future__ import annotations
 
 import struct
-import statistics
 
-from .. import libdrv
 from ..devcore import DeviceCore
 from ..errors import InvalError, VerifyFail
-from ..legacydrv import CsCompute, LegacyDriver
+from ..legacydrv import CsCompute
 from ..libdrv import LibraryDriver
+from ..pool import GTT, RING_WORDS, VRAM
 from ..simdev import CO_ADD, CO_DOT, MASK32, WORD, Compute, fnv1a64
 from .config import BenchConfig, WorkloadSpec
 from .report import RunReport
@@ -36,8 +42,8 @@ DISPLAY_MODE = (FB_WIDTH, FB_HEIGHT, 60)
 GFX_BATCH_INSTRS = 32
 VERTEX_WORDS_PER_SIZE = 64
 
-# A chunk must fit the ring with its trailing fence (4 words).
-MAX_DOTS_PER_SUBMIT = (libdrv.RING_WORDS - 1 - 4) // 6
+# A library batch must fit the ring with its trailing fence (4 words).
+MAX_COMPUTES_PER_SUBMIT = (RING_WORDS - 1 - 4) // 6
 
 
 def _pack(words) -> bytes:
@@ -89,57 +95,122 @@ def _chunked(items: list, size: int) -> list:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
+# --- per-stack adapters ---------------------------------------------------
+
+class _Library:
+    """A library driver of its own; the caller binds it."""
+
+    needs_bind = True
+
+    def __init__(self, world: World):
+        self.world = world
+        self.lib: LibraryDriver = None
+
+    def open(self, name: str):
+        self.lib = LibraryDriver(self.world.core, name,
+                                 pool_pages=self.world.config.pool_pages)
+
+    def alloc(self, size: int, placement: str) -> int:
+        return self.lib.create_buffer(size, placement)
+
+    def write(self, buf: int, offset: int, data: bytes):
+        self.lib.write_buffer(buf, offset, data)
+
+    def read(self, buf: int, offset: int, n: int) -> bytes:
+        return self.lib.read_buffer(buf, offset, n)
+
+    def compute(self, sub: int, dst, src1, src2, count: int) -> Compute:
+        def addr(ref):
+            buf, offset = ref
+            return self.lib.buffers[buf].device_addr + offset
+        return Compute(sub, addr(dst), addr(src1), addr(src2), count)
+
+    def show(self, fb: int):
+        self.lib.set_mode(0, DISPLAY_MODE)
+        self.lib.present(fb)
+
+    def split(self, instrs: list) -> list:
+        return _chunked(instrs, MAX_COMPUTES_PER_SUBMIT)
+
+    def submit(self, batch) -> int:
+        return self.lib.submit(batch)
+
+    def wait(self, seq: int):
+        self.lib.wait_fence(seq)
+
+    def completed(self, seq: int) -> bool:
+        return self.lib.fence_completed(seq)
+
+
+class _Legacy:
+    """One client of the world's legacy driver."""
+
+    needs_bind = False
+
+    def __init__(self, world: World):
+        self.drv = world.legacy
+        self.client = None
+
+    def open(self, name: str):
+        self.client = self.drv.legacy_open(name)
+
+    def alloc(self, size: int, placement: str) -> int:
+        return self.drv.legacy_alloc(self.client, size, placement)
+
+    def write(self, buf: int, offset: int, data: bytes):
+        self.drv.legacy_write(self.client, buf, offset, data)
+
+    def read(self, buf: int, offset: int, n: int) -> bytes:
+        return self.drv.legacy_read(self.client, buf, offset, n)
+
+    def compute(self, sub: int, dst, src1, src2, count: int) -> CsCompute:
+        return CsCompute(sub, dst, src1, src2, count)
+
+    def show(self, fb: int):
+        self.drv.legacy_set_mode(self.client, 0, DISPLAY_MODE, fb=fb)
+
+    def split(self, instrs: list) -> list:
+        return [instrs]  # the kernel cuts the stream to fit its ring
+
+    def submit(self, batch) -> int:
+        return self.drv.legacy_submit(self.client, batch)
+
+    def wait(self, seq: int):
+        self.drv.legacy_wait(self.client, seq)
+
+
+_STACKS = {"library": _Library, "legacy": _Legacy}
+
+
 # --- programs -------------------------------------------------------------
 
 class Program:
-    """One workload instance bound to a world."""
-
-    needs_bind = False
+    """One workload instance bound to a world, on the stack its spec names."""
 
     def __init__(self, world: World, spec: WorkloadSpec):
         self.world = world
         self.spec = spec
+        self.stack = _STACKS[spec.driver](world)
         self.done = False
         self.started = False
         self._iter = 0
+        self._batches: list = []
+        self._await = 0
+        self._batch_idx = 0
+
+    @property
+    def needs_bind(self) -> bool:
+        return self.stack.needs_bind
+
+    @property
+    def lib_id(self) -> int:
+        return self.stack.lib.lib_id
 
     def prepare(self):
         raise NotImplementedError
 
     def start(self):
         self.started = True
-
-    def iterate(self):
-        raise NotImplementedError
-
-    def advance(self):
-        raise NotImplementedError
-
-    def finalize(self) -> dict:
-        raise NotImplementedError
-
-
-class _LibraryProgram(Program):
-    needs_bind = True
-
-    def __init__(self, world: World, spec: WorkloadSpec):
-        super().__init__(world, spec)
-        self.lib: LibraryDriver = None
-        self._await = 0
-        self._batches: list = []
-        self._batch_idx = 0
-
-    @property
-    def lib_id(self) -> int:
-        return self.lib.lib_id
-
-    def _make_lib(self, name: str) -> LibraryDriver:
-        pool = self.world.config.pool_pages
-        return LibraryDriver(self.world.core, name, pool_pages=pool)
-
-    def _iteration_batches(self) -> list:
-        """Instruction chunks for one iteration, each one submit call."""
-        raise NotImplementedError
 
     def _before_iteration(self, index: int):
         pass
@@ -149,16 +220,18 @@ class _LibraryProgram(Program):
         self._before_iteration(self._iter)
         seq = 0
         for batch in self._batches:
-            seq = self.lib.submit(batch)
-        self.lib.wait_fence(seq)
+            seq = self.stack.submit(batch)
+        self.stack.wait(seq)
         if self._iter >= self.spec.iters:
             self.done = True
 
     def advance(self):
         """Non-blocking step: at most one submit, never a device wait."""
+        if not self.needs_bind:
+            raise InvalError("legacy programs cannot be scheduled")
         if self.done:
             return
-        if self._await and not self.lib.fence_completed(self._await):
+        if self._await and not self.stack.completed(self._await):
             return
         self._await = 0
         if self._batch_idx == 0:
@@ -167,90 +240,88 @@ class _LibraryProgram(Program):
                 return
             self._iter += 1
             self._before_iteration(self._iter)
-        self._await = self.lib.submit(self._batches[self._batch_idx])
+        self._await = self.stack.submit(self._batches[self._batch_idx])
         self._batch_idx = (self._batch_idx + 1) % len(self._batches)
         if self._batch_idx == 0 and self._iter >= self.spec.iters:
             # All work submitted; done flips once the last fence retires.
-            if self.lib.fence_completed(self._await):
+            if self.stack.completed(self._await):
                 self.done = True
 
-    def pending_fence(self) -> int:
-        return self._await
+    def finalize(self) -> dict:
+        raise NotImplementedError
 
 
-class MatmulLibrary(_LibraryProgram):
+class Matmul(Program):
+    """C = A x B with one DOT per output word; B is uploaded transposed."""
+
     def prepare(self):
         n = self.spec.size
-        self.lib = self._make_lib(f"matmul-{id(self):x}")
+        stack = self.stack
+        stack.open(f"matmul-{id(self):x}")
         nbytes = n * n * WORD
-        self.h_a = self.lib.create_buffer(nbytes, libdrv.VRAM)
-        self.h_bt = self.lib.create_buffer(nbytes, libdrv.VRAM)
-        self.h_c = self.lib.create_buffer(nbytes, libdrv.VRAM)
-        a_dev = self.lib.buffers[self.h_a].device_addr
-        bt_dev = self.lib.buffers[self.h_bt].device_addr
-        c_dev = self.lib.buffers[self.h_c].device_addr
-        instrs = [Compute(CO_DOT,
-                          c_dev + (r * n + c) * WORD,
-                          a_dev + r * n * WORD,
-                          bt_dev + c * n * WORD,
-                          n)
+        self.a_buf = stack.alloc(nbytes, VRAM)
+        self.bt_buf = stack.alloc(nbytes, VRAM)
+        self.c_buf = stack.alloc(nbytes, VRAM)
+        instrs = [stack.compute(CO_DOT,
+                                (self.c_buf, (r * n + c) * WORD),
+                                (self.a_buf, r * n * WORD),
+                                (self.bt_buf, c * n * WORD),
+                                n)
                   for r in range(n) for c in range(n)]
-        self._batches = _chunked(instrs, MAX_DOTS_PER_SUBMIT)
+        self._batches = stack.split(instrs)
 
     def start(self):
         n = self.spec.size
         self.a = matmul_fill_a(n)
         self.b = matmul_fill_b(n)
-        self.lib.write_buffer(self.h_a, 0, _pack(self.a))
-        self.lib.write_buffer(self.h_bt, 0, _pack(_transpose(self.b, n)))
+        self.stack.write(self.a_buf, 0, _pack(self.a))
+        self.stack.write(self.bt_buf, 0, _pack(_transpose(self.b, n)))
         self.started = True
 
     def finalize(self) -> dict:
         n = self.spec.size
-        got = _unpack(self.lib.read_buffer(self.h_c, 0, n * n * WORD))
+        got = _unpack(self.stack.read(self.c_buf, 0, n * n * WORD))
         want = matmul_oracle(n, self.a, self.b)
         if got != want:
             raise VerifyFail(f"matmul n={n}: device result differs from host oracle")
         return {"result": f"{fnv1a64(_pack(got)):016x}"}
 
 
-class _GraphicsLibrary(_LibraryProgram):
-    """Shared scaffold: vertex buffer in system pool, framebuffer in VRAM."""
-
-    rewrite_vertices = True
+class Graphics(Program):
+    """Vertex buffer in the system pool, framebuffer in VRAM, one ADD pass
+    per frame.  vertex-array uploads new vertices every frame; display-list
+    uploads them once."""
 
     def prepare(self):
         n = self.spec.size
         if not 1 <= n <= FB_WORDS // VERTEX_WORDS_PER_SIZE:
             raise InvalError(f"graphics size {n} out of range")
+        self.rewrite_vertices = self.spec.kind == "vertex-array"
         self.n_words = VERTEX_WORDS_PER_SIZE * n
-        self.lib = self._make_lib(f"gfx-{id(self):x}")
-        self.h_vb = self.lib.create_buffer(self.n_words * WORD, libdrv.GTT)
-        self.h_fb = self.lib.create_buffer(FB_WORDS * WORD, libdrv.VRAM)
-        vb_dev = self.lib.buffers[self.h_vb].device_addr
-        fb_dev = self.lib.buffers[self.h_fb].device_addr
+        stack = self.stack
+        stack.open(f"gfx-{id(self):x}")
+        self.vb = stack.alloc(self.n_words * WORD, GTT)
+        self.fb = stack.alloc(FB_WORDS * WORD, VRAM)
         count = self.n_words // GFX_BATCH_INSTRS
-        instrs = [Compute(CO_ADD,
-                          fb_dev + s * count * WORD,
-                          vb_dev + s * count * WORD,
-                          vb_dev + s * count * WORD,
-                          count)
+        instrs = [stack.compute(CO_ADD,
+                                (self.fb, s * count * WORD),
+                                (self.vb, s * count * WORD),
+                                (self.vb, s * count * WORD),
+                                count)
                   for s in range(GFX_BATCH_INSTRS)]
-        self._batches = [instrs]
+        self._batches = stack.split(instrs)
         self.last_salt = 0
 
     def start(self):
-        self.lib.set_mode(0, DISPLAY_MODE)
-        self.lib.present(self.h_fb)
+        self.stack.show(self.fb)
         if not self.rewrite_vertices:
-            self.lib.write_buffer(self.h_vb, 0, _pack(vertex_fill(self.n_words, 0)))
+            self.stack.write(self.vb, 0, _pack(vertex_fill(self.n_words, 0)))
         self.started = True
 
     def _before_iteration(self, index: int):
         if self.rewrite_vertices:
             self.last_salt = index
-            self.lib.write_buffer(self.h_vb, 0,
-                                  _pack(vertex_fill(self.n_words, index)))
+            self.stack.write(self.vb, 0, _pack(vertex_fill(self.n_words, index)))
 
     def finalize(self) -> dict:
         shot = self.world.device.scanout()
@@ -262,136 +333,11 @@ class _GraphicsLibrary(_LibraryProgram):
         return {"result": f"{shot.digest:016x}"}
 
 
-class VertexArrayLibrary(_GraphicsLibrary):
-    rewrite_vertices = True
-
-
-class DisplayListLibrary(_GraphicsLibrary):
-    rewrite_vertices = False
-
-
-class _LegacyProgram(Program):
-    needs_bind = False
-
-    def __init__(self, world: World, spec: WorkloadSpec):
-        super().__init__(world, spec)
-        self.drv: LegacyDriver = world.legacy
-        self.client = None
-
-    def advance(self):
-        raise InvalError("legacy programs cannot be scheduled")
-
-
-class MatmulLegacy(_LegacyProgram):
-    def prepare(self):
-        n = self.spec.size
-        self.client = self.drv.legacy_open(f"matmul-{id(self):x}")
-        nbytes = n * n * WORD
-        self.b_a = self.drv.legacy_alloc(self.client, nbytes, libdrv.VRAM)
-        self.b_bt = self.drv.legacy_alloc(self.client, nbytes, libdrv.VRAM)
-        self.b_c = self.drv.legacy_alloc(self.client, nbytes, libdrv.VRAM)
-        self._batch = [CsCompute(CO_DOT,
-                                 (self.b_c, (r * n + c) * WORD),
-                                 (self.b_a, r * n * WORD),
-                                 (self.b_bt, c * n * WORD),
-                                 n)
-                       for r in range(n) for c in range(n)]
-
-    def start(self):
-        n = self.spec.size
-        self.a = matmul_fill_a(n)
-        self.b = matmul_fill_b(n)
-        self.drv.legacy_write(self.client, self.b_a, 0, _pack(self.a))
-        self.drv.legacy_write(self.client, self.b_bt, 0,
-                              _pack(_transpose(self.b, n)))
-        self.started = True
-
-    def iterate(self):
-        self._iter += 1
-        seq = self.drv.legacy_submit(self.client, self._batch)
-        self.drv.legacy_wait(self.client, seq)
-        if self._iter >= self.spec.iters:
-            self.done = True
-
-    def finalize(self) -> dict:
-        n = self.spec.size
-        got = _unpack(self.drv.legacy_read(self.client, self.b_c, 0, n * n * WORD))
-        want = matmul_oracle(n, self.a, self.b)
-        if got != want:
-            raise VerifyFail(f"matmul n={n}: device result differs from host oracle")
-        return {"result": f"{fnv1a64(_pack(got)):016x}"}
-
-
-class _GraphicsLegacy(_LegacyProgram):
-    rewrite_vertices = True
-
-    def prepare(self):
-        n = self.spec.size
-        if not 1 <= n <= FB_WORDS // VERTEX_WORDS_PER_SIZE:
-            raise InvalError(f"graphics size {n} out of range")
-        self.n_words = VERTEX_WORDS_PER_SIZE * n
-        self.client = self.drv.legacy_open(f"gfx-{id(self):x}")
-        self.b_vb = self.drv.legacy_alloc(self.client, self.n_words * WORD,
-                                          libdrv.GTT)
-        self.b_fb = self.drv.legacy_alloc(self.client, FB_WORDS * WORD,
-                                          libdrv.VRAM)
-        count = self.n_words // GFX_BATCH_INSTRS
-        self._batch = [CsCompute(CO_ADD,
-                                 (self.b_fb, s * count * WORD),
-                                 (self.b_vb, s * count * WORD),
-                                 (self.b_vb, s * count * WORD),
-                                 count)
-                       for s in range(GFX_BATCH_INSTRS)]
-        self.last_salt = 0
-
-    def start(self):
-        self.drv.legacy_set_mode(self.client, 0, DISPLAY_MODE, fb=self.b_fb)
-        if not self.rewrite_vertices:
-            self.drv.legacy_write(self.client, self.b_vb, 0,
-                                  _pack(vertex_fill(self.n_words, 0)))
-        self.started = True
-
-    def iterate(self):
-        self._iter += 1
-        if self.rewrite_vertices:
-            self.last_salt = self._iter
-            self.drv.legacy_write(self.client, self.b_vb, 0,
-                                  _pack(vertex_fill(self.n_words, self._iter)))
-        seq = self.drv.legacy_submit(self.client, self._batch)
-        self.drv.legacy_wait(self.client, seq)
-        if self._iter >= self.spec.iters:
-            self.done = True
-
-    def finalize(self) -> dict:
-        shot = self.world.device.scanout()
-        if shot.faulted:
-            raise VerifyFail("scanout faulted")
-        want = framebuffer_oracle(vertex_fill(self.n_words, self.last_salt))
-        if shot.digest != fnv1a64(_pack(want)):
-            raise VerifyFail("framebuffer differs from host oracle")
-        return {"result": f"{shot.digest:016x}"}
-
-
-class VertexArrayLegacy(_GraphicsLegacy):
-    rewrite_vertices = True
-
-
-class DisplayListLegacy(_GraphicsLegacy):
-    rewrite_vertices = False
-
-
-_PROGRAMS = {
-    ("matmul", "library"): MatmulLibrary,
-    ("matmul", "legacy"): MatmulLegacy,
-    ("vertex-array", "library"): VertexArrayLibrary,
-    ("vertex-array", "legacy"): VertexArrayLegacy,
-    ("display-list", "library"): DisplayListLibrary,
-    ("display-list", "legacy"): DisplayListLegacy,
-}
+_PROGRAMS = {"matmul": Matmul, "vertex-array": Graphics, "display-list": Graphics}
 
 
 def make_program(world: World, spec: WorkloadSpec) -> Program:
-    return _PROGRAMS[(spec.kind, spec.driver)](world, spec)
+    return _PROGRAMS[spec.kind](world, spec)
 
 
 # --- the runner -----------------------------------------------------------
@@ -436,9 +382,3 @@ def speedup(spec_kind: str, size: int, iters: int, config: BenchConfig = None,
         times[driver] = run_workload(spec, config).steady_mean
     return times["legacy"] / times["library"]
 
-
-def steady_stats(report: RunReport) -> tuple:
-    steady = report.steady_times()
-    mean = statistics.fmean(steady)
-    stdev = statistics.pstdev(steady) if len(steady) > 1 else 0.0
-    return mean, stdev

@@ -30,10 +30,8 @@ from devmux.errors import (BusyError, DoubleInit, ExistsError, InvalError,
                            PermError)
 from devmux.simdev import (APERTURE_BASE, APERTURE_END, DISPLAY_MODES,
                            M_REGISTERS, PAGE_SIZE, REG_CACHE_FLUSH,
-                           REG_DISP_ENABLE, REG_DISP_PLL, REG_DISP_TIMING_H,
-                           REG_DISP_TIMING_V, REG_IOMMU_ROOT, REG_MC_SEG_BASE,
-                           REG_MC_SEG_LIMIT, REG_RB_HEAD, REG_CP_RESET,
-                           REG_TLB_FLUSH, PageTable, SimDevice,
+                           REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_HEAD,
+                           REG_CP_RESET, REG_TLB_FLUSH, PageTable, SimDevice,
                            set_translation_root)
 
 LIB_CALLS = ("init_device_lib", "iommu_map_page", "iommu_unmap_page",
@@ -271,16 +269,7 @@ class DeviceCore:
         ctx = self._ctx(lib_id)
         if ctx.state != ST_BOUND:
             raise NotBoundError(f"lib {lib_id} not bound")
-        if not 0 <= display < len(self.info.displays):
-            raise InvalError(f"no display {display}")
-        mode = tuple(mode)
-        if mode not in self.info.displays[display]:
-            raise InvalError(f"mode {mode} not offered")
-        width, height, refresh = mode
-        self.device.mmio_write(REG_DISP_PLL, refresh)
-        self.device.mmio_write(REG_DISP_TIMING_H, width)
-        self.device.mmio_write(REG_DISP_TIMING_V, height)
-        self.device.mmio_write(REG_DISP_ENABLE, 1)
+        simdev.program_display(self.device, display, mode)
 
     # -- scheduler calls -------------------------------------------------------
 

@@ -15,21 +15,16 @@ addresses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-import struct
-
 from devmux import simdev
-from devmux.alloc import FirstFitAllocator, SlabPool
-from devmux.errors import (BadHandle, DeviceFault, InvalError, NotFoundError,
-                           NotSupportedError, OutOfPool, OutOfRange,
-                           OutOfVram, PermError)
-from devmux.simdev import (APERTURE_BASE, CO_ADD, CO_DOT, CO_MUL, DISPLAY_MODES,
-                           FAULT_FLAGS, OP_COMPUTE, OP_COPY, OP_NOP,
-                           OP_SET_REG, PAGE_SIZE, REG_DISP_ENABLE,
-                           REG_DISP_PLL, REG_DISP_TIMING_H, REG_DISP_TIMING_V,
-                           REG_FB_BASE, REG_IH_PAGE_ADDR, REG_RB_BASE,
-                           REG_RB_SIZE, REG_RB_TAIL, SCRATCH_REGISTERS, WORD,
-                           Fence, PageTable, SimDevice, set_translation_root)
+from devmux.alloc import FirstFitAllocator
+from devmux.errors import (BadHandle, InvalError, NotFoundError,
+                           NotSupportedError, OutOfVram, PermError)
+from devmux.pool import FIRST_FREE_PAGE, RING_REGISTERS, RING_WORDS, Buffer, PagePool
+from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, DISPLAY_MODES, OP_COMPUTE,
+                           OP_COPY, OP_NOP, OP_SET_REG, PAGE_SIZE, REG_FB_BASE,
+                           REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_TAIL,
+                           SCRATCH_REGISTERS, WORD, Fence, PageTable, SimDevice,
+                           set_translation_root)
 
 LEGACY_API = ("legacy_open", "legacy_close", "legacy_alloc", "legacy_free",
               "legacy_write", "legacy_read", "legacy_map", "legacy_submit",
@@ -38,15 +33,9 @@ LEGACY_API = ("legacy_open", "legacy_close", "legacy_alloc", "legacy_free",
 
 KERNEL_TABLE_ID = 1
 POOL_PAGES_DEFAULT = 64
-RING_WORDS = 4096
-RING_PAGES = RING_WORDS * WORD // PAGE_SIZE
-STAGING_PAGE = 1 + RING_PAGES              # pool page index
+STAGING_PAGE = FIRST_FREE_PAGE             # pool page index
 SLAB_FIRST_PAGE = STAGING_PAGE + 1
 WAIT_ROUND_CYCLES = 8192                   # device budget per wait syscall
-
-VRAM = "VRAM"
-GTT = "GTT"
-SYS = "SYS"
 
 
 # -- application-visible command stream ----------------------------------
@@ -83,17 +72,6 @@ class CsCopy:
         self.count = count
 
 
-@dataclass
-class KBuffer:
-    id: int
-    owner: int
-    placement: str
-    size: int
-    device_addr: int | None = None
-    pool_off: int | None = None
-    host: bytearray | None = None
-
-
 class LegacyDriver:
     """The whole driver, kernel-side; one instance owns the device."""
 
@@ -103,37 +81,34 @@ class LegacyDriver:
             raise InvalError(f"pool must exceed {SLAB_FIRST_PAGE} pages")
         self.platform = platform
         self.device = device
-        if not simdev.install_firmware(device):
-            raise InvalError("firmware rejected")
-        device.mmio_write(simdev.REG_IRQ_ENABLE, 1)
-        device.mmio_write(simdev.REG_IOMMU_ENABLE, 1)
-        device.mmio_write(simdev.REG_CP_RESET, 1)
+        simdev.bring_up(device)
         # the monolithic driver owns all of device memory: segment wide open
-        device.mmio_write(simdev.REG_MC_SEG_BASE, 0)
-        device.mmio_write(simdev.REG_MC_SEG_LIMIT, len(device.vram))
+        device.mmio_write(REG_MC_SEG_BASE, 0)
+        device.mmio_write(REG_MC_SEG_LIMIT, len(device.vram))
 
         self._table = PageTable()
         device.translation_tables[KERNEL_TABLE_ID] = self._table
         set_translation_root(device, KERNEL_TABLE_ID)
 
         vaddrs = platform.alloc_pages("legacy-kernel", pool_pages)
-        self._frames = []
+        frames = []
         for i, vaddr in enumerate(vaddrs):
             frame = platform.resolve("legacy-kernel", vaddr)
             self._table.map(i * PAGE_SIZE, frame, writable=True)
             platform.sysmem.pin(frame)
-            self._frames.append(frame)
-
-        device.mmio_write(REG_RB_BASE, APERTURE_BASE + PAGE_SIZE)
-        device.mmio_write(REG_RB_SIZE, RING_WORDS)
-        device.mmio_write(REG_IH_PAGE_ADDR, APERTURE_BASE)
+            frames.append(frame)
+        for reg, value in RING_REGISTERS:
+            device.mmio_write(reg, value)
 
         self._vram_alloc = FirstFitAllocator(len(device.vram))
-        self._slab = SlabPool((pool_pages - SLAB_FIRST_PAGE) * PAGE_SIZE)
-        self.buffers = {}
+        self.pool = PagePool(
+            platform.sysmem, frames, SLAB_FIRST_PAGE,
+            alloc_vram=self._alloc_vram,
+            free_vram=lambda addr, size: self._vram_alloc.free(addr, size),
+            staging=lambda: STAGING_PAGE * PAGE_SIZE, copy=self._copy)
+        self.buffers = self.pool.buffers
         self.clients = {}
         self._next_client = 1
-        self._next_buffer = 1
         self._next_seq = 1
         self._tail_words = 0
         self._inflight_seq = 0  # last seq written; 0 when known drained
@@ -143,35 +118,6 @@ class LegacyDriver:
     def _charge(self, n_bytes: int = 0):
         self.platform.ledger.crossings += 1
         self.platform.ledger.bytes_copied += n_bytes
-
-    def _pool_write(self, pool_off: int, data: bytes):
-        mem = self.platform.sysmem
-        done = 0
-        while done < len(data):
-            page, off = divmod(pool_off + done, PAGE_SIZE)
-            take = min(len(data) - done, PAGE_SIZE - off)
-            mem.write(self._frames[page], off, data[done:done + take])
-            done += take
-
-    def _pool_read(self, pool_off: int, n: int) -> bytes:
-        mem = self.platform.sysmem
-        out = []
-        done = 0
-        while done < n:
-            page, off = divmod(pool_off + done, PAGE_SIZE)
-            take = min(n - done, PAGE_SIZE - off)
-            out.append(mem.read(self._frames[page], off, take))
-            done += take
-        return b"".join(out)
-
-    def _read_status(self):
-        return struct.unpack("<QII",
-                             self.platform.sysmem.read(self._frames[0], 0, 16))
-
-    def _check_fault(self):
-        flags = self._read_status()[2]
-        if flags & FAULT_FLAGS:
-            raise DeviceFault(flags, "device reported a fault")
 
     def _step(self, budget: int) -> int:
         report = self.device.step(budget)
@@ -190,52 +136,29 @@ class LegacyDriver:
         seq = self._next_seq
         self._next_seq += 1
         words = list(payload_words) + Fence(seq).encode()
-        ring_base = PAGE_SIZE
-        start = self._tail_words
-        first = min(len(words), RING_WORDS - start)
-        self._pool_write(ring_base + start * WORD,
-                         struct.pack(f"<{first}I", *words[:first]))
-        if first < len(words):
-            self._pool_write(ring_base,
-                             struct.pack(f"<{len(words) - first}I", *words[first:]))
-        self._tail_words = (start + len(words)) % RING_WORDS
+        self._tail_words = self.pool.write_ring(self._tail_words, words)
         self.device.mmio_write(REG_RB_TAIL, self._tail_words * WORD)
         self._inflight_seq = seq
         if drain:
             self._drain()
-            self._check_fault()
+            self.pool.poll()  # raises if the chunk faulted
         return seq
 
-    def _staging_addr(self) -> int:
-        return APERTURE_BASE + STAGING_PAGE * PAGE_SIZE
+    def _copy(self, dst: int, src: int, n_words: int):
+        self._push_ring([OP_COPY, dst, src, n_words], drain=True)
 
-    def _vram_write(self, device_addr: int, data: bytes):
-        done = 0
-        while done < len(data):
-            chunk = data[done:done + PAGE_SIZE]
-            self._pool_write(STAGING_PAGE * PAGE_SIZE, chunk)
-            self._push_ring([OP_COPY, device_addr + done,
-                             self._staging_addr(), len(chunk) // WORD],
-                            drain=True)
-            done += len(chunk)
-
-    def _vram_read(self, device_addr: int, n: int) -> bytes:
-        out = []
-        done = 0
-        while done < n:
-            take = min(n - done, PAGE_SIZE)
-            self._push_ring([OP_COPY, self._staging_addr(),
-                             device_addr + done, take // WORD], drain=True)
-            out.append(self._pool_read(STAGING_PAGE * PAGE_SIZE, take))
-            done += take
-        return b"".join(out)
+    def _alloc_vram(self, size: int) -> int:
+        addr = self._vram_alloc.alloc(size)
+        if addr is None:
+            raise OutOfVram(f"no device memory for {size} bytes")
+        return addr
 
     def _client(self, client: int) -> int:
         if client not in self.clients:
             raise BadHandle(f"no client {client}")
         return client
 
-    def _buffer(self, client: int, buffer_id: int) -> KBuffer:
+    def _buffer(self, client: int, buffer_id: int) -> Buffer:
         buf = self.buffers.get(buffer_id)
         if buf is None:
             raise NotFoundError(f"no buffer {buffer_id}")
@@ -255,81 +178,31 @@ class LegacyDriver:
     def legacy_close(self, client: int):
         self._charge()
         self._client(client)
-        for buffer_id in [b.id for b in self.buffers.values() if b.owner == client]:
-            self._release(self.buffers.pop(buffer_id))
+        for buffer_id in [b.handle for b in self.buffers.values() if b.owner == client]:
+            self.pool.release(self.buffers.pop(buffer_id))
         del self.clients[client]
-
-    def _release(self, buf: KBuffer):
-        if buf.placement == VRAM:
-            self._vram_alloc.free(buf.device_addr, buf.size)
-        elif buf.placement == GTT:
-            self._slab.free(buf.pool_off - SLAB_FIRST_PAGE * PAGE_SIZE, buf.size)
 
     def legacy_alloc(self, client: int, size: int, placement: str) -> int:
         self._charge()
         self._client(client)
-        if size <= 0:
-            raise InvalError("size must be positive")
-        device_addr = pool_off = host = None
-        if placement == VRAM:
-            device_addr = self._vram_alloc.alloc(size)
-            if device_addr is None:
-                raise OutOfVram(f"no device memory for {size} bytes")
-        elif placement == GTT:
-            slab_off = self._slab.alloc(size)
-            if slab_off is None:
-                raise OutOfPool(f"no pool space for {size} bytes")
-            pool_off = SLAB_FIRST_PAGE * PAGE_SIZE + slab_off
-            device_addr = APERTURE_BASE + pool_off
-        elif placement == SYS:
-            host = bytearray(size)
-        else:
-            raise InvalError(f"unknown placement {placement!r}")
-        buffer_id = self._next_buffer
-        self._next_buffer += 1
-        self.buffers[buffer_id] = KBuffer(buffer_id, client, placement, size,
-                                          device_addr, pool_off, host)
-        return buffer_id
+        return self.pool.create(size, placement, owner=client)
 
     def legacy_free(self, client: int, buffer_id: int):
         self._charge()
         self._client(client)
-        buf = self._buffer(client, buffer_id)
-        self._release(buf)
+        self.pool.release(self._buffer(client, buffer_id))
         del self.buffers[buffer_id]
-
-    @staticmethod
-    def _check_range(buf: KBuffer, offset: int, n: int):
-        if offset < 0 or n < 0 or offset + n > buf.size:
-            raise OutOfRange(f"[{offset}, {offset + n}) outside {buf.size}-byte buffer")
 
     def legacy_write(self, client: int, buffer_id: int, offset: int, data: bytes):
         data = bytes(data)
         self._charge(len(data))
         self._client(client)
-        buf = self._buffer(client, buffer_id)
-        self._check_range(buf, offset, len(data))
-        if buf.placement == SYS:
-            buf.host[offset:offset + len(data)] = data
-        elif buf.placement == GTT:
-            self._pool_write(buf.pool_off + offset, data)
-        else:
-            if offset % WORD or len(data) % WORD:
-                raise InvalError("device-memory access must be word-aligned")
-            self._vram_write(buf.device_addr + offset, data)
+        self.pool.write_buffer(self._buffer(client, buffer_id), offset, data)
 
     def legacy_read(self, client: int, buffer_id: int, offset: int, n: int) -> bytes:
         self._charge(n)
         self._client(client)
-        buf = self._buffer(client, buffer_id)
-        self._check_range(buf, offset, n)
-        if buf.placement == SYS:
-            return bytes(buf.host[offset:offset + n])
-        if buf.placement == GTT:
-            return self._pool_read(buf.pool_off + offset, n)
-        if offset % WORD or n % WORD:
-            raise InvalError("device-memory access must be word-aligned")
-        return self._vram_read(buf.device_addr + offset, n)
+        return self.pool.read_buffer(self._buffer(client, buffer_id), offset, n)
 
     def legacy_map(self, client: int, buffer_id: int):
         self._charge()
@@ -345,7 +218,7 @@ class LegacyDriver:
             raise InvalError(f"buffer {buffer_id} is not device-visible")
         if offset % WORD:
             raise InvalError("operand offsets must be word-aligned")
-        self._check_range(buf, offset, n_words * WORD)
+        buf.check_range(offset, n_words * WORD)
         return buf.device_addr + offset
 
     def legacy_submit(self, client: int, batch) -> int:
@@ -399,18 +272,14 @@ class LegacyDriver:
     def legacy_wait(self, client: int, seq: int):
         """Syscall-based completion wait: one crossing per poll round."""
         self._client(client)
-        rounds = 0
         while True:
-            rounds += 1
             self._charge()
-            self._check_fault()
-            if self._read_status()[0] >= seq:
+            if self.pool.poll() >= seq:
                 if self.device.cp_idle:
                     self._inflight_seq = 0
                 return
             if self._step(WAIT_ROUND_CYCLES) == 0:
-                self._check_fault()
-                if self._read_status()[0] >= seq:
+                if self.pool.poll() >= seq:
                     self._inflight_seq = 0
                     return
                 raise InvalError(f"fence {seq} can never complete (device idle)")
@@ -418,26 +287,17 @@ class LegacyDriver:
     def legacy_fence_status(self, client: int, seq: int) -> bool:
         self._charge()
         self._client(client)
-        self._check_fault()
-        return self._read_status()[0] >= seq
+        return self.pool.poll() >= seq
 
     def legacy_set_mode(self, client: int, display: int, mode, fb: int | None = None):
         self._charge()
         self._client(client)
-        if not 0 <= display < len(DISPLAY_MODES):
-            raise InvalError(f"no display {display}")
-        mode = tuple(mode)
-        if mode not in DISPLAY_MODES[display]:
-            raise InvalError(f"mode {mode} not offered")
-        width, height, refresh = mode
-        self.device.mmio_write(REG_DISP_PLL, refresh)
-        self.device.mmio_write(REG_DISP_TIMING_H, width)
-        self.device.mmio_write(REG_DISP_TIMING_V, height)
-        self.device.mmio_write(REG_DISP_ENABLE, 1)
         if fb is not None:
             buf = self._buffer(client, fb)
             if buf.device_addr is None:
                 raise InvalError(f"buffer {fb} cannot be scanned out")
+        simdev.program_display(self.device, display, mode)
+        if fb is not None:
             self.device.mmio_write(REG_FB_BASE, buf.device_addr)
 
     def legacy_info(self, client: int) -> dict:

@@ -1,101 +1,57 @@
 """The per-application library driver.
 
 All resource management lives here, in the application's own trust domain:
-buffer bookkeeping, slab allocation over a pre-mapped page pool, ring-buffer
-command construction, and fence tracking.  The trusted core is involved only
-through its narrow call API, and the hot path needs exactly one such call per
-frame: the ring-tail write that triggers execution.  Fence completion is
-observed by polling the status page, which is ordinary application memory.
-
-Pool layout (pages, mapped at consecutive aperture addresses from the
-aperture base): page 0 is the interrupt status page, pages 1-4 hold the
-4096-word ring, everything above feeds the slab allocator.
+buffer bookkeeping, slab allocation over a pre-mapped page pool (see
+``devmux.pool``), ring-buffer command construction, and fence tracking.  The
+trusted core is involved only through its narrow call API, and the hot path
+needs exactly one such call per frame: the ring-tail write that triggers
+execution.  Fence completion is observed by polling the status page, which
+is ordinary application memory.
 
 One simulation-plumbing note: in deterministic mode nothing advances the
 device behind the scenes, so blocking waits interleave status-page polls
-with explicit device stepping (the pump).  The default pump steps the
-device directly and bills the cycles; schedulers that want to own all
+with explicit device stepping (the pump).  The pump steps the device
+directly and bills the cycles; schedulers that want to own all
 stepping drive the non-blocking ``fence_completed`` instead.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-import struct
 
-from devmux.alloc import SlabPool
-from devmux.errors import (BadHandle, BatchTooBig, DeviceFault, InvalError,
-                           OutOfPool, OutOfRange)
-from devmux.simdev import (APERTURE_BASE, FAULT_FLAGS, PAGE_SIZE,
-                           REG_FB_BASE, REG_IH_PAGE_ADDR, REG_RB_BASE,
-                           REG_RB_SIZE, REG_RB_TAIL, WORD, Copy, Fence,
-                           encode_batch)
+from devmux.errors import BadHandle, BatchTooBig, InvalError
+from devmux.pool import (FIRST_FREE_PAGE, GTT, RING_REGISTERS, RING_WORDS, SYS,
+                         VRAM, Buffer, PagePool)
+from devmux.simdev import (APERTURE_BASE, PAGE_SIZE, REG_FB_BASE, REG_RB_TAIL,
+                           WORD, Copy, Fence, encode_batch)
 
 POOL_PAGES_DEFAULT = 256
-RING_WORDS = 4096
-RING_PAGES = RING_WORDS * WORD // PAGE_SIZE
-RESERVED_POOL_PAGES = 1 + RING_PAGES  # status page + ring
+RESERVED_POOL_PAGES = FIRST_FREE_PAGE  # status page + ring
 STAGING_BYTES = PAGE_SIZE
-PUMP_CYCLES_DEFAULT = 4096
-
-VRAM = "VRAM"
-GTT = "GTT"
-SYS = "SYS"
-PLACEMENTS = (VRAM, GTT, SYS)
-
-
-@dataclass
-class Buffer:
-    handle: int
-    placement: str
-    size: int
-    device_addr: int | None = None  # VRAM window or aperture address
-    pool_off: int | None = None     # GTT: offset into the pool region
-    host: bytearray | None = None   # SYS backing
-
-
-class BufferView:
-    """Host view of a buffer.  GTT/SYS access is direct memory; VRAM access
-    rides the staging path of the owning driver."""
-
-    def __init__(self, lib: "LibraryDriver", handle: int):
-        self._lib = lib
-        self._handle = handle
-
-    def __len__(self):
-        return self._lib._buffer(self._handle).size
-
-    def read(self, offset: int, n: int) -> bytes:
-        return self._lib.read_buffer(self._handle, offset, n)
-
-    def write(self, offset: int, data: bytes):
-        self._lib.write_buffer(self._handle, offset, data)
+PUMP_CYCLES = 4096
 
 
 class LibraryDriver:
     """One application's driver instance, bound to one core client id."""
 
-    def __init__(self, core, app, *, pool_pages: int = POOL_PAGES_DEFAULT,
-                 pump_cycles: int = PUMP_CYCLES_DEFAULT):
+    def __init__(self, core, app, *, pool_pages: int = POOL_PAGES_DEFAULT):
         if pool_pages < RESERVED_POOL_PAGES + 2:
             raise InvalError(f"pool must be > {RESERVED_POOL_PAGES + 1} pages")
         self.core = core
-        self.app = app
         self.platform = core.platform
-        self.pool_pages = pool_pages
-        self._pump_cycles = pump_cycles
 
         self.lib_id, self.info = core.init_device_lib(app)
         vaddrs = self.platform.alloc_pages(app, pool_pages)
         for i, vaddr in enumerate(vaddrs):
             core.iommu_map_page(self.lib_id, vaddr, APERTURE_BASE + i * PAGE_SIZE)
-        self.pool_vaddrs = vaddrs
-        self._frames = [self.platform.resolve(app, v) for v in vaddrs]
-
-        self._slab = SlabPool((pool_pages - RESERVED_POOL_PAGES) * PAGE_SIZE)
-        self.buffers = {}
-        self._next_handle = 1
+        self.pool = PagePool(
+            self.platform.sysmem, [self.platform.resolve(app, v) for v in vaddrs],
+            RESERVED_POOL_PAGES,
+            alloc_vram=lambda size: core.alloc_device_memory(self.lib_id, size),
+            free_vram=lambda addr, size: core.release_device_memory(
+                self.lib_id, addr, size),
+            staging=self._staging_off, copy=self._copy)
+        self.buffers = self.pool.buffers
         self._next_seq = 1
         self._tail_words = 0
         self._head_words = 0
@@ -103,46 +59,17 @@ class LibraryDriver:
         self._device_ready = False
         self._staging = None
 
-    # -- pool host access (the lib's own mapped memory; costs nothing) ----
-
-    def _pool_write(self, pool_off: int, data: bytes):
-        mem = self.platform.sysmem
-        done = 0
-        while done < len(data):
-            page, off = divmod(pool_off + done, PAGE_SIZE)
-            take = min(len(data) - done, PAGE_SIZE - off)
-            mem.write(self._frames[page], off, data[done:done + take])
-            done += take
-
-    def _pool_read(self, pool_off: int, n: int) -> bytes:
-        mem = self.platform.sysmem
-        out = []
-        done = 0
-        while done < n:
-            page, off = divmod(pool_off + done, PAGE_SIZE)
-            take = min(n - done, PAGE_SIZE - off)
-            out.append(mem.read(self._frames[page], off, take))
-            done += take
-        return b"".join(out)
-
     # -- fences ------------------------------------------------------------
-
-    def _read_status(self):
-        completed, irq_count, flags = struct.unpack(
-            "<QII", self.platform.sysmem.read(self._frames[0], 0, 16))
-        return completed, irq_count, flags
 
     def fence_completed(self, seq: int) -> bool:
         """One poll of the status page; never blocks, never crosses."""
-        completed, _, flags = self._read_status()
-        if flags & FAULT_FLAGS:
-            raise DeviceFault(flags, "device reported a fault")
+        completed = self.pool.poll()
         while self._pending and self._pending[0][0] <= completed:
             self._head_words = self._pending.popleft()[1]
         return completed >= seq
 
     def _pump(self) -> int:
-        report = self.core.device.step(self._pump_cycles)
+        report = self.core.device.step(PUMP_CYCLES)
         self.platform.ledger.device_cycles += report.cycles_used
         return report.cycles_used
 
@@ -161,20 +88,9 @@ class LibraryDriver:
         """One-time ring/status programming; survives revoke via snapshot."""
         if self._device_ready:
             return
-        reg = self.core.access_register
-        reg(self.lib_id, REG_RB_BASE, APERTURE_BASE + PAGE_SIZE, True)
-        reg(self.lib_id, REG_RB_SIZE, RING_WORDS, True)
-        reg(self.lib_id, REG_IH_PAGE_ADDR, APERTURE_BASE, True)
+        for reg, value in RING_REGISTERS:
+            self.core.access_register(self.lib_id, reg, value, True)
         self._device_ready = True
-
-    def _ring_write(self, start_word: int, words):
-        ring_base = 1 * PAGE_SIZE  # pool offset of ring page 0
-        first = min(len(words), RING_WORDS - start_word)
-        chunk = struct.pack(f"<{first}I", *words[:first])
-        self._pool_write(ring_base + start_word * WORD, chunk)
-        if first < len(words):
-            rest = struct.pack(f"<{len(words) - first}I", *words[first:])
-            self._pool_write(ring_base, rest)
 
     def submit(self, instrs) -> int:
         """Queue a batch followed by an interrupting fence; returns the seq.
@@ -192,44 +108,20 @@ class LibraryDriver:
             if used + len(words) <= RING_WORDS - 1:
                 break
             self.wait_fence(self._pending[0][0])  # reclaim oldest batch
-        self._ring_write(self._tail_words, words)
+        self._tail_words = self.pool.write_ring(self._tail_words, words)
         self._next_seq += 1
-        self._tail_words = (self._tail_words + len(words)) % RING_WORDS
         self._pending.append((seq, self._tail_words))
         self.core.access_register(self.lib_id, REG_RB_TAIL,
                                   self._tail_words * WORD, True)
         return seq
 
-    # -- staging (device copies between VRAM and the pool) ---------------------
+    def _copy(self, dst: int, src: int, n_words: int):
+        self.wait_fence(self.submit([Copy(dst, src, n_words)]))
 
-    def _staging_buffer(self) -> Buffer:
+    def _staging_off(self) -> int:
         if self._staging is None:
             self._staging = self.create_buffer(STAGING_BYTES, GTT)
-        return self.buffers[self._staging]
-
-    def _vram_write(self, device_addr: int, data: bytes):
-        staging = self._staging_buffer()
-        done = 0
-        while done < len(data):
-            chunk = data[done:done + STAGING_BYTES]
-            self._pool_write(staging.pool_off, chunk)
-            seq = self.submit([Copy(device_addr + done,
-                                    staging.device_addr, len(chunk) // WORD)])
-            self.wait_fence(seq)
-            done += len(chunk)
-
-    def _vram_read(self, device_addr: int, n: int) -> bytes:
-        staging = self._staging_buffer()
-        out = []
-        done = 0
-        while done < n:
-            take = min(n - done, STAGING_BYTES)
-            seq = self.submit([Copy(staging.device_addr,
-                                    device_addr + done, take // WORD)])
-            self.wait_fence(seq)
-            out.append(self._pool_read(staging.pool_off, take))
-            done += take
-        return b"".join(out)
+        return self.buffers[self._staging].pool_off
 
     # -- buffers ---------------------------------------------------------------
 
@@ -239,102 +131,41 @@ class LibraryDriver:
             raise BadHandle(f"no buffer {handle}")
         return buf
 
-    def _alloc_backing(self, size: int, placement: str):
-        """Returns (device_addr, pool_off, host) for a new placement."""
-        if placement == VRAM:
-            return self.core.alloc_device_memory(self.lib_id, size), None, None
-        if placement == GTT:
-            slab_off = self._slab.alloc(size)
-            if slab_off is None:
-                raise OutOfPool(f"no pool space for {size} bytes")
-            pool_off = RESERVED_POOL_PAGES * PAGE_SIZE + slab_off
-            return APERTURE_BASE + pool_off, pool_off, None
-        if placement == SYS:
-            return None, None, bytearray(size)
-        raise InvalError(f"unknown placement {placement!r}")
-
-    def _release_backing(self, buf: Buffer):
-        if buf.placement == VRAM:
-            self.core.release_device_memory(self.lib_id, buf.device_addr, buf.size)
-        elif buf.placement == GTT:
-            self._slab.free(buf.pool_off - RESERVED_POOL_PAGES * PAGE_SIZE, buf.size)
-
     def create_buffer(self, size: int, placement: str) -> int:
-        if size <= 0:
-            raise InvalError("size must be positive")
-        device_addr, pool_off, host = self._alloc_backing(size, placement)
-        handle = self._next_handle
-        self._next_handle += 1
-        self.buffers[handle] = Buffer(handle, placement, size,
-                                      device_addr, pool_off, host)
-        return handle
+        return self.pool.create(size, placement)
 
     def destroy_buffer(self, handle: int):
-        buf = self._buffer(handle)
-        self._release_backing(buf)
+        self.pool.release(self._buffer(handle))
         del self.buffers[handle]
 
-    @staticmethod
-    def _check_range(buf: Buffer, offset: int, n: int):
-        if offset < 0 or n < 0 or offset + n > buf.size:
-            raise OutOfRange(f"[{offset}, {offset + n}) outside {buf.size}-byte buffer")
-
     def write_buffer(self, handle: int, offset: int, data: bytes):
-        buf = self._buffer(handle)
-        data = bytes(data)
-        self._check_range(buf, offset, len(data))
-        if buf.placement == SYS:
-            buf.host[offset:offset + len(data)] = data
-        elif buf.placement == GTT:
-            self._pool_write(buf.pool_off + offset, data)
-        else:
-            if offset % WORD or len(data) % WORD:
-                raise InvalError("device-memory access must be word-aligned")
-            self._vram_write(buf.device_addr + offset, data)
+        self.pool.write_buffer(self._buffer(handle), offset, bytes(data))
 
     def read_buffer(self, handle: int, offset: int, n: int) -> bytes:
-        buf = self._buffer(handle)
-        self._check_range(buf, offset, n)
-        if buf.placement == SYS:
-            return bytes(buf.host[offset:offset + n])
-        if buf.placement == GTT:
-            return self._pool_read(buf.pool_off + offset, n)
-        if offset % WORD or n % WORD:
-            raise InvalError("device-memory access must be word-aligned")
-        return self._vram_read(buf.device_addr + offset, n)
-
-    def map_buffer(self, handle: int) -> BufferView:
-        self._buffer(handle)
-        return BufferView(self, handle)
+        return self.pool.read_buffer(self._buffer(handle), offset, n)
 
     def move_buffer(self, handle: int, new_placement: str):
-        """Change placement, preserving contents; source survives failures."""
+        """Change placement, preserving contents.
+
+        On failure the buffer keeps its old placement and contents, and the
+        new backing is given back.
+        """
         buf = self._buffer(handle)
         if new_placement == buf.placement:
             return
         if buf.size % WORD and VRAM in (buf.placement, new_placement):
             raise InvalError("device-memory moves need word-sized buffers")
-        device_addr, pool_off, host = self._alloc_backing(buf.size, new_placement)
-        old = (buf.placement, buf.device_addr, buf.pool_off, buf.host)
-        if VRAM in (buf.placement, new_placement) and SYS not in (buf.placement, new_placement):
-            # VRAM <-> GTT: both ends device-visible, one device-side copy
-            seq = self.submit([Copy(device_addr, buf.device_addr, buf.size // WORD)])
-            self.wait_fence(seq)
-        elif new_placement == SYS:
-            data = (self._pool_read(buf.pool_off, buf.size)
-                    if buf.placement == GTT
-                    else self._vram_read(buf.device_addr, buf.size))
-            host[:] = data
-        else:  # SYS source
-            data = bytes(buf.host)
-            if new_placement == GTT:
-                self._pool_write(pool_off, data)
-            else:
-                self._vram_write(device_addr, data)
-        buf.placement, buf.device_addr, buf.pool_off, buf.host = (
-            new_placement, device_addr, pool_off, host)
-        old_backing = Buffer(buf.handle, old[0], buf.size, old[1], old[2], old[3])
-        self._release_backing(old_backing)
+        new = self.pool.allocate(handle, buf.size, new_placement)
+        try:
+            if SYS in (buf.placement, new_placement):
+                self.pool.write_buffer(new, 0, self.pool.read_buffer(buf, 0, buf.size))
+            else:  # VRAM <-> GTT: both ends device-visible, one device-side copy
+                self._copy(new.device_addr, buf.device_addr, buf.size // WORD)
+        except Exception:
+            self.pool.release(new)
+            raise
+        self.buffers[handle] = new
+        self.pool.release(buf)
 
     # -- display ---------------------------------------------------------------
 

@@ -162,7 +162,7 @@ FW_CTRL_READY = 2
 
 VRAM_SIZE_DEFAULT = 16 << 20
 TLB_ENTRIES_DEFAULT = 64
-CACHE_WORDS_DEFAULT = 1024
+CACHE_WORDS = 1024
 
 # what the display hardware can actually drive: one head, two fixed modes
 # (width, height, refresh); both driver stacks validate against this table
@@ -419,16 +419,14 @@ class SimDevice:
     covering frame*4096+offset addressing (DMA target); it may be None for
     device-memory-only use."""
 
-    def __init__(self, sysmem=None, *, vram_size: int = VRAM_SIZE_DEFAULT,
-                 tlb_entries: int = TLB_ENTRIES_DEFAULT,
-                 cache_words: int = CACHE_WORDS_DEFAULT):
+    def __init__(self, sysmem=None, *, vram_size: int = VRAM_SIZE_DEFAULT):
         self.regs = {off: 0 for off in ALL_REGISTERS}
         self.vram = bytearray(vram_size)
         self.sysmem = sysmem
         self.translation_tables = {}
-        self.iommu = IommuUnit(self.translation_tables, tlb_entries)
+        self.iommu = IommuUnit(self.translation_tables)
         self.active_iommu = self.iommu
-        self.cache = WriteBackCache(cache_words, self._write_word_raw)
+        self.cache = WriteBackCache(CACHE_WORDS, self._write_word_raw)
         self.firmware = [0] * FW_SIZE
         self._fw_ready = False
         self._inflight = None  # [opcode, words, cycles_left]
@@ -504,20 +502,14 @@ class SimDevice:
 
     # -- address decode -------------------------------------------------
 
-    def decode_address(self, da: int, is_write: bool):
-        """Decode one device address to (space, physical byte address)."""
-        spans = self._decode_run(da, 1, is_write, width=1)
-        space, addr, _ = spans[0]
-        return space, addr
-
-    def _decode_run(self, da: int, n_words: int, is_write: bool, width: int = WORD):
+    def _decode_run(self, da: int, n_words: int, is_write: bool):
         """Decode ``n_words`` consecutive words at ``da`` into physical spans.
 
         Returns [(space, byte addr, word count), ...].  All translation
         happens here, so callers can decode every target before touching
         memory (whole-instruction atomicity).
         """
-        if da % width:
+        if da % WORD:
             raise McFault(f"unaligned device address 0x{da:x}")
         spans = []
         remaining = n_words
@@ -814,3 +806,17 @@ def bring_up(device: SimDevice):
     device.mmio_write(REG_CP_RESET, 1)
     for off in (REG_DISP_PLL, REG_DISP_TIMING_H, REG_DISP_TIMING_V, REG_DISP_ENABLE):
         device.mmio_write(off, 0)
+
+
+def program_display(device: SimDevice, display: int, mode):
+    """Check ``mode`` against DISPLAY_MODES, then program and enable it."""
+    if not 0 <= display < len(DISPLAY_MODES):
+        raise InvalError(f"no display {display}")
+    mode = tuple(mode)
+    if mode not in DISPLAY_MODES[display]:
+        raise InvalError(f"mode {mode} not offered")
+    width, height, refresh = mode
+    device.mmio_write(REG_DISP_PLL, refresh)
+    device.mmio_write(REG_DISP_TIMING_H, width)
+    device.mmio_write(REG_DISP_TIMING_V, height)
+    device.mmio_write(REG_DISP_ENABLE, 1)

@@ -70,20 +70,43 @@ def test_report_serialization():
 
 def test_results_agree_across_every_deployment():
     config = BenchConfig()
-    digests = set()
-    reports = []
+    for kind in ("matmul", "vertex-array", "display-list"):
+        digests = set()
+        for driver in ("library", "legacy"):
+            rows = []
+            for iommu in ("builtin", "system"):
+                spec = WorkloadSpec(kind=kind, size=4, iters=2,
+                                    driver=driver, iommu=iommu)
+                report = run_workload(spec, config)
+                digests.add(report.digests["result"])
+                assert len(report.per_iteration) == 2
+                assert set(report.per_iteration[0]) == set(ITERATION_COLUMNS)
+                assert report.ledger["crossings"] > 0
+                rows.append(report.per_iteration)
+            # where translation happens changes no cost
+            assert rows[0] == rows[1], (kind, driver)
+        assert len(digests) == 1, kind
+
+
+@pytest.mark.parametrize("n", [4, 26, 27])
+def test_steady_matmul_rows_follow_the_host_cost_formula(n):
+    # n*n DOTs of n terms: 1 + n cycles each, plus 4 cycles per fence.  A
+    # ring of 4096 words holds 681 six-word COMPUTEs and the 4-word fence,
+    # so an iteration is k = ceil(n*n / 681) fenced batches on either stack.
+    k = -(-n * n // ((4096 - 1 - 4) // 6))
+    cycles = n * n * (n + 1) + 4 * k
+    rows = {}
     for driver in ("library", "legacy"):
-        for iommu in ("builtin", "system"):
-            spec = WorkloadSpec(kind="matmul", size=4, iters=2,
-                                driver=driver, iommu=iommu)
-            report = run_workload(spec, config)
-            reports.append(report)
-            digests.add(report.digests["result"])
-    assert len(digests) == 1
-    for report in reports:
-        assert len(report.per_iteration) == 2
-        assert set(report.per_iteration[0]) == set(ITERATION_COLUMNS)
-        assert report.ledger["crossings"] > 0
+        spec = WorkloadSpec(kind="matmul", size=n, iters=3, driver=driver)
+        rows[driver] = run_workload(spec, BenchConfig()).per_iteration[1:]
+    for row in rows["library"]:
+        assert (row["crossings"], row["core_calls"]) == (k, k)  # tail writes
+        assert row["device_cycles"] == cycles
+        assert row["bytes_copied"] == row["instructions_validated"] == 0
+    for row in rows["legacy"]:
+        assert row["device_cycles"] == cycles
+        assert row["instructions_validated"] == 6 * n * n
+        assert row["bytes_copied"] == 24 * n * n
 
 
 def test_library_hot_loop_is_one_crossing_and_no_copies():

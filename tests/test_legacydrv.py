@@ -10,8 +10,8 @@ from devmux.errors import (BadHandle, InvalError, NotFoundError,
 from devmux.legacydrv import (LEGACY_API, CsCompute, CsCopy, CsNop, CsSetReg,
                               LegacyDriver)
 from devmux.simdev import (CO_ADD, CO_DOT, REG_DISP_ENABLE, REG_DISP_PLL,
-                           REG_DISP_TIMING_H, REG_FB_BASE, REG_RB_TAIL,
-                           REG_SCRATCH0, WORD)
+                           REG_DISP_TIMING_H, REG_DISP_TIMING_V, REG_FB_BASE,
+                           REG_RB_TAIL, REG_SCRATCH0, WORD)
 
 
 @pytest.fixture
@@ -174,6 +174,21 @@ def test_set_mode_and_scanout_framebuffer(legacy):
     sysbuf = driver.legacy_alloc(client, 64, "SYS")
     with pytest.raises(InvalError):
         driver.legacy_set_mode(client, 0, (64, 48, 60), fb=sysbuf)
+
+
+def test_refused_framebuffer_leaves_the_display_untouched(legacy):
+    _, device, driver, client = legacy
+    other = driver.legacy_open("other")
+    foreign = driver.legacy_alloc(other, 64 * 48 * WORD, "VRAM")
+    sysbuf = driver.legacy_alloc(client, 64, "SYS")
+    display_regs = (REG_DISP_PLL, REG_DISP_TIMING_H, REG_DISP_TIMING_V,
+                    REG_DISP_ENABLE, REG_FB_BASE)
+    before = [device.mmio_read(reg) for reg in display_regs]
+    with pytest.raises(PermError):
+        driver.legacy_set_mode(client, 0, (64, 48, 60), fb=foreign)
+    with pytest.raises(InvalError):
+        driver.legacy_set_mode(client, 0, (64, 48, 60), fb=sysbuf)
+    assert [device.mmio_read(reg) for reg in display_regs] == before
 
 
 def test_user_mappings_are_not_offered(legacy):

@@ -33,7 +33,7 @@ def test_init_cost_is_one_crossing_per_pool_page_plus_one(lib_world):
     assert ledger.crossings - crossings == POOL + 1
     assert ledger.core_calls - calls == POOL + 1
     assert len(core.contexts[lib.lib_id].vaddr_map) == POOL
-    for frame in lib._frames:
+    for frame in lib.pool.frames:
         assert platform.sysmem.pins[frame] == 1
 
 
@@ -47,11 +47,11 @@ def test_two_libraries_keep_private_apertures(lib_world):
     platform, _, core = lib_world
     a = LibraryDriver(core, "a", pool_pages=POOL)
     b = LibraryDriver(core, "b", pool_pages=POOL)
-    assert not set(a._frames) & set(b._frames)
+    assert not set(a.pool.frames) & set(b.pool.frames)
     # same aperture offsets, different tables, different frames
     fa, _ = core.contexts[a.lib_id].table.lookup(0)
     fb, _ = core.contexts[b.lib_id].table.lookup(0)
-    assert fa == a._frames[0] and fb == b._frames[0] and fa != fb
+    assert fa == a.pool.frames[0] and fb == b.pool.frames[0] and fa != fb
 
 
 def test_gtt_buffers_live_in_the_pool_window(bound_lib):
@@ -140,9 +140,9 @@ def test_move_preserves_contents_across_placements(bound_lib):
 def test_move_to_same_placement_is_free(bound_lib):
     platform, _, _, lib = bound_lib
     h = lib.create_buffer(4096, VRAM)
-    before = platform.ledger.simulated_time
+    before = platform.ledger.simulated_time()
     lib.move_buffer(h, VRAM)
-    assert platform.ledger.simulated_time == before
+    assert platform.ledger.simulated_time() == before
 
 
 def test_failed_move_leaves_the_source_intact(bound_lib):
@@ -154,6 +154,21 @@ def test_failed_move_leaves_the_source_intact(bound_lib):
         lib.move_buffer(h, VRAM)
     assert lib.buffers[h].placement == GTT
     assert lib.read_buffer(h, 0, 4096) == b"\xAB" * 4096
+
+
+def test_failed_device_copy_releases_the_new_backing(bound_lib):
+    _, _, core, lib = bound_lib
+    h = lib.create_buffer(4096, GTT)
+    lib.write_buffer(h, 0, b"\xCD" * 4096)
+    with pytest.raises(DeviceFault):
+        lib.wait_fence(lib.submit([SetReg(REG_MC_SEG_BASE, 0)]))
+    segment = core.contexts[lib.lib_id].segment_alloc
+    live = dict(segment.live)
+    with pytest.raises(DeviceFault):
+        lib.move_buffer(h, VRAM)  # the copy reports the sticky fault
+    assert segment.live == live
+    assert lib.buffers[h].placement == GTT
+    assert lib.read_buffer(h, 0, 4096) == b"\xCD" * 4096
 
 
 def test_submit_costs_one_crossing_regardless_of_batch_size(bound_lib):
