@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from ..devcore import DeviceCore
 from ..errors import DeviceFault, NotBoundError, PermError
-from ..libdrv import GTT, VRAM, LibraryDriver
+from ..libdrv import LibraryDriver
+from ..pool import GTT, VRAM
 from ..simdev import (APERTURE_BASE, FLAG_CMD_FAULT, FLAG_IOMMU_FAULT,
                       FLAG_MC_FAULT, PAGE_SIZE, REG_DISP_ENABLE,
                       REG_IH_PAGE_ADDR, REG_IOMMU_ROOT, REG_MC_SEG_BASE,

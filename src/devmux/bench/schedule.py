@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..errors import InvalError, VerifyFail
 from ..libdrv import LibraryDriver
-from .config import BenchConfig, WorkloadSpec
+from .config import BenchConfig
 from .report import RunReport
 from .world import World, build_world
 

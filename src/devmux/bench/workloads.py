@@ -13,10 +13,11 @@ A workload is a Program with a fixed life cycle:
 ``Matmul`` and ``Graphics`` (vertex-array or display-list, by spec kind)
 talk to the driver only through a small per-stack adapter: open, alloc,
 write, read, compute (operands as (buffer, byte offset) pairs), show,
-split, submit and wait.  ``_Library`` resolves operands to device addresses
-itself and cuts the stream into ring-sized batches; ``_Legacy`` hands
-buffer ids to the kernel, which validates and patches them.  Only the
-library stack can be scheduled, so only its adapter offers the
+split, submit and wait.  Both build ``simdev.Compute`` instructions:
+``_Library`` resolves operands to device addresses itself and cuts the
+stream into ring-sized batches; ``_Legacy`` leaves the (buffer id, byte
+offset) pairs in place for the kernel, which validates and patches them.
+Only the library stack can be scheduled, so only its adapter offers the
 non-blocking ``completed`` poll.  The instruction streams are the same on
 both stacks, so results (and their digests) must match bit for bit.
 """
@@ -27,10 +28,10 @@ import struct
 
 from ..devcore import DeviceCore
 from ..errors import InvalError, VerifyFail
-from ..legacydrv import CsCompute
 from ..libdrv import LibraryDriver
-from ..pool import GTT, RING_WORDS, VRAM
-from ..simdev import CO_ADD, CO_DOT, MASK32, WORD, Compute, fnv1a64
+from ..pool import GTT, MAX_BATCH_WORDS, VRAM
+from ..simdev import (CO_ADD, CO_DOT, INSTR_WORDS, MASK32, OP_COMPUTE, WORD,
+                      Compute, fnv1a64)
 from .config import BenchConfig, WorkloadSpec
 from .report import RunReport
 from .world import World, build_world
@@ -42,8 +43,7 @@ DISPLAY_MODE = (FB_WIDTH, FB_HEIGHT, 60)
 GFX_BATCH_INSTRS = 32
 VERTEX_WORDS_PER_SIZE = 64
 
-# A library batch must fit the ring with its trailing fence (4 words).
-MAX_COMPUTES_PER_SUBMIT = (RING_WORDS - 1 - 4) // 6
+MAX_COMPUTES_PER_SUBMIT = MAX_BATCH_WORDS // INSTR_WORDS[OP_COMPUTE]
 
 
 def _pack(words) -> bytes:
@@ -163,8 +163,8 @@ class _Legacy:
     def read(self, buf: int, offset: int, n: int) -> bytes:
         return self.drv.legacy_read(self.client, buf, offset, n)
 
-    def compute(self, sub: int, dst, src1, src2, count: int) -> CsCompute:
-        return CsCompute(sub, dst, src1, src2, count)
+    def compute(self, sub: int, dst, src1, src2, count: int) -> Compute:
+        return Compute(sub, dst, src1, src2, count)
 
     def show(self, fb: int):
         self.drv.legacy_set_mode(self.client, 0, DISPLAY_MODE, fb=fb)

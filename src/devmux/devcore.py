@@ -107,7 +107,6 @@ class LibContext:
         self.table = PageTable()
         self.vaddr_map = {}  # vaddr -> (iaddr, frame)
         self.iaddr_map = {}  # iaddr -> vaddr
-        self.pinned = set()
         self.segment_alloc = FirstFitAllocator(segment_limit - segment_base)
 
 
@@ -208,7 +207,6 @@ class DeviceCore:
             raise ExistsError("page already mapped")
         ctx.table.map(iaddr - APERTURE_BASE, frame, writable=True)
         self.platform.sysmem.pin(frame)
-        ctx.pinned.add(frame)
         ctx.vaddr_map[vaddr] = (iaddr, frame)
         ctx.iaddr_map[iaddr] = vaddr
 
@@ -222,8 +220,6 @@ class DeviceCore:
         iaddr, frame = entry
         ctx.table.unmap(iaddr - APERTURE_BASE)
         self.platform.sysmem.unpin(frame)
-        if self.platform.sysmem.pins[frame] == 0:
-            ctx.pinned.discard(frame)
         del ctx.vaddr_map[vaddr]
         del ctx.iaddr_map[iaddr]
         if ctx.state == ST_BOUND:

@@ -8,9 +8,12 @@ addresses and written into the kernel-owned ring.  This is the cost structure
 the library driver removes, kept behaviorally identical so workload results
 can be compared byte for byte.
 
-Command streams are built from the Cs* instruction descriptions below, which
-reference buffers as (id, byte offset) pairs; applications never see device
-addresses.
+Applications build command streams from the device's own instruction
+classes (``simdev.Nop``, ``SetReg``, ``Compute`` and ``Copy``), with a
+(buffer id, byte offset) pair in each address field; the kernel checks
+every pair, builds the instruction again with the device address in its
+place, and encodes that.  Applications never see device addresses, and
+FENCE stays the kernel's own.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from devmux import simdev
 from devmux.alloc import FirstFitAllocator
 from devmux.errors import (BadHandle, InvalError, NotFoundError,
                            NotSupportedError, OutOfVram, PermError)
-from devmux.pool import FIRST_FREE_PAGE, RING_REGISTERS, RING_WORDS, Buffer, PagePool
-from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, DISPLAY_MODES, OP_COMPUTE,
-                           OP_COPY, OP_NOP, OP_SET_REG, PAGE_SIZE, REG_FB_BASE,
-                           REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_TAIL,
-                           SCRATCH_REGISTERS, WORD, Fence, PageTable, SimDevice,
+from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_REGISTERS,
+                         Buffer, PagePool)
+from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, DISPLAY_MODES, PAGE_SIZE,
+                           REG_FB_BASE, REG_MC_SEG_BASE, REG_MC_SEG_LIMIT,
+                           REG_RB_TAIL, SCRATCH_REGISTERS, WORD, Compute, Copy,
+                           Nop, PageTable, SetReg, SimDevice,
                            set_translation_root)
 
 LEGACY_API = ("legacy_open", "legacy_close", "legacy_alloc", "legacy_free",
@@ -33,43 +37,7 @@ LEGACY_API = ("legacy_open", "legacy_close", "legacy_alloc", "legacy_free",
 
 KERNEL_TABLE_ID = 1
 POOL_PAGES_DEFAULT = 64
-STAGING_PAGE = FIRST_FREE_PAGE             # pool page index
-SLAB_FIRST_PAGE = STAGING_PAGE + 1
 WAIT_ROUND_CYCLES = 8192                   # device budget per wait syscall
-
-
-# -- application-visible command stream ----------------------------------
-
-class CsNop:
-    __slots__ = ()
-
-
-class CsSetReg:
-    __slots__ = ("reg", "value")
-
-    def __init__(self, reg: int, value: int):
-        self.reg = reg
-        self.value = value
-
-
-class CsCompute:
-    __slots__ = ("sub", "dst", "src1", "src2", "count")
-
-    def __init__(self, sub: int, dst, src1, src2, count: int):
-        self.sub = sub
-        self.dst = dst      # (buffer id, byte offset)
-        self.src1 = src1
-        self.src2 = src2
-        self.count = count
-
-
-class CsCopy:
-    __slots__ = ("dst", "src", "count")
-
-    def __init__(self, dst, src, count: int):
-        self.dst = dst
-        self.src = src
-        self.count = count
 
 
 class LegacyDriver:
@@ -77,8 +45,8 @@ class LegacyDriver:
 
     def __init__(self, platform, device: SimDevice, *,
                  pool_pages: int = POOL_PAGES_DEFAULT):
-        if pool_pages < SLAB_FIRST_PAGE + 1:
-            raise InvalError(f"pool must exceed {SLAB_FIRST_PAGE} pages")
+        if pool_pages < MIN_POOL_PAGES:
+            raise InvalError(f"pool needs at least {MIN_POOL_PAGES} pages")
         self.platform = platform
         self.device = device
         simdev.bring_up(device)
@@ -102,15 +70,13 @@ class LegacyDriver:
 
         self._vram_alloc = FirstFitAllocator(len(device.vram))
         self.pool = PagePool(
-            platform.sysmem, frames, SLAB_FIRST_PAGE,
+            platform.sysmem, frames,
             alloc_vram=self._alloc_vram,
             free_vram=lambda addr, size: self._vram_alloc.free(addr, size),
-            staging=lambda: STAGING_PAGE * PAGE_SIZE, copy=self._copy)
+            copy=self._copy)
         self.buffers = self.pool.buffers
         self.clients = {}
         self._next_client = 1
-        self._next_seq = 1
-        self._tail_words = 0
         self._inflight_seq = 0  # last seq written; 0 when known drained
 
     # -- kernel-side plumbing (no boundary crossings in here) ---------------
@@ -133,11 +99,8 @@ class LegacyDriver:
         """Write one fenced chunk into the ring and trigger it."""
         if self._inflight_seq:
             self._drain()  # reclaim the whole ring before reusing it
-        seq = self._next_seq
-        self._next_seq += 1
-        words = list(payload_words) + Fence(seq).encode()
-        self._tail_words = self.pool.write_ring(self._tail_words, words)
-        self.device.mmio_write(REG_RB_TAIL, self._tail_words * WORD)
+        seq = self.pool.queue(payload_words)
+        self.device.mmio_write(REG_RB_TAIL, self.pool.tail * WORD)
         self._inflight_seq = seq
         if drain:
             self._drain()
@@ -145,7 +108,7 @@ class LegacyDriver:
         return seq
 
     def _copy(self, dst: int, src: int, n_words: int):
-        self._push_ring([OP_COPY, dst, src, n_words], drain=True)
+        self._push_ring(Copy(dst, src, n_words).encode(), drain=True)
 
     def _alloc_vram(self, size: int) -> int:
         addr = self._vram_alloc.alloc(size)
@@ -212,6 +175,9 @@ class LegacyDriver:
 
     def _resolve_ref(self, client: int, ref, n_words: int) -> int:
         """Ownership + bounds + device-visibility check; returns the address."""
+        if not (type(ref) is tuple and len(ref) == 2
+                and isinstance(ref[0], int) and isinstance(ref[1], int)):
+            raise InvalError(f"operand {ref!r} is not a (buffer id, byte offset) pair")
         buffer_id, offset = ref
         buf = self._buffer(client, buffer_id)
         if buf.device_addr is None:
@@ -221,53 +187,47 @@ class LegacyDriver:
         buf.check_range(offset, n_words * WORD)
         return buf.device_addr + offset
 
+    def _patch(self, client: int, instr):
+        """The kernel's own copy of one application instruction, checked,
+        with device addresses in place of buffer references."""
+        kind = type(instr)
+        if kind is Nop:
+            return Nop()
+        if kind is SetReg:
+            reg = _word(instr.reg, "SET_REG target")
+            if reg not in SCRATCH_REGISTERS:
+                raise InvalError(f"SET_REG target 0x{reg:x} is sensitive")
+            return SetReg(reg, _word(instr.value, "SET_REG value"))
+        if kind is Compute:
+            sub = _word(instr.sub, "compute sub-op")
+            if sub not in (CO_ADD, CO_MUL, CO_DOT):
+                raise InvalError(f"unknown compute sub-op {sub}")
+            count = _word(instr.count, "count")
+            dst_words = 1 if sub == CO_DOT else count
+            return Compute(sub, self._resolve_ref(client, instr.dst, dst_words),
+                           self._resolve_ref(client, instr.src1, count),
+                           self._resolve_ref(client, instr.src2, count), count)
+        if kind is Copy:
+            count = _word(instr.count, "count")
+            return Copy(self._resolve_ref(client, instr.dst, count),
+                        self._resolve_ref(client, instr.src, count), count)
+        raise InvalError(f"unknown instruction {kind.__name__}")
+
     def legacy_submit(self, client: int, batch) -> int:
         """Copy, validate, patch, and enqueue an application batch."""
         self._client(client)
-        patched = []
-        total_words = 0
-        for instr in batch:
-            if isinstance(instr, CsNop):
-                words = [OP_NOP]
-            elif isinstance(instr, CsSetReg):
-                if instr.reg not in SCRATCH_REGISTERS:
-                    raise InvalError(f"SET_REG target 0x{instr.reg:x} is sensitive")
-                words = [OP_SET_REG, instr.reg, instr.value & 0xFFFFFFFF]
-            elif isinstance(instr, CsCompute):
-                if instr.sub not in (CO_ADD, CO_MUL, CO_DOT):
-                    raise InvalError(f"unknown compute sub-op {instr.sub}")
-                if instr.count < 0:
-                    raise InvalError("negative count")
-                dst_words = 1 if instr.sub == CO_DOT else instr.count
-                words = [OP_COMPUTE, instr.sub,
-                         self._resolve_ref(client, instr.dst, dst_words),
-                         self._resolve_ref(client, instr.src1, instr.count),
-                         self._resolve_ref(client, instr.src2, instr.count),
-                         instr.count]
-            elif isinstance(instr, CsCopy):
-                if instr.count < 0:
-                    raise InvalError("negative count")
-                words = [OP_COPY,
-                         self._resolve_ref(client, instr.dst, instr.count),
-                         self._resolve_ref(client, instr.src, instr.count),
-                         instr.count]
-            else:
-                raise InvalError(f"unknown instruction {type(instr).__name__}")
-            patched.append(words)
-            total_words += len(words)
+        patched = [self._patch(client, instr).encode() for instr in batch]
+        total_words = sum(map(len, patched))
         # one syscall: the whole stream crosses the boundary and is inspected
         self._charge(total_words * WORD)
         self.platform.ledger.instructions_validated += total_words
         chunk = []
-        chunk_words = 0
         for words in patched:
-            if chunk_words + len(words) + 4 > RING_WORDS - 1:
-                self._push_ring([w for ws in chunk for w in ws], drain=True)
-                chunk, chunk_words = [], 0
-            chunk.append(words)
-            chunk_words += len(words)
-        seq = self._push_ring([w for ws in chunk for w in ws], drain=False)
-        return seq
+            if len(chunk) + len(words) > MAX_BATCH_WORDS:
+                self._push_ring(chunk, drain=True)
+                chunk = []
+            chunk.extend(words)
+        return self._push_ring(chunk, drain=False)
 
     def legacy_wait(self, client: int, seq: int):
         """Syscall-based completion wait: one crossing per poll round."""
@@ -306,3 +266,11 @@ class LegacyDriver:
         return {"vram_total": len(self.device.vram),
                 "displays": DISPLAY_MODES,
                 "api": LEGACY_API}
+
+
+def _word(value, what: str) -> int:
+    """A number from an application instruction; each one fills an unsigned
+    device word, so anything but a non-negative int is refused."""
+    if not isinstance(value, int) or value < 0:
+        raise InvalError(f"{what} must be a non-negative int, got {value!r}")
+    return value

@@ -2,10 +2,10 @@
 
 All resource management lives here, in the application's own trust domain:
 buffer bookkeeping, slab allocation over a pre-mapped page pool (see
-``devmux.pool``), ring-buffer command construction, and fence tracking.  The
-trusted core is involved only through its narrow call API, and the hot path
-needs exactly one such call per frame: the ring-tail write that triggers
-execution.  Fence completion is observed by polling the status page, which
+``devmux.pool``), device addresses in every command, ring space and fence
+tracking.  The trusted core is involved only through its narrow call API,
+and the hot path needs exactly one such call per frame: the ring-tail write
+that triggers execution.  Fence completion is observed by polling the status page, which
 is ordinary application memory.
 
 One simulation-plumbing note: in deterministic mode nothing advances the
@@ -20,14 +20,12 @@ from __future__ import annotations
 from collections import deque
 
 from devmux.errors import BadHandle, BatchTooBig, InvalError
-from devmux.pool import (FIRST_FREE_PAGE, GTT, RING_REGISTERS, RING_WORDS, SYS,
-                         VRAM, Buffer, PagePool)
+from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_REGISTERS,
+                         RING_WORDS, SYS, VRAM, Buffer, PagePool)
 from devmux.simdev import (APERTURE_BASE, PAGE_SIZE, REG_FB_BASE, REG_RB_TAIL,
-                           WORD, Copy, Fence, encode_batch)
+                           WORD, Copy, encode_batch)
 
 POOL_PAGES_DEFAULT = 256
-RESERVED_POOL_PAGES = FIRST_FREE_PAGE  # status page + ring
-STAGING_BYTES = PAGE_SIZE
 PUMP_CYCLES = 4096
 
 
@@ -35,8 +33,8 @@ class LibraryDriver:
     """One application's driver instance, bound to one core client id."""
 
     def __init__(self, core, app, *, pool_pages: int = POOL_PAGES_DEFAULT):
-        if pool_pages < RESERVED_POOL_PAGES + 2:
-            raise InvalError(f"pool must be > {RESERVED_POOL_PAGES + 1} pages")
+        if pool_pages < MIN_POOL_PAGES:
+            raise InvalError(f"pool needs at least {MIN_POOL_PAGES} pages")
         self.core = core
         self.platform = core.platform
 
@@ -46,18 +44,14 @@ class LibraryDriver:
             core.iommu_map_page(self.lib_id, vaddr, APERTURE_BASE + i * PAGE_SIZE)
         self.pool = PagePool(
             self.platform.sysmem, [self.platform.resolve(app, v) for v in vaddrs],
-            RESERVED_POOL_PAGES,
             alloc_vram=lambda size: core.alloc_device_memory(self.lib_id, size),
             free_vram=lambda addr, size: core.release_device_memory(
                 self.lib_id, addr, size),
-            staging=self._staging_off, copy=self._copy)
+            copy=self._copy)
         self.buffers = self.pool.buffers
-        self._next_seq = 1
-        self._tail_words = 0
         self._head_words = 0
         self._pending = deque()  # (fence seq, ring tail after the batch)
         self._device_ready = False
-        self._staging = None
 
     # -- fences ------------------------------------------------------------
 
@@ -99,29 +93,20 @@ class LibraryDriver:
         boundary crossing is the tail-register write.
         """
         self._ensure_device_ready()
-        seq = self._next_seq
-        words = encode_batch(instrs) + Fence(seq).encode()
-        if len(words) > RING_WORDS - 1:
-            raise BatchTooBig(f"{len(words)} words exceed ring capacity")
-        while True:
-            used = (self._tail_words - self._head_words) % RING_WORDS
-            if used + len(words) <= RING_WORDS - 1:
-                break
+        words = encode_batch(instrs)
+        if len(words) > MAX_BATCH_WORDS:
+            raise BatchTooBig(f"{len(words)} words exceed the "
+                              f"{MAX_BATCH_WORDS}-word batch limit")
+        pool = self.pool
+        while (pool.tail - self._head_words) % RING_WORDS + len(words) > MAX_BATCH_WORDS:
             self.wait_fence(self._pending[0][0])  # reclaim oldest batch
-        self._tail_words = self.pool.write_ring(self._tail_words, words)
-        self._next_seq += 1
-        self._pending.append((seq, self._tail_words))
-        self.core.access_register(self.lib_id, REG_RB_TAIL,
-                                  self._tail_words * WORD, True)
+        seq = pool.queue(words)
+        self._pending.append((seq, pool.tail))
+        self.core.access_register(self.lib_id, REG_RB_TAIL, pool.tail * WORD, True)
         return seq
 
     def _copy(self, dst: int, src: int, n_words: int):
         self.wait_fence(self.submit([Copy(dst, src, n_words)]))
-
-    def _staging_off(self) -> int:
-        if self._staging is None:
-            self._staging = self.create_buffer(STAGING_BYTES, GTT)
-        return self.buffers[self._staging].pool_off
 
     # -- buffers ---------------------------------------------------------------
 

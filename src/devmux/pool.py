@@ -1,18 +1,20 @@
 """The page pool both driver stacks manage their memory in.
 
 A pool is a run of pinned system pages mapped at consecutive aperture
-addresses from the aperture base.  Pool layout (pages): page 0 is the
-interrupt status page, pages 1-4 hold the 4096-word ring; a stack may
-reserve further pages after those, and everything above feeds the slab
-allocator that backs GTT buffers.
+addresses from the aperture base.  Both stacks lay it out the same way
+(pages): page 0 is the interrupt status page, pages 1-4 hold the 4096-word
+ring, page 5 is the staging page that VRAM reads and writes pass through,
+and pages 6 and up feed the slab allocator that backs GTT buffers.
 
-This module holds the mechanics the two stacks share: page-split host I/O
-on the pool, the wrapping ring writer, the status page, buffer records with
-their GTT and SYS backing, and the SYS/GTT/VRAM read/write dispatch with
-its one-page VRAM staging loop.  What differs between the stacks is passed
-in: where VRAM comes from, where the staging page lives, and how one device
-COPY is submitted and waited for.  Nothing here bills the ledger; every
-cost is billed by those callables and by the stack that owns the pool.
+This module holds the mechanics the two stacks share: the layout,
+page-split host I/O on the pool, fence framing and the wrapping ring
+writer, the status page, buffer records with their GTT and SYS backing, and
+the SYS/GTT/VRAM read/write dispatch with its one-page staging loop.  What
+differs between the stacks is passed in: where VRAM comes from, and how one
+device COPY is submitted and waited for.  Ring space and the tail register
+stay with each stack, which reclaims space by its own policy.  Nothing here
+bills the ledger; every cost is billed by those callables and by the stack
+that owns the pool.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import struct
 
 from devmux.alloc import SlabPool
 from devmux.errors import DeviceFault, InvalError, OutOfPool, OutOfRange
-from devmux.simdev import (APERTURE_BASE, FAULT_FLAGS, PAGE_SIZE,
-                           REG_IH_PAGE_ADDR, REG_RB_BASE, REG_RB_SIZE, WORD)
+from devmux.simdev import (APERTURE_BASE, FAULT_FLAGS, INSTR_WORDS, OP_FENCE,
+                           PAGE_SIZE, REG_IH_PAGE_ADDR, REG_RB_BASE,
+                           REG_RB_SIZE, WORD, Fence)
 
 VRAM = "VRAM"
 GTT = "GTT"
@@ -31,8 +34,14 @@ SYS = "SYS"
 
 RING_WORDS = 4096
 RING_PAGES = RING_WORDS * WORD // PAGE_SIZE
-RING_OFF = PAGE_SIZE                # pool offset of ring page 0
-FIRST_FREE_PAGE = 1 + RING_PAGES    # first page after status page and ring
+RING_OFF = PAGE_SIZE                       # pool offset of ring page 0
+STAGING_OFF = (1 + RING_PAGES) * PAGE_SIZE  # the page after the ring
+SLAB_FIRST_PAGE = 2 + RING_PAGES
+MIN_POOL_PAGES = SLAB_FIRST_PAGE + 1
+
+# The longest batch one queue() takes: it must fit the ring, which keeps one
+# word free to tell full from empty, together with its trailing fence.
+MAX_BATCH_WORDS = RING_WORDS - 1 - INSTR_WORDS[OP_FENCE]
 
 # (register, value) writes that point the device at a pool's ring and
 # status page
@@ -60,23 +69,22 @@ class PagePool:
     """One stack's pool pages, its buffers and their placements.
 
     ``alloc_vram(size) -> addr`` and ``free_vram(addr, size)`` manage device
-    memory; ``staging() -> pool offset`` names a one-page staging area in
-    the pool; ``copy(dst, src, n_words)`` runs one device COPY to
-    completion.
+    memory; ``copy(dst, src, n_words)`` runs one device COPY to completion.
+    ``tail`` is the ring position, in words, after the last queued batch.
     """
 
-    def __init__(self, sysmem, frames: list, slab_first_page: int, *,
-                 alloc_vram, free_vram, staging, copy):
+    def __init__(self, sysmem, frames: list, *, alloc_vram, free_vram, copy):
         self.sysmem = sysmem
         self.frames = frames
-        self._slab_base = slab_first_page * PAGE_SIZE
-        self._slab = SlabPool((len(frames) - slab_first_page) * PAGE_SIZE)
+        self._slab_base = SLAB_FIRST_PAGE * PAGE_SIZE
+        self._slab = SlabPool((len(frames) - SLAB_FIRST_PAGE) * PAGE_SIZE)
         self._alloc_vram = alloc_vram
         self._free_vram = free_vram
-        self._staging = staging
         self._copy = copy
         self.buffers = {}
         self._next_handle = 1
+        self.tail = 0
+        self._next_seq = 1
 
     # -- host access to pool pages (the owner's own memory; costs nothing) --
 
@@ -98,15 +106,21 @@ class PagePool:
             done += take
         return b"".join(out)
 
-    def write_ring(self, start_word: int, words) -> int:
-        """Write ``words`` into the ring from ``start_word``, wrapping at its
-        end; returns the ring position after them."""
-        first = min(len(words), RING_WORDS - start_word)
-        self.write(RING_OFF + start_word * WORD,
+    def queue(self, words: list) -> int:
+        """Write a batch of at most MAX_BATCH_WORDS ``words`` and an
+        interrupting fence into the ring at ``tail``, wrapping at its end,
+        and advance ``tail`` past them; returns the fence's seq.  The caller
+        has made room for them and writes the tail register."""
+        seq = self._next_seq
+        self._next_seq += 1
+        words = words + Fence(seq).encode()
+        first = min(len(words), RING_WORDS - self.tail)
+        self.write(RING_OFF + self.tail * WORD,
                    struct.pack(f"<{first}I", *words[:first]))
         if first < len(words):
             self.write(RING_OFF, struct.pack(f"<{len(words) - first}I", *words[first:]))
-        return (start_word + len(words)) % RING_WORDS
+        self.tail = (self.tail + len(words)) % RING_WORDS
+        return seq
 
     # -- the status page -----------------------------------------------------
 
@@ -178,17 +192,15 @@ class PagePool:
     # -- VRAM through the staging page (device copies) --------------------------
 
     def _vram_write(self, device_addr: int, data: bytes):
-        staging = self._staging()
         for done in range(0, len(data), PAGE_SIZE):
             chunk = data[done:done + PAGE_SIZE]
-            self.write(staging, chunk)
-            self._copy(device_addr + done, APERTURE_BASE + staging, len(chunk) // WORD)
+            self.write(STAGING_OFF, chunk)
+            self._copy(device_addr + done, APERTURE_BASE + STAGING_OFF, len(chunk) // WORD)
 
     def _vram_read(self, device_addr: int, n: int) -> bytes:
-        staging = self._staging()
         out = []
         for done in range(0, n, PAGE_SIZE):
             take = min(n - done, PAGE_SIZE)
-            self._copy(APERTURE_BASE + staging, device_addr + done, take // WORD)
-            out.append(self.read(staging, take))
+            self._copy(APERTURE_BASE + STAGING_OFF, device_addr + done, take // WORD)
+            out.append(self.read(STAGING_OFF, take))
         return b"".join(out)

@@ -107,29 +107,12 @@ S_REGISTERS = (REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_IOMMU_ROOT,
 
 ALL_REGISTERS = M_REGISTERS + S_REGISTERS
 
-REGISTER_NAMES = {
-    REG_RB_BASE: "RB_BASE", REG_RB_SIZE: "RB_SIZE", REG_RB_HEAD: "RB_HEAD",
-    REG_RB_TAIL: "RB_TAIL", REG_FB_BASE: "FB_BASE",
-    REG_IH_PAGE_ADDR: "IH_PAGE_ADDR", REG_CACHE_FLUSH: "CACHE_FLUSH",
-    REG_TLB_FLUSH: "TLB_FLUSH", REG_MC_SEG_BASE: "MC_SEG_BASE",
-    REG_MC_SEG_LIMIT: "MC_SEG_LIMIT", REG_IOMMU_ROOT: "IOMMU_ROOT",
-    REG_IOMMU_ENABLE: "IOMMU_ENABLE", REG_CP_RESET: "CP_RESET",
-    REG_IRQ_ENABLE: "IRQ_ENABLE", REG_DISP_PLL: "DISP_PLL",
-    REG_DISP_TIMING_H: "DISP_TIMING_H", REG_DISP_TIMING_V: "DISP_TIMING_V",
-    REG_DISP_ENABLE: "DISP_ENABLE", REG_FW_ADDR: "FW_ADDR",
-    REG_FW_DATA: "FW_DATA", REG_FW_CTRL: "FW_CTRL",
-}
-REGISTER_NAMES.update({off: f"SCRATCH{i}" for i, off in enumerate(SCRATCH_REGISTERS)})
-
 # interrupt status flags (pending_flags bits on the status page)
 FLAG_FENCE = 0x1
 FLAG_CMD_FAULT = 0x2
 FLAG_IOMMU_FAULT = 0x4
 FLAG_MC_FAULT = 0x8
 FAULT_FLAGS = FLAG_CMD_FAULT | FLAG_IOMMU_FAULT | FLAG_MC_FAULT
-
-FLAG_NAMES = {FLAG_FENCE: "FENCE", FLAG_CMD_FAULT: "CMD_FAULT",
-              FLAG_IOMMU_FAULT: "IOMMU_FAULT", FLAG_MC_FAULT: "MC_FAULT"}
 
 # opcodes
 OP_NOP = 0x0
@@ -376,16 +359,15 @@ class WriteBackCache:
 # -- results ---------------------------------------------------------------
 
 class ExecReport:
-    """What one step() call did: cycles consumed and interrupts raised."""
+    """What one step() call did: the cycles it consumed."""
 
-    __slots__ = ("cycles_used", "interrupts_raised")
+    __slots__ = ("cycles_used",)
 
-    def __init__(self, cycles_used: int = 0, interrupts_raised=None):
+    def __init__(self, cycles_used: int = 0):
         self.cycles_used = cycles_used
-        self.interrupts_raised = interrupts_raised if interrupts_raised is not None else []
 
     def __repr__(self):
-        return f"ExecReport(cycles_used={self.cycles_used}, interrupts_raised={self.interrupts_raised})"
+        return f"ExecReport(cycles_used={self.cycles_used})"
 
 
 class ScanoutResult:
@@ -433,7 +415,6 @@ class SimDevice:
         self._irq_seq = 0
         self._irq_count = 0
         self._irq_flags = 0
-        self._report = None
 
     # -- MMIO ---------------------------------------------------------
 
@@ -547,9 +528,9 @@ class SimDevice:
         space, addr = key
         struct.pack_into("<I", self._backing(space), addr, word)
 
-    def _read_phys_words(self, space, addr: int, n: int, *, cached: bool = True):
+    def _read_phys_words(self, space, addr: int, n: int):
         words = list(struct.unpack_from(f"<{n}I", self._backing(space), addr))
-        if cached and self.cache.pending:
+        if self.cache.pending:
             pending = self.cache.pending
             for i in range(n):
                 hit = pending.get((space, addr + i * WORD))
@@ -603,8 +584,6 @@ class SimDevice:
     def _record_event(self, flag: int):
         self._irq_flags |= flag
         self._irq_count += 1
-        if self._report is not None:
-            self._report.interrupts_raised.append(FLAG_NAMES[flag])
         self._sync_status_page()
 
     # -- command processor -------------------------------------------------
@@ -706,33 +685,29 @@ class SimDevice:
     def step(self, budget: int) -> ExecReport:
         """Run the CP for up to ``budget`` cycles; partial batches resume."""
         report = ExecReport()
-        self._report = report
-        try:
-            while report.cycles_used < budget:
-                if self._inflight is None:
-                    if self.cp_idle or not self._fw_ready:
-                        break
-                    try:
-                        self._inflight = self._fetch_instruction()
-                    except HardwareFault as fault:
-                        self._fault(fault)
-                        continue
-                take = min(budget - report.cycles_used, self._inflight[2])
-                self._inflight[2] -= take
-                report.cycles_used += take
-                if self._inflight[2] > 0:
-                    break  # out of budget mid-instruction; resume next call
-                opcode, words, _ = self._inflight
-                self._inflight = None
+        while report.cycles_used < budget:
+            if self._inflight is None:
+                if self.cp_idle or not self._fw_ready:
+                    break
                 try:
-                    self._execute(opcode, words)
+                    self._inflight = self._fetch_instruction()
                 except HardwareFault as fault:
                     self._fault(fault)
-                else:
-                    head = self.regs[REG_RB_HEAD]
-                    self.regs[REG_RB_HEAD] = (head + INSTR_WORDS[opcode] * WORD) % self._ring_bytes()
-        finally:
-            self._report = None
+                    continue
+            take = min(budget - report.cycles_used, self._inflight[2])
+            self._inflight[2] -= take
+            report.cycles_used += take
+            if self._inflight[2] > 0:
+                break  # out of budget mid-instruction; resume next call
+            opcode, words, _ = self._inflight
+            self._inflight = None
+            try:
+                self._execute(opcode, words)
+            except HardwareFault as fault:
+                self._fault(fault)
+            else:
+                head = self.regs[REG_RB_HEAD]
+                self.regs[REG_RB_HEAD] = (head + INSTR_WORDS[opcode] * WORD) % self._ring_bytes()
         return report
 
     # -- display -----------------------------------------------------------

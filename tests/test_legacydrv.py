@@ -7,11 +7,11 @@ import pytest
 from conftest import make_device, make_platform
 from devmux.errors import (BadHandle, InvalError, NotFoundError,
                            NotSupportedError, OutOfRange, PermError)
-from devmux.legacydrv import (LEGACY_API, CsCompute, CsCopy, CsNop, CsSetReg,
-                              LegacyDriver)
+from devmux.legacydrv import LEGACY_API, LegacyDriver
 from devmux.simdev import (CO_ADD, CO_DOT, REG_DISP_ENABLE, REG_DISP_PLL,
                            REG_DISP_TIMING_H, REG_DISP_TIMING_V, REG_FB_BASE,
-                           REG_RB_TAIL, REG_SCRATCH0, WORD)
+                           REG_RB_TAIL, REG_SCRATCH0, WORD, Compute, Copy,
+                           Fence, Nop, SetReg)
 
 
 @pytest.fixture
@@ -76,7 +76,7 @@ def test_foreign_buffer_is_unreachable(legacy):
     tail = device.mmio_read(REG_RB_TAIL)
     validated = platform.ledger.instructions_validated
     with pytest.raises(PermError):
-        driver.legacy_submit(other, [CsCopy((mine, 0), (mine, 0), 4)])
+        driver.legacy_submit(other, [Copy((mine, 0), (mine, 0), 4)])
     # validation rejected the stream before anything reached the device
     assert device.mmio_read(REG_RB_TAIL) == tail
     assert platform.ledger.instructions_validated == validated
@@ -96,10 +96,10 @@ def test_freed_ids_are_invalidated(legacy):
 def test_submit_validates_every_word(legacy):
     platform, _, driver, client = legacy
     buf = driver.legacy_alloc(client, 256, "VRAM")
-    batch = [CsNop(), CsNop(), CsNop(),
-             CsSetReg(REG_SCRATCH0, 7),
-             CsCompute(CO_ADD, (buf, 0), (buf, 0), (buf, 0), 8),
-             CsCopy((buf, 128), (buf, 0), 8)]
+    batch = [Nop(), Nop(), Nop(),
+             SetReg(REG_SCRATCH0, 7),
+             Compute(CO_ADD, (buf, 0), (buf, 0), (buf, 0), 8),
+             Copy((buf, 128), (buf, 0), 8)]
     total_words = 3 * 1 + 3 + 6 + 4
     ledger = platform.ledger
     validated = ledger.instructions_validated
@@ -119,8 +119,8 @@ def test_2x2_matmul_known_answer(legacy):
     c = driver.legacy_alloc(client, 16, "VRAM")
     driver.legacy_write(client, a, 0, struct.pack("<4I", 1, 2, 3, 4))
     driver.legacy_write(client, bt, 0, struct.pack("<4I", 5, 7, 6, 8))
-    batch = [CsCompute(CO_DOT, (c, (2 * i + j) * WORD),
-                       (a, 2 * i * WORD), (bt, 2 * j * WORD), 2)
+    batch = [Compute(CO_DOT, (c, (2 * i + j) * WORD),
+                     (a, 2 * i * WORD), (bt, 2 * j * WORD), 2)
              for i in range(2) for j in range(2)]
     driver.legacy_wait(client, driver.legacy_submit(client, batch))
     assert struct.unpack("<4I", driver.legacy_read(client, c, 0, 16)) == \
@@ -132,7 +132,26 @@ def test_sensitive_setreg_never_reaches_the_ring(legacy):
     tail = device.mmio_read(REG_RB_TAIL)
     validated = platform.ledger.instructions_validated
     with pytest.raises(InvalError):
-        driver.legacy_submit(client, [CsSetReg(REG_DISP_PLL, 90)])
+        driver.legacy_submit(client, [SetReg(REG_DISP_PLL, 90)])
+    assert device.mmio_read(REG_RB_TAIL) == tail
+    assert platform.ledger.instructions_validated == validated
+
+
+@pytest.mark.parametrize("make", [
+    lambda buf: Copy(0x1000, (buf, 0), 4),  # a device address, not a reference
+    lambda buf: Copy((buf, 0, 0), (buf, 0), 4),  # not a pair
+    lambda buf: Copy((buf, 0), (buf, 0.0), 4),   # a non-int offset
+    lambda buf: Copy((buf, 0), (buf, 0), "4"),   # a non-int count
+    lambda buf: Compute(CO_ADD, (buf, 0), (buf, 0), [buf, 0], 4),
+    lambda buf: Fence(99),                       # the kernel's own instruction
+], ids=["int-address", "triple", "float-offset", "str-count", "list-ref", "fence"])
+def test_malformed_instructions_are_refused_before_the_ring(legacy, make):
+    platform, device, driver, client = legacy
+    buf = driver.legacy_alloc(client, 64, "VRAM")
+    tail = device.mmio_read(REG_RB_TAIL)
+    validated = platform.ledger.instructions_validated
+    with pytest.raises(InvalError):
+        driver.legacy_submit(client, [Nop(), make(buf)])
     assert device.mmio_read(REG_RB_TAIL) == tail
     assert platform.ledger.instructions_validated == validated
 
@@ -142,20 +161,20 @@ def test_compute_operands_are_bounds_checked(legacy):
     buf = driver.legacy_alloc(client, 64, "VRAM")
     sysbuf = driver.legacy_alloc(client, 64, "SYS")
     with pytest.raises(OutOfRange):
-        driver.legacy_submit(client, [CsCompute(CO_ADD, (buf, 0), (buf, 0),
-                                                (buf, 32), 16)])
+        driver.legacy_submit(client, [Compute(CO_ADD, (buf, 0), (buf, 0),
+                                              (buf, 32), 16)])
     with pytest.raises(InvalError):
-        driver.legacy_submit(client, [CsCopy((sysbuf, 0), (buf, 0), 4)])
+        driver.legacy_submit(client, [Copy((sysbuf, 0), (buf, 0), 4)])
     with pytest.raises(InvalError):
-        driver.legacy_submit(client, [CsCompute(CO_ADD, (buf, 2), (buf, 0),
-                                                (buf, 0), 4)])
+        driver.legacy_submit(client, [Compute(CO_ADD, (buf, 2), (buf, 0),
+                                              (buf, 0), 4)])
 
 
 def test_wait_bills_one_crossing_per_poll_round(legacy):
     platform, _, driver, client = legacy
     buf = driver.legacy_alloc(client, 80000, "VRAM")
-    seq = driver.legacy_submit(client, [CsCompute(CO_ADD, (buf, 0), (buf, 0),
-                                                  (buf, 0), 20000)])
+    seq = driver.legacy_submit(client, [Compute(CO_ADD, (buf, 0), (buf, 0),
+                                                (buf, 0), 20000)])
     before = platform.ledger.crossings
     driver.legacy_wait(client, seq)
     # ~20k cycles of work at 8192 cycles per round, plus the final check
@@ -216,7 +235,7 @@ def test_close_releases_clients_and_buffers(legacy):
 def test_oversized_batches_are_chunked_through_the_ring(legacy):
     platform, device, driver, client = legacy
     validated = platform.ledger.instructions_validated
-    seq = driver.legacy_submit(client, [CsNop()] * 5000)
+    seq = driver.legacy_submit(client, [Nop()] * 5000)
     driver.legacy_wait(client, seq)
     assert platform.ledger.instructions_validated - validated == 5000
     assert device.cp_idle

@@ -7,8 +7,9 @@ import pytest
 from devmux.devcore import DeviceCore
 from devmux.errors import (BadHandle, BatchTooBig, DeviceFault, InvalError,
                            OutOfPool, OutOfRange, OutOfSegment)
-from devmux.libdrv import (GTT, RESERVED_POOL_PAGES, RING_WORDS, SYS, VRAM,
-                           LibraryDriver)
+from devmux.libdrv import LibraryDriver
+from devmux.pool import (GTT, MAX_BATCH_WORDS, MIN_POOL_PAGES, SLAB_FIRST_PAGE,
+                         SYS, VRAM)
 from devmux.simdev import (APERTURE_BASE, CO_ADD, FLAG_CMD_FAULT, MASK32,
                            PAGE_SIZE, REG_FB_BASE, REG_MC_SEG_LIMIT,
                            REG_MC_SEG_BASE, WORD, Compute, Copy, Nop, SetReg,
@@ -40,7 +41,7 @@ def test_init_cost_is_one_crossing_per_pool_page_plus_one(lib_world):
 def test_pool_below_reserved_pages_is_rejected(lib_world):
     _, _, core = lib_world
     with pytest.raises(InvalError):
-        LibraryDriver(core, "app", pool_pages=RESERVED_POOL_PAGES + 1)
+        LibraryDriver(core, "app", pool_pages=MIN_POOL_PAGES - 1)
 
 
 def test_two_libraries_keep_private_apertures(lib_world):
@@ -59,14 +60,14 @@ def test_gtt_buffers_live_in_the_pool_window(bound_lib):
     h = lib.create_buffer(6000, GTT)
     buf = lib.buffers[h]
     assert buf.device_addr == APERTURE_BASE + buf.pool_off
-    assert RESERVED_POOL_PAGES * PAGE_SIZE <= buf.pool_off
+    assert SLAB_FIRST_PAGE * PAGE_SIZE <= buf.pool_off
     assert buf.pool_off + buf.size <= POOL * PAGE_SIZE
 
 
 def test_gtt_pool_exhaustion(bound_lib):
     _, _, _, lib = bound_lib
     with pytest.raises(OutOfPool):
-        lib.create_buffer((POOL - RESERVED_POOL_PAGES) * PAGE_SIZE + 1, GTT)
+        lib.create_buffer((POOL - SLAB_FIRST_PAGE) * PAGE_SIZE + 1, GTT)
 
 
 def test_vram_segment_exhaustion_and_address_reuse(bound_lib):
@@ -105,6 +106,17 @@ def test_vram_round_trip_rides_the_device(bound_lib):
     # staging DMA is device work, not a user/kernel copy
     assert ledger.bytes_copied == before_bytes
     assert ledger.device_cycles > before_cycles
+
+
+def test_vram_staging_is_not_an_application_buffer(bound_lib):
+    _, _, _, lib = bound_lib
+    h = lib.create_buffer(64, VRAM)
+    lib.write_buffer(h, 0, bytes(range(64)))
+    assert sorted(lib.buffers) == [h]
+    with pytest.raises(BadHandle):
+        lib.destroy_buffer(2)
+    lib.write_buffer(h, 0, b"\x5A" * 64)
+    assert lib.read_buffer(h, 0, 64) == b"\x5A" * 64
 
 
 def test_buffer_range_and_alignment_checks(bound_lib):
@@ -240,8 +252,8 @@ def test_scanout_digest_matches_host_pixels(bound_lib):
 def test_oversized_batch_is_rejected_before_the_ring(bound_lib):
     _, _, _, lib = bound_lib
     with pytest.raises(BatchTooBig):
-        lib.submit([Nop()] * (RING_WORDS - 4))
-    lib.wait_fence(lib.submit([Nop()] * (RING_WORDS - 5)))  # largest legal
+        lib.submit([Nop()] * (MAX_BATCH_WORDS + 1))
+    lib.wait_fence(lib.submit([Nop()] * MAX_BATCH_WORDS))  # largest legal
 
 
 def test_ring_backpressure_recycles_consumed_space(bound_lib):

@@ -50,9 +50,8 @@ def test_rb_size_must_be_pow2_and_at_least_16():
 def test_two_nop_batch_advances_head_to_8(solo):
     _, device = solo
     push_batch(device, [Nop(), Nop()])
-    report = device.step(100)
+    device.step(100)
     assert device.mmio_read(REG_RB_HEAD) == 8
-    assert report.interrupts_raised == []
     assert read_status(device)[1] == 0  # no interrupt counted
 
 
@@ -103,19 +102,17 @@ def test_step_zero_budget_is_a_no_op(solo):
     push_batch(device, [Nop()])
     report = device.step(0)
     assert report.cycles_used == 0
-    assert report.interrupts_raised == []
     assert device.mmio_read(REG_RB_HEAD) == 0
 
 
 def test_fence_writes_seq_and_raises_irq(solo):
     _, device = solo
     push_batch(device, [Fence(7)])
-    report = device.step(10)
+    device.step(10)
     seq, irq, flags = read_status(device)
     assert seq == 7
     assert irq == 1
     assert flags & FLAG_FENCE
-    assert report.interrupts_raised == ["FENCE"]
 
 
 def test_long_compute_spans_step_budgets(solo):
