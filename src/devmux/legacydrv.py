@@ -148,7 +148,7 @@ class LegacyDriver:
     def legacy_alloc(self, client: int, size: int, placement: str) -> int:
         self._charge()
         self._client(client)
-        return self.pool.create(size, placement, owner=client)
+        return self.pool.create(_word(size, "size"), placement, owner=client)
 
     def legacy_free(self, client: int, buffer_id: int):
         self._charge()
@@ -160,12 +160,14 @@ class LegacyDriver:
         data = bytes(data)
         self._charge(len(data))
         self._client(client)
-        self.pool.write_buffer(self._buffer(client, buffer_id), offset, data)
+        self.pool.write_buffer(self._buffer(client, buffer_id),
+                               _word(offset, "offset"), data)
 
     def legacy_read(self, client: int, buffer_id: int, offset: int, n: int) -> bytes:
-        self._charge(n)
+        self._charge(_word(n, "size"))
         self._client(client)
-        return self.pool.read_buffer(self._buffer(client, buffer_id), offset, n)
+        return self.pool.read_buffer(self._buffer(client, buffer_id),
+                                     _word(offset, "offset"), n)
 
     def legacy_map(self, client: int, buffer_id: int):
         self._charge()
@@ -269,8 +271,9 @@ class LegacyDriver:
 
 
 def _word(value, what: str) -> int:
-    """A number from an application instruction; each one fills an unsigned
-    device word, so anything but a non-negative int is refused."""
+    """A number from an application: an instruction field, a size or an
+    offset.  Each one fills an unsigned device word, so anything but a
+    non-negative int is refused."""
     if not isinstance(value, int) or value < 0:
         raise InvalError(f"{what} must be a non-negative int, got {value!r}")
     return value

@@ -57,6 +57,7 @@ batch.
 from __future__ import annotations
 
 import struct
+from operator import mul
 
 from devmux.errors import (CmdFault, HardwareFault, IommuFault, InvalError,
                            McFault, RegFault)
@@ -328,17 +329,29 @@ class IommuUnit:
 
 # -- write-back cache -----------------------------------------------------
 
+# physical address spaces: device-local memory and system memory
+_SPACE_VRAM = 0
+_SPACE_SYS = 1
+_SPACES = 2
+_NO_ADDR = 1 << 64  # above every byte address: the empty envelope's lo
+
+
 class WriteBackCache:
     """Word-granular FIFO write-back cache.
 
     Device-side reads observe pending words; the backing memory only sees
-    them on drain or capacity eviction (oldest first).
+    them on drain or capacity eviction (oldest first).  ``lo[space]`` and
+    ``hi[space]`` bound the byte addresses put in each space since the last
+    drain (the envelope): writers widen it once per span before putting the
+    span's words, so a read that misses it cannot hit ``pending``.
     """
 
     def __init__(self, capacity: int, writeback):
         self.capacity = capacity
         self._writeback = writeback
         self.pending = {}  # (space, byte addr) -> word
+        self.lo = [_NO_ADDR] * _SPACES
+        self.hi = [-1] * _SPACES
 
     def put(self, key, word: int):
         pending = self.pending
@@ -347,6 +360,12 @@ class WriteBackCache:
             self._writeback(oldest, pending.pop(oldest))
         pending[key] = word
 
+    def _widen(self, space: int, first: int, last: int):
+        if first < self.lo[space]:
+            self.lo[space] = first
+        if last > self.hi[space]:
+            self.hi[space] = last
+
     def drop(self, key):
         self.pending.pop(key, None)
 
@@ -354,6 +373,8 @@ class WriteBackCache:
         for key, word in self.pending.items():
             self._writeback(key, word)
         self.pending.clear()
+        self.lo = [_NO_ADDR] * _SPACES
+        self.hi = [-1] * _SPACES
 
 
 # -- results ---------------------------------------------------------------
@@ -391,10 +412,6 @@ class ScanoutResult:
 
 
 # -- the device -------------------------------------------------------------
-
-_SPACE_VRAM = 0
-_SPACE_SYS = 1
-
 
 class SimDevice:
     """The accelerator.  ``sysmem`` is anything with a ``data`` bytearray
@@ -492,19 +509,15 @@ class SimDevice:
         """
         if da % WORD:
             raise McFault(f"unaligned device address 0x{da:x}")
+        if VRAM_WINDOW_BASE <= da < da + n_words * WORD <= VRAM_WINDOW_END:
+            return [self._vram_span(da, n_words)]
         spans = []
         remaining = n_words
         cur = da
         while remaining > 0:
             if VRAM_WINDOW_BASE <= cur < VRAM_WINDOW_END:
                 take = min(remaining, (VRAM_WINDOW_END - cur) // WORD)
-                base = self.regs[REG_MC_SEG_BASE]
-                limit = self.regs[REG_MC_SEG_LIMIT]
-                loc = base + cur
-                end = loc + take * WORD
-                if end > limit or end > len(self.vram):
-                    raise McFault(f"VRAM access 0x{loc:x}..0x{end:x} outside segment")
-                spans.append((_SPACE_VRAM, loc, take))
+                spans.append(self._vram_span(cur, take))
             elif APERTURE_BASE <= cur < APERTURE_END:
                 off = cur - APERTURE_BASE
                 in_page = PAGE_SIZE - (off & (PAGE_SIZE - 1))
@@ -519,6 +532,13 @@ class SimDevice:
             cur += take * WORD
         return spans
 
+    def _vram_span(self, da: int, n_words: int):
+        loc = self.regs[REG_MC_SEG_BASE] + da
+        end = loc + n_words * WORD
+        if end > self.regs[REG_MC_SEG_LIMIT] or end > len(self.vram):
+            raise McFault(f"VRAM access 0x{loc:x}..0x{end:x} outside segment")
+        return (_SPACE_VRAM, loc, n_words)
+
     # -- physical word access --------------------------------------------
 
     def _backing(self, space):
@@ -530,26 +550,36 @@ class SimDevice:
 
     def _read_phys_words(self, space, addr: int, n: int):
         words = list(struct.unpack_from(f"<{n}I", self._backing(space), addr))
-        if self.cache.pending:
-            pending = self.cache.pending
-            for i in range(n):
+        cache = self.cache
+        lo = cache.lo[space]
+        hi = cache.hi[space]
+        if addr <= hi and lo < addr + n * WORD:
+            # probe only the words inside the envelope
+            pending = cache.pending
+            for i in range(max(0, (lo - addr + WORD - 1) // WORD),
+                           min(n, (hi - addr) // WORD + 1)):
                 hit = pending.get((space, addr + i * WORD))
                 if hit is not None:
                     words[i] = hit
         return words
 
     def _read_run(self, da: int, n_words: int):
+        spans = self._decode_run(da, n_words, False)
+        if len(spans) == 1:
+            return self._read_phys_words(*spans[0])
         words = []
-        for space, addr, count in self._decode_run(da, n_words, False):
+        for space, addr, count in spans:
             words.extend(self._read_phys_words(space, addr, count))
         return words
 
     def _write_run(self, da: int, words):
         spans = self._decode_run(da, len(words), True)  # translate before any write
+        cache = self.cache
         k = 0
         for space, addr, count in spans:
+            cache._widen(space, addr, addr + (count - 1) * WORD)
             for i in range(count):
-                self.cache.put((space, addr + i * WORD), words[k + i])
+                cache.put((space, addr + i * WORD), words[k + i])
             k += count
 
     def _write_run_direct(self, da: int, words):
@@ -609,26 +639,32 @@ class SimDevice:
     def _ring_bytes(self) -> int:
         return self.regs[REG_RB_SIZE] * WORD
 
-    def _fetch_ring_word(self, byte_pos: int) -> int:
-        da = self.regs[REG_RB_BASE] + byte_pos % self._ring_bytes()
-        for space, addr, _ in self._decode_run(da, 1, False):
-            return self._read_phys_words(space, addr, 1)[0]
-
     def _fetch_instruction(self):
-        """Decode the instruction at RB_HEAD; returns [opcode, words, cost]."""
-        head = self.regs[REG_RB_HEAD]
-        tail = self.regs[REG_RB_TAIL]
+        """Decode the instruction at RB_HEAD; returns [opcode, words, cost].
+
+        The opcode word is one read, the rest of the instruction another;
+        only an instruction that straddles the ring end takes a third.
+        """
+        regs = self.regs
+        head = regs[REG_RB_HEAD]
+        base = regs[REG_RB_BASE]
         ring = self._ring_bytes()
-        avail = (tail - head) % ring
-        opcode = self._fetch_ring_word(head)
+        avail = (regs[REG_RB_TAIL] - head) % ring
+        opcode = self._read_run(base + head % ring, 1)[0]
         length = INSTR_WORDS.get(opcode)
         if length is None:
             raise CmdFault(f"unknown opcode 0x{opcode:x}")
         if avail < length * WORD:
             raise CmdFault("truncated instruction at end of batch")
         words = [opcode]
-        for i in range(1, length):
-            words.append(self._fetch_ring_word(head + i * WORD))
+        rest = length - 1
+        if rest:
+            pos = (head + WORD) % ring
+            before_end = min(rest, (ring - pos + WORD - 1) // WORD)
+            words += self._read_run(base + pos, before_end)
+            if before_end < rest:
+                words += self._read_run(base + (pos + before_end * WORD) % ring,
+                                        rest - before_end)
         if opcode in (OP_COMPUTE, OP_COPY):
             cost = 1 + words[5 if opcode == OP_COMPUTE else 3]
         elif opcode == OP_FENCE:
@@ -663,7 +699,7 @@ class SimDevice:
             elif sub == CO_MUL:
                 out = [(x * y) & MASK32 for x, y in zip(a, b)]
             else:
-                out = [sum(x * y for x, y in zip(a, b)) & MASK32]
+                out = [sum(map(mul, a, b)) & MASK32]
             if out:
                 self._write_run(dst, out)
             return
@@ -785,8 +821,11 @@ def bring_up(device: SimDevice):
 
 def program_display(device: SimDevice, display: int, mode):
     """Check ``mode`` against DISPLAY_MODES, then program and enable it."""
-    if not 0 <= display < len(DISPLAY_MODES):
-        raise InvalError(f"no display {display}")
+    if type(display) is not int or not 0 <= display < len(DISPLAY_MODES):
+        raise InvalError(f"no display {display!r}")
+    if not (isinstance(mode, (tuple, list)) and len(mode) == 3
+            and all(type(v) is int for v in mode)):
+        raise InvalError(f"mode {mode!r} is not three ints")
     mode = tuple(mode)
     if mode not in DISPLAY_MODES[display]:
         raise InvalError(f"mode {mode} not offered")

@@ -186,6 +186,9 @@ def test_set_mode_programs_the_display(lib_world):
         core.set_mode(lib, 0, (640, 480, 60))  # not offered
     with pytest.raises(InvalError):
         core.set_mode(lib, 3, (64, 48, 60))  # no such display
+    for bad in (5, (64.0, 48, 60), (64, 48)):  # not three ints
+        with pytest.raises(InvalError):
+            core.set_mode(lib, 0, bad)
 
 
 def test_fresh_bind_presents_all_zero_management_registers(lib_world):

@@ -210,6 +210,25 @@ def test_refused_framebuffer_leaves_the_display_untouched(legacy):
     assert [device.mmio_read(reg) for reg in display_regs] == before
 
 
+@pytest.mark.parametrize("call", [
+    lambda d, c, b: d.legacy_alloc(c, "64", "GTT"),
+    lambda d, c, b: d.legacy_read(c, b, "0", 4),
+    lambda d, c, b: d.legacy_write(c, b, 0.5, b"ab"),
+    lambda d, c, b: d.legacy_set_mode(c, 0, 5),
+], ids=["alloc-str-size", "read-str-offset", "write-float-offset",
+        "set-mode-int-mode"])
+def test_malformed_syscall_arguments_are_refused(legacy, call):
+    platform, device, driver, client = legacy
+    buf = driver.legacy_alloc(client, 64, "GTT")
+    buffers = dict(driver.buffers)
+    before = platform.ledger.crossings
+    with pytest.raises(InvalError):
+        call(driver, client, buf)
+    assert platform.ledger.crossings - before == 1
+    assert driver.buffers == buffers
+    assert device.mmio_read(REG_DISP_ENABLE) == 0
+
+
 def test_user_mappings_are_not_offered(legacy):
     _, _, driver, client = legacy
     buf = driver.legacy_alloc(client, 64, "GTT")

@@ -12,7 +12,7 @@ from conftest import (DATA_AT, RING_AT, RING_WORDS, STATUS_AT, boot_solo,
                       push_batch, read_status, unpack, vram_words)
 from devmux import simdev
 from devmux.errors import IommuFault, InvalError, RegFault
-from devmux.simdev import (APERTURE_BASE, CO_ADD, CO_DOT, CO_MUL,
+from devmux.simdev import (APERTURE_BASE, CO_ADD, CO_DOT, CO_MUL, FAULT_FLAGS,
                            FLAG_CMD_FAULT, FLAG_FENCE, FLAG_IOMMU_FAULT,
                            FLAG_MC_FAULT, M_REGISTERS, MASK32, PAGE_SIZE,
                            REG_CP_RESET, REG_DISP_ENABLE, REG_DISP_TIMING_H,
@@ -160,12 +160,33 @@ def test_copy_moves_words(solo):
 
 def test_ring_wraps_across_the_boundary(solo):
     _, device = solo
-    # 1024-word ring: walk the tail close to the end, then wrap
-    for seq in range(1, 5):
-        push_batch(device, [Nop()] * 248 + [Fence(seq)])
+    poke_words(device, DATA_AT, [3, 4, 5, 6])
+
+    def park_tail_at(word, seq):
+        # NOPs up to ``word``, then a fence; returns once the batch retired
+        tail = device.mmio_read(REG_RB_TAIL) // WORD
+        push_batch(device, [Nop()] * ((word - tail) % RING_WORDS - 4) + [Fence(seq)])
         device.step(10_000)
         assert read_status(device)[0] == seq
-    assert device.mmio_read(REG_RB_TAIL) == (252 * 4 * 4) % (RING_WORDS * 4)
+        assert device.mmio_read(REG_RB_TAIL) == word * WORD
+
+    # a 6-word COMPUTE from word 1021: three words before the ring end,
+    # three after it
+    park_tail_at(1021, 1)
+    push_batch(device, [Compute(CO_DOT, DATA_AT + 0x100, DATA_AT, DATA_AT + 8, 2),
+                        Fence(2)])
+    device.step(10_000)
+    assert read_status(device)[0] == 2
+    assert vram_words(device, DATA_AT + 0x100, 1) == [3 * 5 + 4 * 6]
+    # a 3-word SET_REG from word 1022: opcode and register before the end,
+    # value after it
+    park_tail_at(1022, 3)
+    push_batch(device, [SetReg(REG_SCRATCH0 + 4, 0xBEEF), Fence(4)])
+    device.step(10_000)
+    assert read_status(device)[0] == 4
+    assert read_status(device)[2] & FAULT_FLAGS == 0
+    assert device.mmio_read(REG_SCRATCH0 + 4) == 0xBEEF
+    assert device.mmio_read(REG_RB_HEAD) == device.mmio_read(REG_RB_TAIL) == 5 * WORD
 
 
 def test_unknown_opcode_faults_and_halts(solo):
@@ -371,6 +392,91 @@ def test_reads_see_pending_cached_writes(solo):
     assert vram_words(device, DATA_AT + 0x200, 2) == [4, 8]
 
 
+def test_reads_straddling_pending_results_see_them(solo):
+    _, device = solo
+    poke_words(device, DATA_AT, list(range(1, 11)))
+
+    def w(i):
+        return DATA_AT + i * WORD
+
+    # words 4..7 become pending; the copies write back inside that range,
+    # so the reads meet its edges: 2..5 starts below it, 6..9 ends above it
+    push_batch(device, [Compute(CO_ADD, w(4), w(0), w(0), 4),  # 2 4 6 8
+                        Copy(w(4), w(2), 4),                   # 3 4 2 4
+                        Copy(w(4), w(6), 4),                   # 2 4 9 10
+                        Fence(1)])
+    device.step(100)
+    assert vram_words(device, DATA_AT, 10) == [1, 2, 3, 4, 2, 4, 9, 10, 9, 10]
+
+
+# VRAM words at DATA_AT, and aperture pages 0 and 1 mapped to the system
+# frames at the same physical byte addresses, in reverse order: every
+# physical address of one space also exists in the other, and an aperture
+# run across the page boundary splits into two system-memory spans
+ALIAS_WORDS = 2 * PAGE_SIZE // WORD
+ALIAS_FRAME = DATA_AT // PAGE_SIZE
+
+
+def aliased_device():
+    platform = make_platform()
+    device = boot_solo(make_device(platform))
+    table = PageTable()
+    table.map(0, ALIAS_FRAME + 1)
+    table.map(PAGE_SIZE, ALIAS_FRAME)
+    device.translation_tables[1] = table
+    simdev.set_translation_root(device, 1)
+    return platform, device
+
+
+def sys_words(platform, aperture_off, n):
+    frame = ALIAS_FRAME + 1 - aperture_off // PAGE_SIZE
+    addr = frame * PAGE_SIZE + aperture_off % PAGE_SIZE
+    return unpack(bytes(platform.sysmem.data[addr:addr + n * WORD]))
+
+
+def test_pending_writes_in_one_space_stay_unseen_by_the_other():
+    platform, device = aliased_device()
+    poke_words(device, DATA_AT, [1, 2, 3, 4])
+    addr = ALIAS_FRAME * PAGE_SIZE  # == DATA_AT, aperture page 1
+    platform.sysmem.data[addr:addr + 16] = pack([10, 20, 30, 40])
+    sys_at = APERTURE_BASE + PAGE_SIZE
+    push_batch(device, [
+        # pending VRAM words, then a read of the system words at the same
+        # physical addresses
+        Compute(CO_ADD, DATA_AT, DATA_AT, DATA_AT, 4),
+        Copy(DATA_AT + 0x100, sys_at, 4),
+        # and the other way round
+        Compute(CO_MUL, sys_at, sys_at, sys_at, 4),
+        Copy(DATA_AT + 0x200, DATA_AT, 4),
+        # while a read in the same space does see them
+        Copy(DATA_AT + 0x300, sys_at, 4),
+        Fence(1)])
+    device.step(1000)
+    assert vram_words(device, DATA_AT, 4) == [2, 4, 6, 8]
+    assert vram_words(device, DATA_AT + 0x100, 4) == [10, 20, 30, 40]
+    assert sys_words(platform, PAGE_SIZE, 4) == [100, 400, 900, 1600]
+    assert vram_words(device, DATA_AT + 0x200, 4) == [2, 4, 6, 8]
+    assert vram_words(device, DATA_AT + 0x300, 4) == [100, 400, 900, 1600]
+
+
+def test_reads_after_a_drain_see_backing_and_new_pending_words(solo):
+    _, device = solo
+    poke_words(device, DATA_AT, [1, 2, 3, 4])
+    a, b, out = DATA_AT, DATA_AT + 0x40, DATA_AT + 0x80
+    push_batch(device, [Compute(CO_ADD, a, a, a, 4),   # 2 4 6 8, drained
+                        Fence(1),
+                        Compute(CO_ADD, b, a, a, 4),   # 4 8 12 16, pending
+                        Copy(out, a, 20),              # a .. b, both sources
+                        Fence(2)])
+    device.step(5 + 4 + 5 + 21)  # everything but the last fence
+    assert vram_words(device, a, 4) == [2, 4, 6, 8]
+    assert vram_words(device, b, 4) == [0] * 4  # still pending
+    device.step(100)
+    assert read_status(device)[0] == 2
+    assert vram_words(device, b, 4) == [4, 8, 12, 16]
+    assert vram_words(device, out, 20) == [2, 4, 6, 8] + [0] * 12 + [4, 8, 12, 16]
+
+
 # --- scanout -----------------------------------------------------------------
 
 def _enable_mode(device, width=64, height=48):
@@ -465,6 +571,87 @@ def test_random_batches_never_touch_privileged_registers(batch):
     assert {reg: device.mmio_read(reg) for reg in S_REGISTERS} == s_before
     # the CP always ends parked: batch done or faulted with head == tail
     assert device.mmio_read(REG_RB_HEAD) == device.mmio_read(REG_RB_TAIL)
+
+
+@st.composite
+def _data_instr(draw):
+    """COMPUTE, COPY, NOP, SET_REG or FENCE over the two aliased regions;
+    some counts exceed what the write-back cache holds."""
+    kind = draw(st.sampled_from(("add", "mul", "dot", "copy", "copy",
+                                 "nop", "set_reg", "fence")))
+    if kind == "nop":
+        return Nop()
+    if kind == "set_reg":
+        return SetReg(draw(st.sampled_from(SCRATCH_REGISTERS)),
+                      draw(st.integers(0, MASK32)))
+    if kind == "fence":
+        return Fence(draw(st.integers(1, 1000)))
+    count = draw(st.one_of(st.integers(0, 40), st.integers(0, 1100)))
+
+    def operand(n_words):
+        base = draw(st.sampled_from((DATA_AT, APERTURE_BASE)))
+        return base + draw(st.integers(0, ALIAS_WORDS - n_words)) * WORD
+
+    if kind == "copy":
+        return Copy(operand(count), operand(count), count)
+    sub = {"add": CO_ADD, "mul": CO_MUL, "dot": CO_DOT}[kind]
+    dst = operand(1 if sub == CO_DOT else count)
+    return Compute(sub, dst, operand(count), operand(count), count)
+
+
+def interpret(memory, scratch, instrs):
+    """Host model of the instruction set: ``memory`` maps device word
+    addresses to words, and every write lands at once.  NOP and FENCE
+    change no memory."""
+    for instr in instrs:
+        kind = type(instr)
+        if kind is SetReg:
+            scratch[instr.reg] = instr.value
+        elif kind is Copy:
+            words = [memory[instr.src + i * WORD] for i in range(instr.count)]
+            for i, word in enumerate(words):
+                memory[instr.dst + i * WORD] = word
+        elif kind is Compute:
+            a = [memory[instr.src1 + i * WORD] for i in range(instr.count)]
+            b = [memory[instr.src2 + i * WORD] for i in range(instr.count)]
+            if instr.sub == CO_ADD:
+                out = [(x + y) & MASK32 for x, y in zip(a, b)]
+            elif instr.sub == CO_MUL:
+                out = [(x * y) & MASK32 for x, y in zip(a, b)]
+            else:
+                out = [sum(x * y for x, y in zip(a, b)) & MASK32]
+            for i, word in enumerate(out):
+                memory[instr.dst + i * WORD] = word
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_data_instr(), min_size=1, max_size=10), st.integers(0, 2**32))
+def test_device_memory_equals_the_host_model(batch, seed):
+    platform, device = aliased_device()
+    rng = random.Random(seed)
+    vram = [rng.getrandbits(32) for _ in range(ALIAS_WORDS)]
+    aperture = [rng.getrandbits(32) for _ in range(ALIAS_WORDS)]
+    poke_words(device, DATA_AT, vram)
+    page_words = PAGE_SIZE // WORD
+    for page in (0, 1):
+        addr = (ALIAS_FRAME + 1 - page) * PAGE_SIZE
+        platform.sysmem.data[addr:addr + PAGE_SIZE] = pack(
+            aperture[page * page_words:(page + 1) * page_words])
+    memory = {DATA_AT + i * WORD: w for i, w in enumerate(vram)}
+    memory.update({APERTURE_BASE + i * WORD: w for i, w in enumerate(aperture)})
+    scratch = {reg: device.mmio_read(reg) for reg in SCRATCH_REGISTERS}
+
+    push_batch(device, batch + [Fence(1 << 40)])
+    device.step(1_000_000)
+    interpret(memory, scratch, batch)
+
+    seq, _, flags = read_status(device)
+    assert (seq, flags & FAULT_FLAGS) == (1 << 40, 0)
+    assert vram_words(device, DATA_AT, ALIAS_WORDS) == [
+        memory[DATA_AT + i * WORD] for i in range(ALIAS_WORDS)]
+    assert sys_words(platform, 0, page_words) + sys_words(platform, PAGE_SIZE, page_words) == [
+        memory[APERTURE_BASE + i * WORD] for i in range(ALIAS_WORDS)]
+    assert {reg: device.mmio_read(reg) for reg in SCRATCH_REGISTERS} == scratch
 
 
 @settings(max_examples=40, deadline=None)
