@@ -197,6 +197,7 @@ class DeviceCore:
     def iommu_map_page(self, lib_id: int, vaddr: int, iaddr: int):
         self._charge_call()
         self._charge_crossing()
+        _ints(lib_id, vaddr, iaddr)
         ctx = self._ctx(lib_id)
         if iaddr % PAGE_SIZE or not APERTURE_BASE <= iaddr < APERTURE_END:
             raise InvalError(f"bad aperture address 0x{iaddr:x}")
@@ -213,6 +214,7 @@ class DeviceCore:
     def iommu_unmap_page(self, lib_id: int, vaddr: int):
         self._charge_call()
         self._charge_crossing()
+        _ints(lib_id, vaddr)
         ctx = self._ctx(lib_id)
         entry = ctx.vaddr_map.get(vaddr)
         if entry is None:
@@ -227,6 +229,7 @@ class DeviceCore:
 
     def alloc_device_memory(self, lib_id: int, size: int) -> int:
         self._charge_call()
+        _ints(lib_id, size)
         if not self.device_memory:
             raise NotSupportedError("device has no dedicated memory")
         ctx = self._ctx(lib_id)
@@ -239,6 +242,7 @@ class DeviceCore:
 
     def release_device_memory(self, lib_id: int, addr: int, size: int):
         self._charge_call()
+        _ints(lib_id, addr, size)
         if not self.device_memory:
             raise NotSupportedError("device has no dedicated memory")
         ctx = self._ctx(lib_id)
@@ -249,6 +253,9 @@ class DeviceCore:
                         is_write: bool) -> int:
         self._charge_call()
         self._charge_crossing()
+        _ints(lib_id, reg, value)
+        if type(is_write) is not bool:  # a truthy "no" must not write
+            raise InvalError(f"is_write {is_write!r} is not a bool")
         ctx = self._ctx(lib_id)
         if ctx.state != ST_BOUND:
             raise NotBoundError(f"lib {lib_id} not bound")
@@ -262,6 +269,7 @@ class DeviceCore:
 
     def set_mode(self, lib_id: int, display: int, mode):
         self._charge_call()
+        _ints(lib_id)
         ctx = self._ctx(lib_id)
         if ctx.state != ST_BOUND:
             raise NotBoundError(f"lib {lib_id} not bound")
@@ -271,6 +279,7 @@ class DeviceCore:
 
     def bind_device_lib(self, lib_id: int):
         self._charge_call()
+        _ints(lib_id)
         ctx = self._ctx(lib_id)
         if self.bound is not None:
             raise BusyError(f"lib {self.bound} is bound")
@@ -286,6 +295,7 @@ class DeviceCore:
 
     def revoke_device_lib(self, lib_id: int):
         self._charge_call()
+        _ints(lib_id)
         ctx = self._ctx(lib_id)
         if ctx.state != ST_BOUND:
             raise NotBoundError(f"lib {lib_id} not bound")
@@ -300,3 +310,12 @@ class DeviceCore:
         self._flush_tlb()
         ctx.state = ST_REVOKED_IDLE
         self.bound = None
+
+
+def _ints(*values):
+    """Refuse, before any state changes, a call whose scalar arguments are
+    not all ints: a float or str would fail later, in a dict lookup, in
+    arithmetic or in formatting an error message."""
+    for value in values:
+        if not isinstance(value, int):
+            raise InvalError(f"argument {value!r} is not an int")

@@ -117,12 +117,12 @@ class LegacyDriver:
         return addr
 
     def _client(self, client: int) -> int:
-        if client not in self.clients:
+        if not isinstance(client, int) or client not in self.clients:
             raise BadHandle(f"no client {client}")
         return client
 
     def _buffer(self, client: int, buffer_id: int) -> Buffer:
-        buf = self.buffers.get(buffer_id)
+        buf = self.buffers.get(_word(buffer_id, "buffer id"))
         if buf is None:
             raise NotFoundError(f"no buffer {buffer_id}")
         if buf.owner != client:
@@ -157,6 +157,8 @@ class LegacyDriver:
         del self.buffers[buffer_id]
 
     def legacy_write(self, client: int, buffer_id: int, offset: int, data: bytes):
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise InvalError(f"payload must be bytes-like, got {type(data).__name__}")
         data = bytes(data)
         self._charge(len(data))
         self._client(client)
@@ -218,6 +220,8 @@ class LegacyDriver:
     def legacy_submit(self, client: int, batch) -> int:
         """Copy, validate, patch, and enqueue an application batch."""
         self._client(client)
+        if not isinstance(batch, (list, tuple)):
+            raise InvalError(f"batch must be a list of instructions, got {batch!r}")
         patched = [self._patch(client, instr).encode() for instr in batch]
         total_words = sum(map(len, patched))
         # one syscall: the whole stream crosses the boundary and is inspected
@@ -234,6 +238,7 @@ class LegacyDriver:
     def legacy_wait(self, client: int, seq: int):
         """Syscall-based completion wait: one crossing per poll round."""
         self._client(client)
+        _word(seq, "fence seq")
         while True:
             self._charge()
             if self.pool.poll() >= seq:
@@ -249,7 +254,7 @@ class LegacyDriver:
     def legacy_fence_status(self, client: int, seq: int) -> bool:
         self._charge()
         self._client(client)
-        return self.pool.poll() >= seq
+        return self.pool.poll() >= _word(seq, "fence seq")
 
     def legacy_set_mode(self, client: int, display: int, mode, fb: int | None = None):
         self._charge()
@@ -271,9 +276,9 @@ class LegacyDriver:
 
 
 def _word(value, what: str) -> int:
-    """A number from an application: an instruction field, a size or an
-    offset.  Each one fills an unsigned device word, so anything but a
-    non-negative int is refused."""
+    """A number from an application: an instruction field, a size, an
+    offset, a buffer id or a fence sequence number.  Each one is an
+    unsigned quantity, so anything but a non-negative int is refused."""
     if not isinstance(value, int) or value < 0:
         raise InvalError(f"{what} must be a non-negative int, got {value!r}")
     return value

@@ -52,6 +52,17 @@ index (bits 12-21) and a 12-bit page offset.
 Faults never have partial effects: an instruction either fully executes or
 leaves all target memory untouched, and a fault consumes the remainder of the
 batch.
+
+Instruction fetch reads through a fetch window: when RB_HEAD lies outside
+it, the command processor reads the run from RB_HEAD to the nearest of the
+batch end, the ring end and the end of RB_HEAD's device page in one read,
+and later fetches slice their words out of it.  The window lives for one
+``step()`` call at most, because the host rewrites the ring, the registers
+and the page tables only between calls.  A device write that lands on its
+physical words drops it, so self-modifying rings and a status page inside
+the ring fetch what they wrote.  If reading the window faults, the fetch
+reads the opcode word alone, so the fault fires at the same instruction and
+address as a word-by-word fetch.
 """
 
 from __future__ import annotations
@@ -429,6 +440,8 @@ class SimDevice:
         self.firmware = [0] * FW_SIZE
         self._fw_ready = False
         self._inflight = None  # [opcode, words, cycles_left]
+        # (ring lo, ring hi, words, space, phys lo, phys hi); byte offsets
+        self._window = None
         self._irq_seq = 0
         self._irq_count = 0
         self._irq_flags = 0
@@ -577,7 +590,9 @@ class SimDevice:
         cache = self.cache
         k = 0
         for space, addr, count in spans:
-            cache._widen(space, addr, addr + (count - 1) * WORD)
+            last = addr + (count - 1) * WORD
+            cache._widen(space, addr, last)
+            self._drop_window_over(space, addr, last)
             for i in range(count):
                 cache.put((space, addr + i * WORD), words[k + i])
             k += count
@@ -587,6 +602,7 @@ class SimDevice:
         spans = self._decode_run(da, len(words), True)
         k = 0
         for space, addr, count in spans:
+            self._drop_window_over(space, addr, addr + (count - 1) * WORD)
             for i in range(count):
                 key = (space, addr + i * WORD)
                 self.cache.drop(key)
@@ -639,27 +655,60 @@ class SimDevice:
     def _ring_bytes(self) -> int:
         return self.regs[REG_RB_SIZE] * WORD
 
+    def _open_window(self, base: int, off: int, avail: int, ring: int):
+        """Read the fetch window at ring offset ``off``, or return None
+        (and hold no window) if that read faults."""
+        da = base + off
+        n_bytes = min(avail, ring - off, PAGE_SIZE - da % PAGE_SIZE)
+        try:
+            (span,) = self._decode_run(da, (n_bytes + WORD - 1) // WORD, False)
+        except HardwareFault:
+            self._window = None
+            return None
+        words = self._read_phys_words(*span)
+        space, addr, count = span
+        self._window = window = (off, off + count * WORD, words, space,
+                                 addr, addr + (count - 1) * WORD)
+        return window
+
+    def _drop_window_over(self, space: int, first: int, last: int):
+        """Drop the fetch window if bytes ``first..last`` of ``space``
+        overlap its words."""
+        window = self._window
+        if (window is not None and window[3] == space
+                and first <= window[5] and window[4] <= last):
+            self._window = None
+
     def _fetch_instruction(self):
         """Decode the instruction at RB_HEAD; returns [opcode, words, cost].
 
-        The opcode word is one read, the rest of the instruction another;
-        only an instruction that straddles the ring end takes a third.
+        The words come from the fetch window, which is read afresh when
+        RB_HEAD lies outside it.  Without a window the opcode word is read
+        alone.  Words past the window's end are read with one more run
+        read, and with two when they straddle the ring end.
         """
         regs = self.regs
-        head = regs[REG_RB_HEAD]
-        base = regs[REG_RB_BASE]
         ring = self._ring_bytes()
-        avail = (regs[REG_RB_TAIL] - head) % ring
-        opcode = self._read_run(base + head % ring, 1)[0]
+        off = regs[REG_RB_HEAD] % ring
+        avail = (regs[REG_RB_TAIL] - off) % ring
+        base = regs[REG_RB_BASE]
+        window = self._window
+        if window is None or not window[0] <= off < window[1]:
+            window = self._open_window(base, off, avail, ring)
+        if window is None:
+            fetched, i = self._read_run(base + off, 1), 0
+        else:
+            fetched, i = window[2], (off - window[0]) // WORD
+        opcode = fetched[i]
         length = INSTR_WORDS.get(opcode)
         if length is None:
             raise CmdFault(f"unknown opcode 0x{opcode:x}")
         if avail < length * WORD:
             raise CmdFault("truncated instruction at end of batch")
-        words = [opcode]
-        rest = length - 1
+        words = fetched[i:i + length]
+        rest = length - len(words)
         if rest:
-            pos = (head + WORD) % ring
+            pos = (off + len(words) * WORD) % ring
             before_end = min(rest, (ring - pos + WORD - 1) // WORD)
             words += self._read_run(base + pos, before_end)
             if before_end < rest:
@@ -719,7 +768,14 @@ class SimDevice:
         raise CmdFault(f"unknown opcode 0x{opcode:x}")
 
     def step(self, budget: int) -> ExecReport:
-        """Run the CP for up to ``budget`` cycles; partial batches resume."""
+        """Run the CP for up to ``budget`` cycles; partial batches resume.
+
+        The fetch window is dropped on entry, since the host may have
+        rewritten the ring, the registers or the page tables since the last
+        call; within the call it is rebuilt whenever RB_HEAD leaves it, and
+        dropped when a device write lands on it or reading it faults.
+        """
+        self._window = None
         report = ExecReport()
         while report.cycles_used < budget:
             if self._inflight is None:

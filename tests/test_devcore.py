@@ -274,3 +274,35 @@ def test_every_bind_flushes_tlb_and_cache(lib_world):
         assert core.tlb_flush_count == tlb + 1
         assert core.cache_flush_count == cache + 1
         core.revoke_device_lib(lib)
+
+
+@pytest.mark.parametrize("call", [
+    lambda core, lib, vaddr: core.iommu_map_page(lib, vaddr, "x"),
+    lambda core, lib, vaddr: core.iommu_map_page(lib, vaddr, APERTURE_BASE + 0.5),
+    lambda core, lib, vaddr: core.iommu_unmap_page(lib, [1]),
+    lambda core, lib, vaddr: core.access_register([1], REG_SCRATCH0, 1, True),
+    lambda core, lib, vaddr: core.access_register(lib, [0], 1, True),
+    lambda core, lib, vaddr: core.access_register(lib, REG_SCRATCH0, "1", True),
+    lambda core, lib, vaddr: core.access_register(lib, REG_SCRATCH0, 1, "no"),
+    lambda core, lib, vaddr: core.alloc_device_memory(lib, "64"),
+    lambda core, lib, vaddr: core.release_device_memory(lib, "0", 64),
+], ids=["map-str-iaddr", "map-float-iaddr", "unmap-list-vaddr",
+        "register-list-lib", "register-list-reg", "register-str-value",
+        "register-str-is-write",
+        "alloc-str-size", "release-str-addr"])
+def test_malformed_core_arguments_are_refused_before_any_change(lib_world, call):
+    platform, device, core = lib_world
+    lib = core.init_device_lib("a")[0]
+    vaddrs = platform.alloc_pages("a", 2)
+    core.iommu_map_page(lib, vaddrs[0], APERTURE_BASE)
+    core.alloc_device_memory(lib, 4096)
+    core.bind_device_lib(lib)
+    ctx = core.contexts[lib]
+    before = (dict(device.regs), dict(ctx.vaddr_map), dict(ctx.iaddr_map),
+              dict(ctx.segment_alloc.live), list(ctx.table.l1))
+    core_calls = platform.ledger.core_calls
+    with pytest.raises(InvalError):
+        call(core, lib, vaddrs[1])
+    assert platform.ledger.core_calls - core_calls == 1  # billed as before
+    assert (dict(device.regs), dict(ctx.vaddr_map), dict(ctx.iaddr_map),
+            dict(ctx.segment_alloc.live), list(ctx.table.l1)) == before

@@ -210,22 +210,39 @@ def test_refused_framebuffer_leaves_the_display_untouched(legacy):
     assert [device.mmio_read(reg) for reg in display_regs] == before
 
 
-@pytest.mark.parametrize("call", [
-    lambda d, c, b: d.legacy_alloc(c, "64", "GTT"),
-    lambda d, c, b: d.legacy_read(c, b, "0", 4),
-    lambda d, c, b: d.legacy_write(c, b, 0.5, b"ab"),
-    lambda d, c, b: d.legacy_set_mode(c, 0, 5),
+@pytest.mark.parametrize("call, error, crossings", [
+    (lambda d, c, b: d.legacy_alloc(c, "64", "GTT"), InvalError, 1),
+    (lambda d, c, b: d.legacy_read(c, b, "0", 4), InvalError, 1),
+    (lambda d, c, b: d.legacy_write(c, b, 0.5, b"ab"), InvalError, 1),
+    (lambda d, c, b: d.legacy_set_mode(c, 0, 5), InvalError, 1),
+    # the payload is checked before the charge, which bills its length
+    (lambda d, c, b: d.legacy_write(c, b, 0, 8), InvalError, 0),
+    (lambda d, c, b: d.legacy_write(c, b, 0, "ab"), InvalError, 0),
+    (lambda d, c, b: d.legacy_read(c, [b], 0, 4), InvalError, 1),
+    (lambda d, c, b: d.legacy_free(c, [b]), InvalError, 1),
+    (lambda d, c, b: d.legacy_alloc([c], 64, "GTT"), BadHandle, 1),
+    # a batch is refused before it crosses, like a malformed instruction
+    (lambda d, c, b: d.legacy_submit(c, 5), InvalError, 0),
+    # wait bills one crossing per poll round, and refuses before the first
+    (lambda d, c, b: d.legacy_wait(c, "1"), InvalError, 0),
+    (lambda d, c, b: d.legacy_fence_status(c, "1"), InvalError, 1),
 ], ids=["alloc-str-size", "read-str-offset", "write-float-offset",
-        "set-mode-int-mode"])
-def test_malformed_syscall_arguments_are_refused(legacy, call):
+        "set-mode-int-mode", "write-int-payload", "write-str-payload",
+        "read-list-buffer", "free-list-buffer", "alloc-list-client",
+        "submit-int-batch", "wait-str-seq", "fence-status-str-seq"])
+def test_malformed_syscall_arguments_are_refused(legacy, call, error, crossings):
     platform, device, driver, client = legacy
     buf = driver.legacy_alloc(client, 64, "GTT")
+    driver.legacy_write(client, buf, 0, bytes(range(1, 65)))
     buffers = dict(driver.buffers)
+    tail = device.mmio_read(REG_RB_TAIL)
     before = platform.ledger.crossings
-    with pytest.raises(InvalError):
+    with pytest.raises(error):
         call(driver, client, buf)
-    assert platform.ledger.crossings - before == 1
+    assert platform.ledger.crossings - before == crossings
     assert driver.buffers == buffers
+    assert driver.pool.read_buffer(driver.buffers[buf], 0, 64) == bytes(range(1, 65))
+    assert device.mmio_read(REG_RB_TAIL) == tail
     assert device.mmio_read(REG_DISP_ENABLE) == 0
 
 

@@ -14,11 +14,11 @@ from devmux import simdev
 from devmux.errors import IommuFault, InvalError, RegFault
 from devmux.simdev import (APERTURE_BASE, CO_ADD, CO_DOT, CO_MUL, FAULT_FLAGS,
                            FLAG_CMD_FAULT, FLAG_FENCE, FLAG_IOMMU_FAULT,
-                           FLAG_MC_FAULT, M_REGISTERS, MASK32, PAGE_SIZE,
-                           REG_CP_RESET, REG_DISP_ENABLE, REG_DISP_TIMING_H,
-                           REG_DISP_TIMING_V, REG_FB_BASE, REG_IH_PAGE_ADDR,
-                           REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_BASE,
-                           REG_RB_HEAD, REG_RB_SIZE, REG_RB_TAIL,
+                           FLAG_MC_FAULT, M_REGISTERS, MASK32, OP_SET_REG,
+                           PAGE_SIZE, REG_CP_RESET, REG_DISP_ENABLE,
+                           REG_DISP_TIMING_H, REG_DISP_TIMING_V, REG_FB_BASE,
+                           REG_IH_PAGE_ADDR, REG_MC_SEG_BASE, REG_MC_SEG_LIMIT,
+                           REG_RB_BASE, REG_RB_HEAD, REG_RB_SIZE, REG_RB_TAIL,
                            REG_SCRATCH0, S_REGISTERS, SCRATCH_REGISTERS, WORD,
                            Compute, Copy, Fence, IommuUnit, Nop, PageTable,
                            SetReg, SimDevice, fnv1a64)
@@ -417,9 +417,9 @@ ALIAS_WORDS = 2 * PAGE_SIZE // WORD
 ALIAS_FRAME = DATA_AT // PAGE_SIZE
 
 
-def aliased_device():
+def aliased_device(vram=2 << 20):
     platform = make_platform()
-    device = boot_solo(make_device(platform))
+    device = boot_solo(make_device(platform, vram=vram))
     table = PageTable()
     table.map(0, ALIAS_FRAME + 1)
     table.map(PAGE_SIZE, ALIAS_FRAME)
@@ -428,10 +428,19 @@ def aliased_device():
     return platform, device
 
 
+def alias_loc(platform, device, da):
+    """(backing bytes, byte address) of device address ``da`` on an
+    aliased_device."""
+    if da >= APERTURE_BASE:
+        off = da - APERTURE_BASE
+        frame = ALIAS_FRAME + 1 - off // PAGE_SIZE
+        return platform.sysmem.data, frame * PAGE_SIZE + off % PAGE_SIZE
+    return device.vram, da
+
+
 def sys_words(platform, aperture_off, n):
-    frame = ALIAS_FRAME + 1 - aperture_off // PAGE_SIZE
-    addr = frame * PAGE_SIZE + aperture_off % PAGE_SIZE
-    return unpack(bytes(platform.sysmem.data[addr:addr + n * WORD]))
+    data, addr = alias_loc(platform, None, APERTURE_BASE + aperture_off)
+    return unpack(bytes(data[addr:addr + n * WORD]))
 
 
 def test_pending_writes_in_one_space_stay_unseen_by_the_other():
@@ -475,6 +484,198 @@ def test_reads_after_a_drain_see_backing_and_new_pending_words(solo):
     assert read_status(device)[0] == 2
     assert vram_words(device, b, 4) == [4, 8, 12, 16]
     assert vram_words(device, out, 20) == [2, 4, 6, 8] + [0] * 12 + [4, 8, 12, 16]
+
+
+# --- instruction fetch --------------------------------------------------------
+#
+# The fetch window must return what a word-by-word fetch would: these cover
+# each way its words can go stale or its read can fault.
+
+def device_words(platform, device, da, n):
+    words = []
+    for i in range(n):
+        backing, addr = alias_loc(platform, device, da + i * WORD)
+        words += unpack(bytes(backing[addr:addr + WORD]))
+    return words
+
+
+def queue(platform, device, words):
+    """push_batch of encoded words, for a ring anywhere on an
+    aliased_device."""
+    base = device.mmio_read(REG_RB_BASE)
+    ring = device.mmio_read(REG_RB_SIZE)
+    tail = device.mmio_read(REG_RB_TAIL) // WORD
+    for i, word in enumerate(words):
+        backing, addr = alias_loc(platform, device, base + (tail + i) % ring * WORD)
+        backing[addr:addr + WORD] = pack([word])
+    device.mmio_write(REG_RB_TAIL, (tail + len(words)) % ring * WORD)
+
+
+SCRATCH1 = REG_SCRATCH0 + 4
+SCRATCH2 = REG_SCRATCH0 + 8
+
+
+@pytest.mark.parametrize("ring_at", [RING_AT, APERTURE_BASE], ids=["vram", "aperture"])
+def test_copy_over_the_next_instruction_runs_the_new_one(ring_at):
+    platform, device = aliased_device()
+    device.mmio_write(REG_RB_BASE, ring_at)
+    poke_words(device, DATA_AT + 0x100, SetReg(SCRATCH1, 0x1111).encode())
+    # the COPY at words 0-3 rewrites the SET_REG at words 4-6 before it
+    # is fetched
+    queue(platform, device, simdev.encode_batch([
+        Copy(ring_at + 4 * WORD, DATA_AT + 0x100, 3), SetReg(SCRATCH1, 0x2222),
+        Fence(1)]))
+    device.step(100)
+    assert read_status(device)[0] == 1
+    assert read_status(device)[2] & FAULT_FLAGS == 0
+    assert device.mmio_read(SCRATCH1) == 0x1111
+    assert device_words(platform, device, ring_at + 4 * WORD, 3) == [
+        OP_SET_REG, SCRATCH1, 0x1111]
+
+
+def test_status_write_inside_the_ring_replaces_the_words_after_the_fence(solo):
+    _, device = solo
+    device.mmio_write(REG_IH_PAGE_ADDR, RING_AT + 4 * WORD)
+    device.mmio_write(SCRATCH1, 0x7777)
+    # the fence writes its seq (two words), irq count 0 and flags 0 over
+    # words 4-7, turning SET_REG SCRATCH1, 0x5555 into SET_REG SCRATCH1, 0
+    push_batch(device, [Fence(OP_SET_REG | SCRATCH1 << 32, flags=0),
+                        SetReg(SCRATCH1, 0x5555), Nop(),
+                        SetReg(SCRATCH2, 0xAAAA)])
+    device.step(100)
+    assert vram_words(device, RING_AT + 4 * WORD, 4) == [OP_SET_REG, SCRATCH1, 0, 0]
+    assert device.mmio_read(SCRATCH1) == 0
+    assert device.mmio_read(SCRATCH2) == 0xAAAA
+    assert device.mmio_read(REG_RB_HEAD) == device.mmio_read(REG_RB_TAIL)
+
+
+def test_segment_limit_inside_the_ring_faults_at_the_crossing_instruction(solo):
+    _, device = solo
+    poke_words(device, 0x3100, [5, 6])
+    # the limit falls at ring word 8: the COPY at words 7-10 has only its
+    # opcode inside the segment
+    device.mmio_write(REG_MC_SEG_LIMIT, RING_AT + 8 * WORD)
+    push_batch(device, [SetReg(REG_SCRATCH0, 1), SetReg(SCRATCH1, 2), Nop(),
+                        Copy(0x3000, 0x3100, 2), SetReg(SCRATCH2, 3), Fence(1)])
+    before = bytes(device.vram)
+    device.step(100)
+    seq, irq, flags = read_status(device)
+    assert (seq, irq, flags & FAULT_FLAGS) == (0, 1, FLAG_MC_FAULT)
+    assert [device.mmio_read(reg) for reg in (REG_SCRATCH0, SCRATCH1, SCRATCH2)] == [1, 2, 0]
+    assert device.mmio_read(REG_RB_HEAD) == device.mmio_read(REG_RB_TAIL)
+    after = bytes(device.vram)
+    assert after[:STATUS_AT] == before[:STATUS_AT]
+    assert after[STATUS_AT + 16:] == before[STATUS_AT + 16:]
+
+
+def test_host_rewrite_between_steps_is_fetched(solo):
+    _, device = solo
+    push_batch(device, [SetReg(REG_SCRATCH0, 1), SetReg(SCRATCH1, 2), Fence(1)])
+    assert device.step(1).cycles_used == 1  # the first SET_REG only
+    poke_words(device, RING_AT + 3 * WORD, SetReg(SCRATCH1, 0x99).encode())
+    device.step(100)
+    assert read_status(device)[0] == 1
+    assert device.mmio_read(REG_SCRATCH0) == 1
+    assert device.mmio_read(SCRATCH1) == 0x99
+
+
+def test_instruction_straddling_an_aperture_page_inside_the_ring_runs():
+    platform, device = aliased_device()
+    device.mmio_write(REG_RB_BASE, APERTURE_BASE)
+    device.mmio_write(REG_RB_SIZE, 2 * PAGE_SIZE // WORD)  # pages 0 and 1
+    poke_words(device, DATA_AT, [3, 4, 5, 6])
+    # NOPs up to word 1021, then a 6-word DOT across the page end at 1024
+    queue(platform, device, simdev.encode_batch([Nop()] * 1021 + [
+        Compute(CO_DOT, DATA_AT + 0x100, DATA_AT, DATA_AT + 8, 2), Fence(1)]))
+    device.step(10_000)
+    assert read_status(device)[0] == 1
+    assert read_status(device)[2] & FAULT_FLAGS == 0
+    assert vram_words(device, DATA_AT + 0x100, 1) == [3 * 5 + 4 * 6]
+
+
+# 128-word rings across a device page end, one in VRAM and one in the
+# aperture, and 64 words of small values at DATA_AT: copied into the ring
+# they decode as short instructions
+FETCH_RING_WORDS = 128
+FETCH_RINGS = (RING_AT + PAGE_SIZE - 64 * WORD, APERTURE_BASE + PAGE_SIZE - 64 * WORD)
+FETCH_DATA_WORDS = 64
+FETCH_BUDGET = 1024
+
+
+@st.composite
+def _ring_program(draw):
+    """An encoded batch queued from a random ring position, whose
+    COPY/COMPUTE operands and status page may lie on its own words."""
+    ring = draw(st.sampled_from(FETCH_RINGS))
+    start = draw(st.integers(0, FETCH_RING_WORDS - 1))
+
+    def in_ring(n_words):
+        # mostly on the batch's own words, which follow ``start``
+        index = (start + draw(st.integers(0, 48))) % FETCH_RING_WORDS
+        return ring + min(index, FETCH_RING_WORDS - n_words) * WORD
+
+    def operand(n_words):
+        if draw(st.booleans()):
+            return in_ring(n_words)
+        return DATA_AT + draw(st.integers(0, FETCH_DATA_WORDS - n_words)) * WORD
+
+    instrs = []
+    for kind in draw(st.lists(st.sampled_from(("nop", "set_reg", "copy", "copy",
+                                               "compute", "fence")),
+                              min_size=1, max_size=12)):
+        count = draw(st.integers(0, 8))
+        if kind == "nop":
+            instrs.append(Nop())
+        elif kind == "set_reg":
+            instrs.append(SetReg(draw(st.sampled_from(SCRATCH_REGISTERS)),
+                                 draw(st.integers(0, 8))))
+        elif kind == "fence":
+            instrs.append(Fence(draw(st.integers(0, 8)), draw(st.integers(0, 1))))
+        elif kind == "copy":
+            instrs.append(Copy(operand(count), operand(count), count))
+        else:
+            sub = draw(st.sampled_from((CO_ADD, CO_MUL, CO_DOT)))
+            instrs.append(Compute(sub, operand(1 if sub == CO_DOT else count),
+                                  operand(count), operand(count), count))
+    status = STATUS_AT if draw(st.booleans()) else in_ring(4)
+    return ring, status, start, simdev.encode_batch(instrs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_program(), st.lists(st.integers(0, 8), min_size=FETCH_DATA_WORDS,
+                                 max_size=FETCH_DATA_WORDS))
+def test_step_budget_does_not_change_what_runs(program, data):
+    ring, status, start, words = program
+
+    def run(budget):
+        platform, device = aliased_device(vram=128 << 10)
+        device.mmio_write(REG_RB_BASE, ring)
+        device.mmio_write(REG_RB_SIZE, FETCH_RING_WORDS)
+        device.mmio_write(REG_IH_PAGE_ADDR, status)
+        device.mmio_write(REG_RB_HEAD, start * WORD)
+        device.mmio_write(REG_RB_TAIL, start * WORD)
+        poke_words(device, DATA_AT, data)
+        queue(platform, device, words)
+        # the same FETCH_BUDGET cycles, in one call or one cycle per call;
+        # a call of one cycle fetches at most one instruction, so it reads
+        # every instruction afresh
+        for _ in range(FETCH_BUDGET // budget):
+            if device.cp_idle:
+                break
+            device.step(budget)
+        return platform, device
+
+    platform_a, whole = run(FETCH_BUDGET)
+    platform_b, single = run(1)
+    # the cheap comparisons come first, so that while a failure shrinks,
+    # only examples that pass them pay for hashing VRAM
+    assert whole.mmio_read(REG_RB_HEAD) == single.mmio_read(REG_RB_HEAD)
+    assert (device_words(platform_a, whole, status, 4)
+            == device_words(platform_b, single, status, 4))
+    assert list(whole.cache.pending.items()) == list(single.cache.pending.items())
+    assert whole.vram == single.vram
+    assert platform_a.sysmem.data == platform_b.sysmem.data
+    assert whole.device_digest() == single.device_digest()
 
 
 # --- scanout -----------------------------------------------------------------
