@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from devmux import devcore, legacydrv, libdrv, platform, simdev
 from devmux.errors import InvalError
 
 WORKLOAD_KINDS = ("matmul", "vertex-array", "display-list")
@@ -19,17 +20,17 @@ IOMMUS = ("system", "builtin")
 @dataclass
 class BenchConfig:
     # cost-model constants
-    crossing_cost: float = 1000.0
-    byte_cost: float = 0.25
-    validated_cost: float = 2.0
-    cycle_cost: float = 1.0
-    core_call_cost: float = 10.0
+    crossing_cost: float = platform.COST_CROSSING
+    byte_cost: float = platform.COST_PER_BYTE
+    validated_cost: float = platform.COST_PER_VALIDATED
+    cycle_cost: float = platform.COST_PER_CYCLE
+    core_call_cost: float = platform.COST_PER_CORE_CALL
     # world sizing
-    pool_pages: int = 256
-    legacy_pool_pages: int = 64
-    segment_bytes: int = 1 << 20
-    vram_bytes: int = 16 << 20
-    sysmem_pages: int = 4096
+    pool_pages: int = libdrv.POOL_PAGES_DEFAULT
+    legacy_pool_pages: int = legacydrv.POOL_PAGES_DEFAULT
+    segment_bytes: int = devcore.SEGMENT_BYTES_DEFAULT
+    vram_bytes: int = simdev.VRAM_SIZE_DEFAULT
+    sysmem_pages: int = platform.SYSMEM_FRAMES_DEFAULT
 
     @classmethod
     def from_file(cls, path: str) -> "BenchConfig":

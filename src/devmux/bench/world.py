@@ -48,9 +48,7 @@ class World:
         return self.platform.ledger
 
     def step_device(self, budget: int) -> int:
-        report = self.device.step(budget)
-        self.ledger.device_cycles += report.cycles_used
-        return report.cycles_used
+        return self.ledger.run(self.device, budget)
 
 
 def build_world(config: BenchConfig, driver: str, iommu: str) -> World:

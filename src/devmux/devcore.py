@@ -19,7 +19,6 @@ calls, leaving seven entry points.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from devmux import simdev
@@ -28,6 +27,7 @@ from devmux.errors import (BusyError, DoubleInit, ExistsError, InvalError,
                            NotBoundError, NotFoundError, NotInitialized,
                            NotSupportedError, OutOfSegment, OutOfVram,
                            PermError)
+from devmux.platform import RUN_TO_IDLE
 from devmux.simdev import (APERTURE_BASE, APERTURE_END, DISPLAY_MODES,
                            M_REGISTERS, PAGE_SIZE, REG_CACHE_FLUSH,
                            REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_HEAD,
@@ -47,51 +47,16 @@ SEGMENT_BYTES_DEFAULT = 1 << 20
 ACL_READ = frozenset(M_REGISTERS)
 ACL_WRITE = frozenset(off for off in M_REGISTERS if off != REG_RB_HEAD)
 
-ST_INITIALIZED = "INITIALIZED"
-ST_BOUND = "BOUND"
-ST_REVOKED_IDLE = "REVOKED-IDLE"
-
-_REVOKE_STEP_CHUNK = 4096  # cycles per step call while draining
-
 
 @dataclass(frozen=True)
 class InfoPage:
-    """Read-only per-client device description, identical for every client.
-
-    Wire layout is little-endian u32s: version, vram_total, segment_size,
-    n_displays, then per display a mode count followed by (width, height,
-    refresh) triples.
-    """
+    """Read-only per-client device description, identical for every client;
+    the core hands out the object itself."""
 
     version: int
     vram_total: int
     segment_size: int
     displays: tuple
-
-    def to_bytes(self) -> bytes:
-        words = [self.version, self.vram_total, self.segment_size,
-                 len(self.displays)]
-        for modes in self.displays:
-            words.append(len(modes))
-            for w, h, r in modes:
-                words.extend((w, h, r))
-        return struct.pack(f"<{len(words)}I", *words)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "InfoPage":
-        words = list(struct.unpack_from(f"<{len(blob) // 4}I", blob))
-        version, vram_total, segment_size, n_displays = words[:4]
-        pos = 4
-        displays = []
-        for _ in range(n_displays):
-            n_modes = words[pos]
-            pos += 1
-            modes = []
-            for _ in range(n_modes):
-                modes.append(tuple(words[pos:pos + 3]))
-                pos += 3
-            displays.append(tuple(modes))
-        return cls(version, vram_total, segment_size, tuple(displays))
 
 
 class LibContext:
@@ -100,7 +65,6 @@ class LibContext:
     def __init__(self, lib_id: int, owner, segment_base: int, segment_limit: int):
         self.id = lib_id
         self.owner = owner
-        self.state = ST_INITIALIZED
         self.segment_base = segment_base
         self.segment_limit = segment_limit
         self.snapshot = {off: 0 for off in M_REGISTERS}
@@ -181,6 +145,10 @@ class DeviceCore:
 
     def init_device_lib(self, app):
         self._charge_call()
+        try:
+            hash(app)  # the owner keys the platform's page map
+        except TypeError:
+            raise InvalError(f"owner {app!r} cannot be hashed") from None
         if not self._initialized:
             raise NotInitialized("device_init has not run")
         if not self._free_segments:
@@ -224,7 +192,7 @@ class DeviceCore:
         self.platform.sysmem.unpin(frame)
         del ctx.vaddr_map[vaddr]
         del ctx.iaddr_map[iaddr]
-        if ctx.state == ST_BOUND:
+        if self.bound == lib_id:
             self._flush_tlb()  # the device may hold the dead translation
 
     def alloc_device_memory(self, lib_id: int, size: int) -> int:
@@ -256,8 +224,8 @@ class DeviceCore:
         _ints(lib_id, reg, value)
         if type(is_write) is not bool:  # a truthy "no" must not write
             raise InvalError(f"is_write {is_write!r} is not a bool")
-        ctx = self._ctx(lib_id)
-        if ctx.state != ST_BOUND:
+        self._ctx(lib_id)
+        if self.bound != lib_id:
             raise NotBoundError(f"lib {lib_id} not bound")
         acl = ACL_WRITE if is_write else ACL_READ
         if reg not in acl:
@@ -270,8 +238,8 @@ class DeviceCore:
     def set_mode(self, lib_id: int, display: int, mode):
         self._charge_call()
         _ints(lib_id)
-        ctx = self._ctx(lib_id)
-        if ctx.state != ST_BOUND:
+        self._ctx(lib_id)
+        if self.bound != lib_id:
             raise NotBoundError(f"lib {lib_id} not bound")
         simdev.program_display(self.device, display, mode)
 
@@ -290,25 +258,21 @@ class DeviceCore:
         set_translation_root(self.device, lib_id)
         self._flush_tlb()
         self._flush_cache()
-        ctx.state = ST_BOUND
         self.bound = lib_id
 
     def revoke_device_lib(self, lib_id: int):
         self._charge_call()
         _ints(lib_id)
         ctx = self._ctx(lib_id)
-        if ctx.state != ST_BOUND:
+        if self.bound != lib_id:
             raise NotBoundError(f"lib {lib_id} not bound")
-        device = self.device
-        while not device.cp_idle:  # block until ongoing execution finishes
-            report = device.step(_REVOKE_STEP_CHUNK)
-            self.platform.ledger.device_cycles += report.cycles_used
-        ctx.snapshot = {off: device.mmio_read(off) for off in M_REGISTERS}
+        # block until ongoing execution finishes
+        self.platform.ledger.run(self.device, RUN_TO_IDLE)
+        ctx.snapshot = {off: self.device.mmio_read(off) for off in M_REGISTERS}
         self.snapshot_count += 1
-        device.mmio_write(REG_CP_RESET, 1)
+        self.device.mmio_write(REG_CP_RESET, 1)
         self._flush_cache()
         self._flush_tlb()
-        ctx.state = ST_REVOKED_IDLE
         self.bound = None
 
 

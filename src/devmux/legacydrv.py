@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from devmux import simdev
 from devmux.alloc import FirstFitAllocator
-from devmux.errors import (BadHandle, InvalError, NotFoundError,
-                           NotSupportedError, OutOfVram, PermError)
+from devmux.errors import (BadHandle, InvalError, NotFoundError, OutOfVram,
+                           PermError)
+from devmux.platform import RUN_TO_IDLE
 from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_REGISTERS,
                          Buffer, PagePool)
 from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, DISPLAY_MODES, PAGE_SIZE,
@@ -31,9 +32,8 @@ from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, DISPLAY_MODES, PAGE_SIZE,
                            set_translation_root)
 
 LEGACY_API = ("legacy_open", "legacy_close", "legacy_alloc", "legacy_free",
-              "legacy_write", "legacy_read", "legacy_map", "legacy_submit",
-              "legacy_wait", "legacy_fence_status", "legacy_set_mode",
-              "legacy_info")
+              "legacy_write", "legacy_read", "legacy_submit", "legacy_wait",
+              "legacy_fence_status", "legacy_set_mode", "legacy_info")
 
 KERNEL_TABLE_ID = 1
 POOL_PAGES_DEFAULT = 64
@@ -77,7 +77,6 @@ class LegacyDriver:
         self.buffers = self.pool.buffers
         self.clients = {}
         self._next_client = 1
-        self._inflight_seq = 0  # last seq written; 0 when known drained
 
     # -- kernel-side plumbing (no boundary crossings in here) ---------------
 
@@ -85,23 +84,15 @@ class LegacyDriver:
         self.platform.ledger.crossings += 1
         self.platform.ledger.bytes_copied += n_bytes
 
-    def _step(self, budget: int) -> int:
-        report = self.device.step(budget)
-        self.platform.ledger.device_cycles += report.cycles_used
-        return report.cycles_used
-
     def _drain(self):
-        while not self.device.cp_idle:
-            self._step(WAIT_ROUND_CYCLES)
-        self._inflight_seq = 0
+        if not self.device.cp_idle:
+            self.platform.ledger.run(self.device, RUN_TO_IDLE)
 
     def _push_ring(self, payload_words, drain: bool) -> int:
         """Write one fenced chunk into the ring and trigger it."""
-        if self._inflight_seq:
-            self._drain()  # reclaim the whole ring before reusing it
+        self._drain()  # reclaim the whole ring before reusing it
         seq = self.pool.queue(payload_words)
         self.device.mmio_write(REG_RB_TAIL, self.pool.tail * WORD)
-        self._inflight_seq = seq
         if drain:
             self._drain()
             self.pool.poll()  # raises if the chunk faulted
@@ -171,12 +162,6 @@ class LegacyDriver:
         return self.pool.read_buffer(self._buffer(client, buffer_id),
                                      _word(offset, "offset"), n)
 
-    def legacy_map(self, client: int, buffer_id: int):
-        self._charge()
-        self._client(client)
-        self._buffer(client, buffer_id)
-        raise NotSupportedError("this driver offers no user mappings")
-
     def _resolve_ref(self, client: int, ref, n_words: int) -> int:
         """Ownership + bounds + device-visibility check; returns the address."""
         if not (type(ref) is tuple and len(ref) == 2
@@ -242,12 +227,9 @@ class LegacyDriver:
         while True:
             self._charge()
             if self.pool.poll() >= seq:
-                if self.device.cp_idle:
-                    self._inflight_seq = 0
                 return
-            if self._step(WAIT_ROUND_CYCLES) == 0:
+            if self.platform.ledger.run(self.device, WAIT_ROUND_CYCLES) == 0:
                 if self.pool.poll() >= seq:
-                    self._inflight_seq = 0
                     return
                 raise InvalError(f"fence {seq} can never complete (device idle)")
 

@@ -10,9 +10,9 @@ is ordinary application memory.
 
 One simulation-plumbing note: in deterministic mode nothing advances the
 device behind the scenes, so blocking waits interleave status-page polls
-with explicit device stepping (the pump).  The pump steps the device
-directly and bills the cycles; schedulers that want to own all
-stepping drive the non-blocking ``fence_completed`` instead.
+with explicit device stepping (the pump), billed through
+``CostLedger.run``; schedulers that want to own all stepping drive the
+non-blocking ``fence_completed`` instead.
 """
 
 from __future__ import annotations
@@ -62,16 +62,11 @@ class LibraryDriver:
             self._head_words = self._pending.popleft()[1]
         return completed >= seq
 
-    def _pump(self) -> int:
-        report = self.core.device.step(PUMP_CYCLES)
-        self.platform.ledger.device_cycles += report.cycles_used
-        return report.cycles_used
-
     def wait_fence(self, seq: int):
         if seq == 0:
             return
         while not self.fence_completed(seq):
-            if self._pump() == 0:
+            if self.platform.ledger.run(self.core.device, PUMP_CYCLES) == 0:
                 if self.fence_completed(seq):
                     return
                 raise InvalError(f"fence {seq} can never complete (device idle)")

@@ -19,6 +19,10 @@ COST_PER_VALIDATED = 2.0
 COST_PER_CYCLE = 1.0
 COST_PER_CORE_CALL = 10.0
 
+SYSMEM_FRAMES_DEFAULT = 4096
+# a step budget far above any batch's cost: the device runs until idle
+RUN_TO_IDLE = 1 << 62
+
 
 class CostLedger:
     """Counts of everything the cost model charges for.
@@ -45,6 +49,13 @@ class CostLedger:
         self.core_calls = 0
         self.weights = (crossing_cost, byte_cost, validated_cost,
                         cycle_cost, core_call_cost)
+
+    def run(self, device, budget: int) -> int:
+        """Step ``device`` for up to ``budget`` cycles and bill the cycles
+        it used; the one place device time enters the ledger."""
+        used = device.step(budget).cycles_used
+        self.device_cycles += used
+        return used
 
     def simulated_time(self) -> float:
         wc, wb, wv, wy, wk = self.weights
@@ -131,7 +142,8 @@ class Platform:
     frame bookkeeping afterwards is local.
     """
 
-    def __init__(self, sysmem_frames: int = 4096, ledger: CostLedger | None = None):
+    def __init__(self, sysmem_frames: int = SYSMEM_FRAMES_DEFAULT,
+                 ledger: CostLedger | None = None):
         self.sysmem = SystemMemory(sysmem_frames)
         self.ledger = ledger if ledger is not None else CostLedger()
         self._spaces = {}

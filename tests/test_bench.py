@@ -1,16 +1,19 @@
 """Benchmark harness: config files, reports, runs, scheduling, containment."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from devmux.bench.attacks import CASES, run_attacks
 from devmux.bench.cli import main
-from devmux.bench.config import BenchConfig, WorkloadSpec
+from devmux.bench.config import DRIVERS, BenchConfig, WorkloadSpec
 from devmux.bench.report import ITERATION_COLUMNS, RunReport
 from devmux.bench.schedule import measure_switch, run_schedule
 from devmux.bench.workloads import run_workload, speedup
+from devmux.bench.world import World
 from devmux.errors import InvalError
+from devmux.simdev import SimDevice
 
 
 def test_config_file_parsing(tmp_path):
@@ -161,6 +164,46 @@ def test_schedule_rejects_degenerate_inputs():
         run_schedule([WorkloadSpec(driver="legacy")], 100, config)
     with pytest.raises(InvalError):
         run_schedule([WorkloadSpec()], 0, config)
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """(cycles each device's ``step`` ran, every world built) for one test."""
+    cycles, worlds = Counter(), []
+    step, init = SimDevice.step, World.__init__
+
+    def counted_step(device, budget):
+        report = step(device, budget)
+        cycles[device] += report.cycles_used
+        return report
+
+    def recorded_init(world, *args, **kwargs):
+        init(world, *args, **kwargs)
+        worlds.append(world)
+
+    monkeypatch.setattr(SimDevice, "step", counted_step)
+    monkeypatch.setattr(World, "__init__", recorded_init)
+    return cycles, worlds
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize("kind,size", [("matmul", 32), ("vertex-array", 8)])
+def test_every_device_step_is_billed(stepped, kind, size, driver):
+    cycles, worlds = stepped
+    report = run_workload(WorkloadSpec(kind=kind, size=size, iters=2,
+                                       driver=driver))
+    (world,) = worlds
+    assert cycles[world.device] == report.ledger["device_cycles"] > 0
+
+
+def test_every_device_step_of_a_schedule_is_billed(stepped):
+    cycles, worlds = stepped
+    specs = [WorkloadSpec(kind="matmul", size=4, iters=3)] * 2
+    scheduled = run_schedule(specs, 100, BenchConfig())
+    assert len(worlds) == 3  # the schedule's own, then one solo run per spec
+    assert cycles[worlds[0].device] == scheduled[-1].ledger["device_cycles"] > 0
+    for world in worlds:
+        assert cycles[world.device] == world.ledger.device_cycles
 
 
 def test_switch_time_is_constant():

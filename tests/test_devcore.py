@@ -5,8 +5,7 @@ import random
 import pytest
 
 from conftest import make_device, make_platform
-from devmux.devcore import (ACL_WRITE, LIB_CALLS, SCHEDULER_CALLS, DeviceCore,
-                            InfoPage)
+from devmux.devcore import ACL_WRITE, LIB_CALLS, SCHEDULER_CALLS, DeviceCore
 from devmux.errors import (BusyError, DoubleInit, ExistsError, InvalError,
                            IommuFault, NotBoundError, NotFoundError,
                            NotInitialized, NotSupportedError, OutOfSegment,
@@ -62,7 +61,6 @@ def test_info_page_roundtrip(lib_world):
     assert info.vram_total == len(device.vram)
     assert info.segment_size == 1 << 20
     assert info.displays == DISPLAY_MODES
-    assert InfoPage.from_bytes(info.to_bytes()) == info
 
 
 def test_segments_start_at_zero_and_never_overlap(lib_world):
@@ -123,6 +121,28 @@ def test_unmap_clears_translation_and_pins(lib_world):
     assert all(p == 0 for p in platform.sysmem.pins)  # exhaustive pin scan
     with pytest.raises(NotFoundError):
         core.iommu_unmap_page(lib, vaddrs[0])
+
+
+def test_unmap_flushes_the_tlb_only_while_the_library_is_bound(lib_world):
+    platform, _, core = lib_world
+    libs = {}
+    for app in ("a", "b"):
+        lib = core.init_device_lib(app)[0]
+        vaddrs = platform.alloc_pages(app, 2)
+        for i, vaddr in enumerate(vaddrs):
+            core.iommu_map_page(lib, vaddr, APERTURE_BASE + i * PAGE_SIZE)
+        libs[app] = lib, vaddrs
+    (a, a_pages), (b, b_pages) = libs["a"], libs["b"]
+    core.bind_device_lib(a)
+    flushes = core.tlb_flush_count
+    core.iommu_unmap_page(a, a_pages[0])  # the device may cache a's entry
+    assert core.tlb_flush_count == flushes + 1
+    core.iommu_unmap_page(b, b_pages[0])  # b's table is not the live one
+    assert core.tlb_flush_count == flushes + 1
+    core.revoke_device_lib(a)
+    flushes = core.tlb_flush_count
+    core.iommu_unmap_page(a, a_pages[1])
+    assert core.tlb_flush_count == flushes
 
 
 def test_device_memory_allocations_stay_inside_the_segment(lib_world):
@@ -240,7 +260,8 @@ def test_revoke_waits_for_inflight_work(lib_world):
     before = platform.ledger.device_cycles
     core.revoke_device_lib(lib.lib_id)
     assert device.cp_idle
-    assert platform.ledger.device_cycles - before >= 1001
+    # COMPUTE costs 1 + count cycles, and the batch's fence 4
+    assert platform.ledger.device_cycles - before == 1 + 1000 + 4
 
 
 def test_revoke_idle_snapshot_equals_registers(lib_world):
@@ -277,6 +298,7 @@ def test_every_bind_flushes_tlb_and_cache(lib_world):
 
 
 @pytest.mark.parametrize("call", [
+    lambda core, lib, vaddr: core.init_device_lib(["a"]),
     lambda core, lib, vaddr: core.iommu_map_page(lib, vaddr, "x"),
     lambda core, lib, vaddr: core.iommu_map_page(lib, vaddr, APERTURE_BASE + 0.5),
     lambda core, lib, vaddr: core.iommu_unmap_page(lib, [1]),
@@ -286,7 +308,7 @@ def test_every_bind_flushes_tlb_and_cache(lib_world):
     lambda core, lib, vaddr: core.access_register(lib, REG_SCRATCH0, 1, "no"),
     lambda core, lib, vaddr: core.alloc_device_memory(lib, "64"),
     lambda core, lib, vaddr: core.release_device_memory(lib, "0", 64),
-], ids=["map-str-iaddr", "map-float-iaddr", "unmap-list-vaddr",
+], ids=["init-list-owner", "map-str-iaddr", "map-float-iaddr", "unmap-list-vaddr",
         "register-list-lib", "register-list-reg", "register-str-value",
         "register-str-is-write",
         "alloc-str-size", "release-str-addr"])
@@ -298,11 +320,15 @@ def test_malformed_core_arguments_are_refused_before_any_change(lib_world, call)
     core.alloc_device_memory(lib, 4096)
     core.bind_device_lib(lib)
     ctx = core.contexts[lib]
-    before = (dict(device.regs), dict(ctx.vaddr_map), dict(ctx.iaddr_map),
-              dict(ctx.segment_alloc.live), list(ctx.table.l1))
+
+    def state():
+        return (dict(device.regs), dict(ctx.vaddr_map), dict(ctx.iaddr_map),
+                dict(ctx.segment_alloc.live), list(ctx.table.l1),
+                list(core._free_segments), dict(core.contexts))
+
+    before = state()
     core_calls = platform.ledger.core_calls
     with pytest.raises(InvalError):
         call(core, lib, vaddrs[1])
     assert platform.ledger.core_calls - core_calls == 1  # billed as before
-    assert (dict(device.regs), dict(ctx.vaddr_map), dict(ctx.iaddr_map),
-            dict(ctx.segment_alloc.live), list(ctx.table.l1)) == before
+    assert state() == before

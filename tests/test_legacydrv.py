@@ -5,8 +5,8 @@ import struct
 import pytest
 
 from conftest import make_device, make_platform
-from devmux.errors import (BadHandle, InvalError, NotFoundError,
-                           NotSupportedError, OutOfRange, PermError)
+from devmux.errors import (BadHandle, InvalError, NotFoundError, OutOfRange,
+                           PermError)
 from devmux.legacydrv import LEGACY_API, LegacyDriver
 from devmux.simdev import (CO_ADD, CO_DOT, REG_DISP_ENABLE, REG_DISP_PLL,
                            REG_DISP_TIMING_H, REG_DISP_TIMING_V, REG_FB_BASE,
@@ -23,9 +23,9 @@ def legacy():
     return platform, device, driver, client
 
 
-def test_api_lists_twelve_syscalls(legacy):
+def test_api_lists_eleven_syscalls(legacy):
     _, _, driver, client = legacy
-    assert len(LEGACY_API) == 12
+    assert len(LEGACY_API) == 11
     assert driver.legacy_info(client)["api"] == LEGACY_API
     for name in LEGACY_API:
         assert callable(getattr(driver, name))
@@ -244,13 +244,6 @@ def test_malformed_syscall_arguments_are_refused(legacy, call, error, crossings)
     assert driver.pool.read_buffer(driver.buffers[buf], 0, 64) == bytes(range(1, 65))
     assert device.mmio_read(REG_RB_TAIL) == tail
     assert device.mmio_read(REG_DISP_ENABLE) == 0
-
-
-def test_user_mappings_are_not_offered(legacy):
-    _, _, driver, client = legacy
-    buf = driver.legacy_alloc(client, 64, "GTT")
-    with pytest.raises(NotSupportedError):
-        driver.legacy_map(client, buf)
 
 
 def test_close_releases_clients_and_buffers(legacy):
