@@ -68,6 +68,7 @@ address as a word-by-word fetch.
 from __future__ import annotations
 
 import struct
+from itertools import islice
 from operator import mul
 
 from devmux.errors import (CmdFault, HardwareFault, IommuFault, InvalError,
@@ -348,41 +349,89 @@ _NO_ADDR = 1 << 64  # above every byte address: the empty envelope's lo
 
 
 class WriteBackCache:
-    """Word-granular FIFO write-back cache.
+    """Word-granular FIFO write-back cache over one backing per space.
 
-    Device-side reads observe pending words; the backing memory only sees
-    them on drain or capacity eviction (oldest first).  ``lo[space]`` and
-    ``hi[space]`` bound the byte addresses put in each space since the last
-    drain (the envelope): writers widen it once per span before putting the
-    span's words, so a read that misses it cannot hit ``pending``.
+    ``pending`` maps (space, byte addr) to a word, oldest first.  Device
+    reads observe pending words; the backing memory sees them only on
+    ``drain()`` or when a full cache evicts its oldest word to make room for
+    a new one.  Writing a word that is already pending updates it in place
+    and keeps its place in the queue.
+
+    ``put_run`` takes a run of consecutive words and queues them one by one,
+    in that order, so the pending order and the evicted words are those of
+    one put per word.  An eviction may remove a word that the same run
+    writes later; that word goes back in at the tail.  The evicted words are
+    written back when the run ends, oldest first, with one pack per run of
+    consecutive addresses; nothing reads the backing during a run, so this
+    writes the same bytes as a write-back per eviction.
+
+    ``lo[space]`` and ``hi[space]`` bound the byte addresses put in each
+    space since the last drain (the envelope).  ``put_run`` widens it once,
+    before queueing the run, so a read that misses it cannot hit
+    ``pending``; ``drain()`` empties it.
     """
 
-    def __init__(self, capacity: int, writeback):
+    def __init__(self, capacity: int, backings):
         self.capacity = capacity
-        self._writeback = writeback
+        self.backings = backings  # one bytearray per space, or None
         self.pending = {}  # (space, byte addr) -> word
         self.lo = [_NO_ADDR] * _SPACES
         self.hi = [-1] * _SPACES
 
-    def put(self, key, word: int):
-        pending = self.pending
-        if key not in pending and len(pending) >= self.capacity:
-            oldest = next(iter(pending))
-            self._writeback(oldest, pending.pop(oldest))
-        pending[key] = word
-
-    def _widen(self, space: int, first: int, last: int):
-        if first < self.lo[space]:
-            self.lo[space] = first
+    def put_run(self, space: int, addr: int, words):
+        """Queue ``words`` at consecutive byte addresses from ``addr``."""
+        last = addr + (len(words) - 1) * WORD
+        if addr < self.lo[space]:
+            self.lo[space] = addr
         if last > self.hi[space]:
             self.hi[space] = last
+        pending = self.pending
+        room = self.capacity - len(pending)  # an eviction frees its own slot
+        evicted = None
+        for word in words:
+            key = (space, addr)
+            addr += WORD
+            if key in pending:
+                pass
+            elif room:
+                room -= 1
+            else:
+                if evicted is None:
+                    evicted = []
+                    victims = iter(list(islice(pending, len(words))))
+                oldest = next(victims, None)
+                if oldest is None:
+                    # the snapshot ran out: the run is longer than the cache
+                    victims = iter(list(islice(pending, len(words))))
+                    oldest = next(victims)
+                evicted.append((oldest, pending.pop(oldest)))
+            pending[key] = word
+        if evicted:
+            self._flush(evicted)
+
+    def _flush(self, items):
+        """Write ``((space, addr), word)`` pairs back in order, with one
+        pack per run of consecutive addresses in one space."""
+        backings = self.backings
+        run = []
+        run_space = run_addr = nxt = None
+        for (space, addr), word in items:
+            if addr != nxt or space != run_space:
+                if run:
+                    struct.pack_into(f"<{len(run)}I", backings[run_space],
+                                     run_addr, *run)
+                run = []
+                run_space, run_addr = space, addr
+            run.append(word)
+            nxt = addr + WORD
+        if run:
+            struct.pack_into(f"<{len(run)}I", backings[run_space], run_addr, *run)
 
     def drop(self, key):
         self.pending.pop(key, None)
 
     def drain(self):
-        for key, word in self.pending.items():
-            self._writeback(key, word)
+        self._flush(self.pending.items())
         self.pending.clear()
         self.lo = [_NO_ADDR] * _SPACES
         self.hi = [-1] * _SPACES
@@ -426,8 +475,8 @@ class ScanoutResult:
 
 class SimDevice:
     """The accelerator.  ``sysmem`` is anything with a ``data`` bytearray
-    covering frame*4096+offset addressing (DMA target); it may be None for
-    device-memory-only use."""
+    covering frame*4096+offset addressing (DMA target), read once here; it
+    may be None for device-memory-only use."""
 
     def __init__(self, sysmem=None, *, vram_size: int = VRAM_SIZE_DEFAULT):
         self.regs = {off: 0 for off in ALL_REGISTERS}
@@ -436,7 +485,9 @@ class SimDevice:
         self.translation_tables = {}
         self.iommu = IommuUnit(self.translation_tables)
         self.active_iommu = self.iommu
-        self.cache = WriteBackCache(CACHE_WORDS, self._write_word_raw)
+        # the bytes behind each physical space, indexed by _SPACE_*
+        self._backings = (self.vram, None if sysmem is None else sysmem.data)
+        self.cache = WriteBackCache(CACHE_WORDS, self._backings)
         self.firmware = [0] * FW_SIZE
         self._fw_ready = False
         self._inflight = None  # [opcode, words, cycles_left]
@@ -554,15 +605,8 @@ class SimDevice:
 
     # -- physical word access --------------------------------------------
 
-    def _backing(self, space):
-        return self.vram if space == _SPACE_VRAM else self.sysmem.data
-
-    def _write_word_raw(self, key, word: int):
-        space, addr = key
-        struct.pack_into("<I", self._backing(space), addr, word)
-
     def _read_phys_words(self, space, addr: int, n: int):
-        words = list(struct.unpack_from(f"<{n}I", self._backing(space), addr))
+        words = list(struct.unpack_from(f"<{n}I", self._backings[space], addr))
         cache = self.cache
         lo = cache.lo[space]
         hi = cache.hi[space]
@@ -587,26 +631,29 @@ class SimDevice:
 
     def _write_run(self, da: int, words):
         spans = self._decode_run(da, len(words), True)  # translate before any write
-        cache = self.cache
+        put_run = self.cache.put_run
+        if len(spans) == 1:
+            space, addr, count = spans[0]
+            self._drop_window_over(space, addr, addr + (count - 1) * WORD)
+            put_run(space, addr, words)
+            return
         k = 0
         for space, addr, count in spans:
-            last = addr + (count - 1) * WORD
-            cache._widen(space, addr, last)
-            self._drop_window_over(space, addr, last)
-            for i in range(count):
-                cache.put((space, addr + i * WORD), words[k + i])
+            self._drop_window_over(space, addr, addr + (count - 1) * WORD)
+            put_run(space, addr, words[k:k + count])
             k += count
 
     def _write_run_direct(self, da: int, words):
         """Write-through path (status page): bypasses and invalidates the cache."""
         spans = self._decode_run(da, len(words), True)
+        drop = self.cache.drop
         k = 0
         for space, addr, count in spans:
             self._drop_window_over(space, addr, addr + (count - 1) * WORD)
             for i in range(count):
-                key = (space, addr + i * WORD)
-                self.cache.drop(key)
-                self._write_word_raw(key, words[k + i])
+                drop((space, addr + i * WORD))
+            struct.pack_into(f"<{count}I", self._backings[space], addr,
+                             *words[k:k + count])
             k += count
 
     # -- interrupt status -------------------------------------------------
@@ -815,7 +862,7 @@ class SimDevice:
             spans = self._decode_run(self.regs[REG_FB_BASE], n, False)
             chunks = []
             for space, addr, count in spans:
-                chunks.append(bytes(self._backing(space)[addr:addr + count * WORD]))
+                chunks.append(bytes(self._backings[space][addr:addr + count * WORD]))
             pixels = b"".join(chunks)
         except HardwareFault as fault:
             self._record_event(fault.flag)

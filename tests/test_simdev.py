@@ -12,16 +12,17 @@ from conftest import (DATA_AT, RING_AT, RING_WORDS, STATUS_AT, boot_solo,
                       push_batch, read_status, unpack, vram_words)
 from devmux import simdev
 from devmux.errors import IommuFault, InvalError, RegFault
-from devmux.simdev import (APERTURE_BASE, CO_ADD, CO_DOT, CO_MUL, FAULT_FLAGS,
-                           FLAG_CMD_FAULT, FLAG_FENCE, FLAG_IOMMU_FAULT,
-                           FLAG_MC_FAULT, M_REGISTERS, MASK32, OP_SET_REG,
-                           PAGE_SIZE, REG_CP_RESET, REG_DISP_ENABLE,
-                           REG_DISP_TIMING_H, REG_DISP_TIMING_V, REG_FB_BASE,
-                           REG_IH_PAGE_ADDR, REG_MC_SEG_BASE, REG_MC_SEG_LIMIT,
-                           REG_RB_BASE, REG_RB_HEAD, REG_RB_SIZE, REG_RB_TAIL,
-                           REG_SCRATCH0, S_REGISTERS, SCRATCH_REGISTERS, WORD,
-                           Compute, Copy, Fence, IommuUnit, Nop, PageTable,
-                           SetReg, SimDevice, fnv1a64)
+from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
+                           FAULT_FLAGS, FLAG_CMD_FAULT, FLAG_FENCE,
+                           FLAG_IOMMU_FAULT, FLAG_MC_FAULT, M_REGISTERS,
+                           MASK32, OP_SET_REG, PAGE_SIZE, REG_CP_RESET,
+                           REG_DISP_ENABLE, REG_DISP_TIMING_H,
+                           REG_DISP_TIMING_V, REG_FB_BASE, REG_IH_PAGE_ADDR,
+                           REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_BASE,
+                           REG_RB_HEAD, REG_RB_SIZE, REG_RB_TAIL, REG_SCRATCH0,
+                           S_REGISTERS, SCRATCH_REGISTERS, WORD, Compute, Copy,
+                           Fence, IommuUnit, Nop, PageTable, SetReg, SimDevice,
+                           WriteBackCache, fnv1a64)
 
 
 # --- register file ----------------------------------------------------------
@@ -484,6 +485,138 @@ def test_reads_after_a_drain_see_backing_and_new_pending_words(solo):
     assert read_status(device)[0] == 2
     assert vram_words(device, b, 4) == [4, 8, 12, 16]
     assert vram_words(device, out, 20) == [2, 4, 6, 8] + [0] * 12 + [4, 8, 12, 16]
+
+
+# A standalone cache over one small backing per space, at equal physical
+# byte addresses, and the plain per-word FIFO it must equal: one put per
+# word, each eviction written back at once.
+
+CACHE_BACKING_WORDS = 64
+CACHE_SPREAD = 24  # runs of up to 16 words start at words 0..24
+
+
+def cache_backings():
+    return tuple(bytearray(pack([100 + i for i in range(CACHE_BACKING_WORDS)]))
+                 for _ in range(2))
+
+
+def backing_words(backing, n=CACHE_BACKING_WORDS):
+    return unpack(bytes(backing[:n * WORD]))
+
+
+class FifoReference:
+    def __init__(self, capacity, backings):
+        self.capacity, self.backings, self.pending = capacity, backings, {}
+
+    def put(self, key, word):
+        if key not in self.pending and len(self.pending) >= self.capacity:
+            self.write_back(next(iter(self.pending)))
+        self.pending[key] = word
+
+    def write_back(self, key):
+        space, addr = key
+        self.backings[space][addr:addr + WORD] = pack([self.pending.pop(key)])
+
+
+def test_updating_a_pending_word_keeps_its_fifo_place():
+    backings = cache_backings()
+    cache = WriteBackCache(4, backings)
+    cache.put_run(0, 0, [1, 2, 3, 4])
+    cache.put_run(0, 0, [9])            # an update, not a new word
+    assert list(cache.pending.items()) == [((0, 0), 9), ((0, 4), 2),
+                                           ((0, 8), 3), ((0, 12), 4)]
+    cache.put_run(0, 16, [5])           # evicts the updated word first
+    assert list(cache.pending) == [(0, 4), (0, 8), (0, 12), (0, 16)]
+    assert backing_words(backings[0], 5) == [9, 101, 102, 103, 104]
+
+
+def test_a_word_evicted_by_its_own_run_goes_back_in_at_the_tail():
+    backings = cache_backings()
+    cache = WriteBackCache(4, backings)
+    cache.put_run(0, 4, [1, 2, 3, 4])   # words 1..4 pending
+    # word 0 evicts word 1, then word 1 (new again) evicts word 2
+    cache.put_run(0, 0, [5, 6])
+    assert list(cache.pending.items()) == [((0, 12), 3), ((0, 16), 4),
+                                           ((0, 0), 5), ((0, 4), 6)]
+    # the backing holds the evicted values, not the re-inserted one
+    assert backing_words(backings[0], 5) == [100, 1, 2, 103, 104]
+
+
+def test_compute_longer_than_the_cache_reads_back_before_its_fence():
+    count = CACHE_WORDS + 100
+    src, fill, dst = DATA_AT, DATA_AT + count * WORD, DATA_AT + 2 * count * WORD
+    data = list(range(1, count + 1))
+    sums = [2 * x for x in data]
+    devices = [boot_solo(make_device(make_platform(), vram=128 << 10))
+               for _ in range(2)]
+    for device in devices:
+        poke_words(device, src, data)
+        # a full cache first, so the long run evicts more words than the
+        # cache holds: all of the fill, then its own first 100 results
+        push_batch(device, [Compute(CO_ADD, fill, src, src, CACHE_WORDS),
+                            Compute(CO_ADD, dst, src, src, count), Fence(1)])
+    device, twin = devices
+    device.step(1 + CACHE_WORDS + 1 + count)  # the COMPUTEs, not the FENCE
+    assert not device.cp_idle
+    assert vram_words(device, fill, CACHE_WORDS) == sums[:CACHE_WORDS]
+    assert vram_words(device, dst, count) == sums[:100] + [0] * CACHE_WORDS
+    assert list(device.cache.pending.items()) == [
+        ((0, dst + i * WORD), sums[i]) for i in range(100, count)]
+    # the digest sees exactly those bytes: a twin that never ran, given
+    # the written-back words and the same RB_HEAD, hashes the same
+    poke_words(twin, fill, sums[:CACHE_WORDS])
+    poke_words(twin, dst, sums[:100])
+    twin.regs[REG_RB_HEAD] = device.regs[REG_RB_HEAD]
+    assert device.device_digest() == twin.device_digest()
+    device.step(100)
+    assert read_status(device)[0] == 1
+    assert vram_words(device, dst, count) == sums
+
+
+@st.composite
+def _cache_ops(draw):
+    """A capacity and a list of runs, drains and drops that start within
+    CACHE_SPREAD words, so runs overlap pending words and each other."""
+    capacity = draw(st.integers(4, 8))
+    ops = []
+    kinds = st.sampled_from(("run", "run", "run", "drain", "drop"))
+    for kind in draw(st.lists(kinds, min_size=1, max_size=12)):
+        space = draw(st.integers(0, 1))
+        first = draw(st.integers(0, CACHE_SPREAD)) * WORD
+        if kind == "run":
+            n = draw(st.integers(1, 2 * capacity))
+            words = st.lists(st.integers(0, MASK32), min_size=n, max_size=n)
+            ops.append(("run", space, first, draw(words)))
+        elif kind == "drop":
+            ops.append(("drop", space, first))
+        else:
+            ops.append(("drain",))
+    return capacity, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cache_ops())
+def test_cache_runs_equal_one_put_per_word(program):
+    capacity, ops = program
+    cache = WriteBackCache(capacity, cache_backings())
+    ref = FifoReference(capacity, cache_backings())
+    for op in ops:
+        if op[0] == "run":
+            _, space, addr, words = op
+            cache.put_run(space, addr, words)
+            for i, word in enumerate(words):
+                ref.put((space, addr + i * WORD), word)
+        elif op[0] == "drop":
+            cache.drop(op[1:])
+            ref.pending.pop(op[1:], None)
+        else:
+            cache.drain()
+            while ref.pending:
+                ref.write_back(next(iter(ref.pending)))
+        assert list(cache.pending.items()) == list(ref.pending.items())
+        assert cache.backings == ref.backings
+        for space, addr in cache.pending:
+            assert cache.lo[space] <= addr <= cache.hi[space]
 
 
 # --- instruction fetch --------------------------------------------------------
