@@ -26,6 +26,10 @@ for libs in (2, 3):
     for epoch in (10, 100, 500, 5000):
         specs = [WorkloadSpec(KINDS[i], 4, 3) for i in range(libs)]
         out["schedules"].append([r.to_dict() for r in run_schedule(specs, epoch)])
+# batches that run for longer than one scheduler step
+for epoch in (64, 5000):
+    specs = [WorkloadSpec("matmul", 32, 2), WorkloadSpec("vertex-array", 48, 2)]
+    out["schedules"].append([r.to_dict() for r in run_schedule(specs, epoch)])
 for pages in (64, 1024):
     out["switch"].append(measure_switch(pool_pages=pages).to_dict())
 out["attacks"] = [[o.name, o.passed, o.detail] for o in run_attacks()]
