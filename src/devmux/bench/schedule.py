@@ -17,7 +17,6 @@ from .config import BenchConfig
 from .report import RunReport
 from .world import World, build_world
 
-STEP_CHUNK = 1024
 SWITCH_CYCLES_DEFAULT = 100
 
 
@@ -71,22 +70,12 @@ def run_schedule(specs: list, epoch: int, config: BenchConfig = None) -> list:
 
 
 def _run_epoch(world: World, program, epoch: int):
+    # After advance() the device holds the program's unretired fence, so a
+    # step that uses no cycles has faulted and the next advance() raises.
     stepped = 0
-    idle_spins = 0
     while stepped < epoch and not program.done:
         program.advance()
-        if program.done:
-            return
-        used = world.step_device(min(STEP_CHUNK, epoch - stepped))
-        if used == 0:
-            # Idle device: either a retired fence the next advance() will
-            # collect, or the program cannot progress this epoch.
-            idle_spins += 1
-            if idle_spins > 2:
-                return
-        else:
-            idle_spins = 0
-            stepped += used
+        stepped += world.step_device(epoch - stepped)
 
 
 @dataclass

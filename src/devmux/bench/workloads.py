@@ -185,7 +185,8 @@ _STACKS = {"library": _Library, "legacy": _Legacy}
 # --- programs -------------------------------------------------------------
 
 class Program:
-    """One workload instance bound to a world, on the stack its spec names."""
+    """One workload instance bound to a world, on the stack its spec names.
+    Each subclass supplies prepare(), start() and finalize()."""
 
     def __init__(self, world: World, spec: WorkloadSpec):
         self.world = world
@@ -205,12 +206,6 @@ class Program:
     @property
     def lib_id(self) -> int:
         return self.stack.lib.lib_id
-
-    def prepare(self):
-        raise NotImplementedError
-
-    def start(self):
-        self.started = True
 
     def _before_iteration(self, index: int):
         pass
@@ -233,7 +228,6 @@ class Program:
             return
         if self._await and not self.stack.completed(self._await):
             return
-        self._await = 0
         if self._batch_idx == 0:
             if self._iter >= self.spec.iters:
                 self.done = True
@@ -242,13 +236,6 @@ class Program:
             self._before_iteration(self._iter)
         self._await = self.stack.submit(self._batches[self._batch_idx])
         self._batch_idx = (self._batch_idx + 1) % len(self._batches)
-        if self._batch_idx == 0 and self._iter >= self.spec.iters:
-            # All work submitted; done flips once the last fence retires.
-            if self.stack.completed(self._await):
-                self.done = True
-
-    def finalize(self) -> dict:
-        raise NotImplementedError
 
 
 class Matmul(Program):

@@ -19,8 +19,6 @@ from .config import BenchConfig
 class World:
     def __init__(self, config: BenchConfig, driver: str, iommu: str):
         self.config = config
-        self.driver = driver
-        self.iommu = iommu
         ledger = CostLedger(crossing_cost=config.crossing_cost,
                             byte_cost=config.byte_cost,
                             validated_cost=config.validated_cost,
@@ -29,10 +27,8 @@ class World:
         self.platform = Platform(config.sysmem_pages, ledger)
         self.device = SimDevice(self.platform.sysmem,
                                 vram_size=config.vram_bytes)
-        self.system_unit = None
         if iommu == "system":
-            self.system_unit = IommuUnit(self.device.translation_tables)
-            self.device.active_iommu = self.system_unit
+            self.device.active_iommu = IommuUnit(self.device.translation_tables)
         self.core = None
         self.legacy = None
         if driver == "library":

@@ -62,8 +62,7 @@ class InfoPage:
 class LibContext:
     """Everything the core tracks about one client library."""
 
-    def __init__(self, lib_id: int, owner, segment_base: int, segment_limit: int):
-        self.id = lib_id
+    def __init__(self, owner, segment_base: int, segment_limit: int):
         self.owner = owner
         self.segment_base = segment_base
         self.segment_limit = segment_limit
@@ -157,7 +156,7 @@ class DeviceCore:
         base = seg * self.segment_bytes
         lib_id = self._next_id
         self._next_id += 1
-        ctx = LibContext(lib_id, app, base, base + self.segment_bytes)
+        ctx = LibContext(app, base, base + self.segment_bytes)
         self.contexts[lib_id] = ctx
         self.device.translation_tables[lib_id] = ctx.table
         return lib_id, self.info

@@ -24,7 +24,7 @@ from devmux.errors import (BadHandle, InvalError, NotFoundError, OutOfVram,
                            PermError)
 from devmux.platform import RUN_TO_IDLE
 from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_REGISTERS,
-                         Buffer, PagePool)
+                         Buffer, PagePool, payload)
 from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, DISPLAY_MODES, PAGE_SIZE,
                            REG_FB_BASE, REG_MC_SEG_BASE, REG_MC_SEG_LIMIT,
                            REG_RB_TAIL, SCRATCH_REGISTERS, WORD, Compute, Copy,
@@ -148,9 +148,7 @@ class LegacyDriver:
         del self.buffers[buffer_id]
 
     def legacy_write(self, client: int, buffer_id: int, offset: int, data: bytes):
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise InvalError(f"payload must be bytes-like, got {type(data).__name__}")
-        data = bytes(data)
+        data = payload(data)
         self._charge(len(data))
         self._client(client)
         self.pool.write_buffer(self._buffer(client, buffer_id),

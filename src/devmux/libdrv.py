@@ -21,7 +21,7 @@ from collections import deque
 
 from devmux.errors import BadHandle, BatchTooBig, InvalError
 from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_REGISTERS,
-                         RING_WORDS, SYS, VRAM, Buffer, PagePool)
+                         RING_WORDS, SYS, VRAM, Buffer, PagePool, payload)
 from devmux.simdev import (APERTURE_BASE, PAGE_SIZE, REG_FB_BASE, REG_RB_TAIL,
                            WORD, Copy, encode_batch)
 
@@ -119,7 +119,7 @@ class LibraryDriver:
         del self.buffers[handle]
 
     def write_buffer(self, handle: int, offset: int, data: bytes):
-        self.pool.write_buffer(self._buffer(handle), offset, bytes(data))
+        self.pool.write_buffer(self._buffer(handle), offset, payload(data))
 
     def read_buffer(self, handle: int, offset: int, n: int) -> bytes:
         return self.pool.read_buffer(self._buffer(handle), offset, n)

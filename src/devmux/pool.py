@@ -39,6 +39,14 @@ STAGING_OFF = (1 + RING_PAGES) * PAGE_SIZE  # the page after the ring
 SLAB_FIRST_PAGE = 2 + RING_PAGES
 MIN_POOL_PAGES = SLAB_FIRST_PAGE + 1
 
+
+def payload(data) -> bytes:
+    """``data`` as bytes, or InvalError: ``bytes(8)`` would be 8 zeros."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise InvalError(f"payload must be bytes-like, got {type(data).__name__}")
+    return bytes(data)
+
+
 # The longest batch one queue() takes: it must fit the ring, which keeps one
 # word free to tell full from empty, together with its trailing fence.
 MAX_BATCH_WORDS = RING_WORDS - 1 - INSTR_WORDS[OP_FENCE]

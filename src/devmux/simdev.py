@@ -44,14 +44,16 @@ Instruction set (32-bit words, first word is the opcode):
 Device addresses decode through two windows: [0, 0x1000_0000) is device-local
 memory behind the memory controller (physical = MC_SEG_BASE + address, faults
 at MC_SEG_LIMIT), [0x8000_0000, 0xC000_0000) is the system aperture behind
-the active IOMMU.  Anything else is MC_FAULT.  Page table entries are 32-bit:
+the active IOMMU.  Anything else is MC_FAULT, and so is a run that starts in
+the device-local window and ends past it.  Page table entries are 32-bit:
 bit0 VALID, bit1 WRITABLE, bits 12-31 frame number; the walk splits the
 aperture offset into a 10-bit level-1 index (bits 22-31), a 10-bit level-2
 index (bits 12-21) and a 12-bit page offset.
 
 Faults never have partial effects: an instruction either fully executes or
 leaves all target memory untouched, and a fault consumes the remainder of the
-batch.
+batch.  A FENCE whose status page is unset or does not decode faults before
+it drains the cache, so its seq is never retired.
 
 Instruction fetch reads through a fetch window: when RB_HEAD lies outside
 it, the command processor reads the run from RB_HEAD to the nearest of the
@@ -62,7 +64,9 @@ and the page tables only between calls.  A device write that lands on its
 physical words drops it, so self-modifying rings and a status page inside
 the ring fetch what they wrote.  If reading the window faults, the fetch
 reads the opcode word alone, so the fault fires at the same instruction and
-address as a word-by-word fetch.
+address as a word-by-word fetch.  The words of an instruction that lie
+past the window's end are read one at a time, word k from ring offset
+(RB_HEAD + 4k) mod the ring size, as a word-by-word fetch reads them.
 """
 
 from __future__ import annotations
@@ -168,8 +172,9 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def fnv1a64(data, h: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a over a bytes-like object (chainable via ``h``)."""
+def fnv1a64(data) -> int:
+    """64-bit FNV-1a over a bytes-like object."""
+    h = _FNV_OFFSET
     prime = _FNV_PRIME
     mask = 0xFFFFFFFFFFFFFFFF
     for b in bytes(data):
@@ -452,23 +457,11 @@ class ExecReport:
 
 
 class ScanoutResult:
-    __slots__ = ("width", "height", "digest", "faulted", "pixels")
+    __slots__ = ("digest", "faulted")
 
-    def __init__(self, width, height, digest, faulted, pixels):
-        self.width = width
-        self.height = height
+    def __init__(self, digest, faulted):
         self.digest = digest
         self.faulted = faulted
-        self.pixels = pixels
-
-    def to_ppm(self) -> bytes:
-        """Binary portable pixmap; low 24 bits of each pixel word become RGB."""
-        header = f"P6\n{self.width} {self.height}\n255\n".encode()
-        rgb = bytearray()
-        for i in range(0, len(self.pixels), 4):
-            word = int.from_bytes(self.pixels[i:i + 4], "little")
-            rgb += bytes(((word >> 16) & 0xFF, (word >> 8) & 0xFF, word & 0xFF))
-        return header + bytes(rgb)
 
 
 # -- the device -------------------------------------------------------------
@@ -511,29 +504,10 @@ class SimDevice:
         if offset == REG_RB_SIZE:
             if value < 16 or value & (value - 1):
                 raise RegFault(f"RB_SIZE must be a power of two >= 16 words, got {value}")
-            self.regs[offset] = value
         elif offset == REG_RB_TAIL:
             if not self._fw_ready or self.regs[REG_RB_SIZE] < 16:
                 self._record_event(FLAG_CMD_FAULT)
                 return
-            self.regs[offset] = value
-        elif offset == REG_CP_RESET:
-            self.regs[offset] = value
-            self._cp_reset()
-        elif offset == REG_TLB_FLUSH:
-            self.regs[offset] = value
-            self.active_iommu.tlb_flush()
-        elif offset == REG_CACHE_FLUSH:
-            self.regs[offset] = value
-            self.cache.drain()
-        elif offset == REG_IOMMU_ROOT:
-            self.regs[offset] = value
-            self.iommu.set_root(value)
-        elif offset == REG_IOMMU_ENABLE:
-            self.regs[offset] = value
-            self.iommu.enabled = bool(value)
-        elif offset == REG_FW_ADDR:
-            self.regs[offset] = value
         elif offset == REG_FW_DATA:
             index = self.regs[REG_FW_ADDR]
             if index >= FW_SIZE:
@@ -542,18 +516,25 @@ class SimDevice:
             self.regs[REG_FW_ADDR] = index + 1
             self._fw_ready = False
             self.regs[REG_FW_CTRL] = 0
+            return
         elif offset == REG_FW_CTRL:
-            if value == FW_CTRL_VERIFY and sum(self.firmware) & MASK32 == FW_CHECKSUM:
-                self._fw_ready = True
-                self.regs[offset] = FW_CTRL_READY
-            else:
-                self._fw_ready = False
-                self.regs[offset] = 0
+            self._fw_ready = (value == FW_CTRL_VERIFY
+                              and sum(self.firmware) & MASK32 == FW_CHECKSUM)
+            self.regs[offset] = FW_CTRL_READY if self._fw_ready else 0
+            return
+        self.regs[offset] = value
+        if offset == REG_CP_RESET:
+            self._cp_reset()
+        elif offset == REG_TLB_FLUSH:
+            self.active_iommu.tlb_flush()
+        elif offset == REG_CACHE_FLUSH:
+            self.cache.drain()
+        elif offset == REG_IOMMU_ROOT:
+            self.iommu.set_root(value)
+        elif offset == REG_IOMMU_ENABLE:
+            self.iommu.enabled = bool(value)
         elif offset == REG_IH_PAGE_ADDR:
-            self.regs[offset] = value
             self._sync_status_page()  # reveal anything recorded while unset
-        else:
-            self.regs[offset] = value
 
     def restore_registers(self, values):
         """Privileged raw restore of M-class registers; no side effects."""
@@ -569,20 +550,20 @@ class SimDevice:
 
         Returns [(space, byte addr, word count), ...].  All translation
         happens here, so callers can decode every target before touching
-        memory (whole-instruction atomicity).
+        memory (whole-instruction atomicity).  A run that starts in the
+        device-local window is one span that must end inside the window;
+        an aperture run splits at page boundaries and may run on past the
+        aperture's end into MC_FAULT.  ``n_words`` is at least 1.
         """
         if da % WORD:
             raise McFault(f"unaligned device address 0x{da:x}")
-        if VRAM_WINDOW_BASE <= da < da + n_words * WORD <= VRAM_WINDOW_END:
+        if da + n_words * WORD <= VRAM_WINDOW_END:  # VRAM_WINDOW_BASE is 0
             return [self._vram_span(da, n_words)]
         spans = []
         remaining = n_words
         cur = da
         while remaining > 0:
-            if VRAM_WINDOW_BASE <= cur < VRAM_WINDOW_END:
-                take = min(remaining, (VRAM_WINDOW_END - cur) // WORD)
-                spans.append(self._vram_span(cur, take))
-            elif APERTURE_BASE <= cur < APERTURE_END:
+            if APERTURE_BASE <= cur < APERTURE_END:
                 off = cur - APERTURE_BASE
                 in_page = PAGE_SIZE - (off & (PAGE_SIZE - 1))
                 take = min(remaining, in_page // WORD)
@@ -590,8 +571,8 @@ class SimDevice:
                 if self.sysmem is None:
                     raise IommuFault("no system memory attached")
                 spans.append((_SPACE_SYS, frame * PAGE_SIZE + page_off, take))
-            else:
-                raise McFault(f"device address 0x{cur:x} outside any window")
+            else:  # outside both windows, or a device-local run past its end
+                raise McFault(f"run at 0x{cur:x} does not fit a window")
             remaining -= take
             cur += take * WORD
         return spans
@@ -662,17 +643,15 @@ class SimDevice:
         return [self._irq_seq & MASK32, (self._irq_seq >> 32) & MASK32,
                 self._irq_count & MASK32, self._irq_flags & MASK32]
 
-    def _sync_status_page(self, strict: bool = False):
+    def _sync_status_page(self):
+        # best effort: a page that is unset or faults is written when next set
         ih = self.regs[REG_IH_PAGE_ADDR]
         if ih == 0:
-            if strict:
-                raise CmdFault("FENCE with no status page configured")
             return
         try:
             self._write_run_direct(ih, self._status_words())
         except HardwareFault:
-            if strict:
-                raise
+            pass
 
     def _record_event(self, flag: int):
         self._irq_flags |= flag
@@ -731,8 +710,9 @@ class SimDevice:
 
         The words come from the fetch window, which is read afresh when
         RB_HEAD lies outside it.  Without a window the opcode word is read
-        alone.  Words past the window's end are read with one more run
-        read, and with two when they straddle the ring end.
+        alone.  Word k of the instruction past the window's end is read
+        alone from ring offset (RB_HEAD + 4k) mod the ring size, so the
+        first word that faults is the one a word-by-word fetch faults on.
         """
         regs = self.regs
         ring = self._ring_bytes()
@@ -753,14 +733,9 @@ class SimDevice:
         if avail < length * WORD:
             raise CmdFault("truncated instruction at end of batch")
         words = fetched[i:i + length]
-        rest = length - len(words)
-        if rest:
-            pos = (off + len(words) * WORD) % ring
-            before_end = min(rest, (ring - pos + WORD - 1) // WORD)
-            words += self._read_run(base + pos, before_end)
-            if before_end < rest:
-                words += self._read_run(base + (pos + before_end * WORD) % ring,
-                                        rest - before_end)
+        if len(words) < length:  # rare: the window ends inside it
+            for k in range(len(words), length):
+                words += self._read_run(base + (off + k * WORD) % ring, 1)
         if opcode in (OP_COMPUTE, OP_COPY):
             cost = 1 + words[5 if opcode == OP_COMPUTE else 3]
         elif opcode == OP_FENCE:
@@ -804,15 +779,17 @@ class SimDevice:
             if count:
                 self._write_run(dst, self._read_run(src, count))
             return
-        if opcode == OP_FENCE:
-            seq = words[1] | (words[2] << 32)
-            self.cache.drain()
-            self._irq_seq = seq
-            self._sync_status_page(strict=True)
-            if words[3] & FENCE_IRQ and self.regs[REG_IRQ_ENABLE]:
-                self._record_event(FLAG_FENCE)
-            return
-        raise CmdFault(f"unknown opcode 0x{opcode:x}")
+        # OP_FENCE: _fetch_instruction refused every other opcode.  The
+        # status page decodes before the drain, so a fault changes nothing.
+        ih = self.regs[REG_IH_PAGE_ADDR]
+        if ih == 0:
+            raise CmdFault("FENCE with no status page configured")
+        self._decode_run(ih, 4, True)
+        self.cache.drain()
+        self._irq_seq = words[1] | (words[2] << 32)
+        self._write_run_direct(ih, self._status_words())
+        if words[3] & FENCE_IRQ and self.regs[REG_IRQ_ENABLE]:
+            self._record_event(FLAG_FENCE)
 
     def step(self, budget: int) -> ExecReport:
         """Run the CP for up to ``budget`` cycles; partial batches resume.
@@ -860,33 +837,31 @@ class SimDevice:
         n = width * height
         try:
             spans = self._decode_run(self.regs[REG_FB_BASE], n, False)
-            chunks = []
-            for space, addr, count in spans:
-                chunks.append(bytes(self._backings[space][addr:addr + count * WORD]))
-            pixels = b"".join(chunks)
+            pixels = b"".join(self._backings[space][addr:addr + count * WORD]
+                              for space, addr, count in spans)
         except HardwareFault as fault:
             self._record_event(fault.flag)
-            zeros = bytes(n * WORD)
-            return ScanoutResult(width, height, fnv1a64(zeros), True, zeros)
-        return ScanoutResult(width, height, fnv1a64(pixels), False, pixels)
+            return ScanoutResult(fnv1a64(bytes(n * WORD)), True)
+        return ScanoutResult(fnv1a64(pixels), False)
 
     # -- state digest --------------------------------------------------------
 
     def device_digest(self) -> int:
-        """FNV-1a over registers (offset order), device memory, and CP state."""
-        h = _FNV_OFFSET
-        reg_blob = b"".join(self.regs[off].to_bytes(4, "little")
-                            for off in sorted(self.regs))
-        h = fnv1a64(reg_blob, h)
-        h = fnv1a64(self.vram, h)
+        """64-bit BLAKE2b over registers (offset order), device memory, and
+        CP state."""
+        import hashlib  # loads OpenSSL (3.5 MiB resident): import on use
+        h = hashlib.blake2b(digest_size=8)
+        h.update(b"".join(self.regs[off].to_bytes(4, "little")
+                          for off in sorted(self.regs)))
+        h.update(self.vram)
         if self._inflight is None:
             cp = [0]
         else:
             cp = [1, self._inflight[0], self._inflight[2] & MASK32] + [
                 w & MASK32 for w in self._inflight[1]]
         cp += self._status_words()
-        h = fnv1a64(b"".join(w.to_bytes(4, "little") for w in cp), h)
-        return h
+        h.update(b"".join(w.to_bytes(4, "little") for w in cp))
+        return int.from_bytes(h.digest(), "little")
 
 
 # -- bring-up ---------------------------------------------------------------

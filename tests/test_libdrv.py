@@ -93,6 +93,16 @@ def test_gtt_access_is_host_memory(bound_lib):
             ledger.crossings) == before
 
 
+def test_write_buffer_refuses_a_payload_that_is_not_bytes_like(bound_lib):
+    _, _, _, lib = bound_lib
+    h = lib.create_buffer(64, GTT)
+    lib.write_buffer(h, 0, b"\x11" * 8)
+    for bad in (8, "ab"):
+        with pytest.raises(InvalError):
+            lib.write_buffer(h, 0, bad)
+    assert lib.read_buffer(h, 0, 8) == b"\x11" * 8
+
+
 def test_vram_round_trip_rides_the_device(bound_lib):
     platform, _, _, lib = bound_lib
     h = lib.create_buffer(8192, VRAM)
@@ -212,6 +222,29 @@ def test_fence_sequences_count_up_from_one(bound_lib):
     assert lib.fence_completed(seqs[-1])
 
 
+class _UnknownOpcode:
+    def encode(self):
+        return [0x7]
+
+
+def test_wait_fence_raises_for_a_batch_that_faults_at_fetch(bound_lib):
+    platform, _, _, lib = bound_lib
+    lib.wait_fence(lib.submit([Nop()]))
+    seq = lib.submit([_UnknownOpcode()])
+    cycles = platform.ledger.device_cycles
+    with pytest.raises(DeviceFault) as exc:
+        lib.wait_fence(seq)
+    assert exc.value.flags & FLAG_CMD_FAULT
+    assert platform.ledger.device_cycles == cycles  # the fetch fault used none
+
+
+def test_wait_fence_refuses_a_seq_never_queued(bound_lib):
+    _, _, _, lib = bound_lib
+    lib.wait_fence(lib.submit([Nop()]))
+    with pytest.raises(InvalError):
+        lib.wait_fence(99)
+
+
 def test_privileged_setreg_faults_the_batch(bound_lib):
     _, device, core, lib = bound_lib
     limit_before = device.mmio_read(REG_MC_SEG_LIMIT)
@@ -246,7 +279,6 @@ def test_scanout_digest_matches_host_pixels(bound_lib):
     shot = device.scanout()
     assert not shot.faulted
     assert shot.digest == fnv1a64(struct.pack(f"<{len(words)}I", *words))
-    assert shot.to_ppm().startswith(b"P6\n64 48\n255\n")
 
 
 def test_oversized_batch_is_rejected_before_the_ring(bound_lib):
