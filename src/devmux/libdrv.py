@@ -67,8 +67,7 @@ class LibraryDriver:
             return
         while not self.fence_completed(seq):
             if self.platform.ledger.run(self.core.device, PUMP_CYCLES) == 0:
-                if self.fence_completed(seq):
-                    return
+                self.pool.poll()  # raises the device's fault, if it has one
                 raise InvalError(f"fence {seq} can never complete (device idle)")
 
     # -- submission -----------------------------------------------------------

@@ -53,7 +53,8 @@ index (bits 12-21) and a 12-bit page offset.
 Faults never have partial effects: an instruction either fully executes or
 leaves all target memory untouched, and a fault consumes the remainder of the
 batch.  A FENCE whose status page is unset or does not decode faults before
-it drains the cache, so its seq is never retired.
+it drains the cache, so its seq is never retired.  A fetch while RB_TAIL is
+at or past the ring end (RB_SIZE * 4 bytes) is a command fault.
 
 Instruction fetch reads through a fetch window: when RB_HEAD lies outside
 it, the command processor reads the run from RB_HEAD to the nearest of the
@@ -72,7 +73,7 @@ past the window's end are read one at a time, word k from ring offset
 from __future__ import annotations
 
 import struct
-from itertools import islice
+from collections import deque
 from operator import mul
 
 from devmux.errors import (CmdFault, HardwareFault, IommuFault, InvalError,
@@ -356,88 +357,188 @@ _NO_ADDR = 1 << 64  # above every byte address: the empty envelope's lo
 class WriteBackCache:
     """Word-granular FIFO write-back cache over one backing per space.
 
-    ``pending`` maps (space, byte addr) to a word, oldest first.  Device
-    reads observe pending words; the backing memory sees them only on
-    ``drain()`` or when a full cache evicts its oldest word to make room for
-    a new one.  Writing a word that is already pending updates it in place
-    and keeps its place in the queue.
+    The cache behaves as a queue of words, oldest first.  Device reads
+    observe pending words; the backing memory sees them only on ``drain()``
+    or when a full cache evicts its oldest word to make room for a new one.
+    Writing a word that is already pending updates it in place and keeps
+    its place in the queue.
 
-    ``put_run`` takes a run of consecutive words and queues them one by one,
-    in that order, so the pending order and the evicted words are those of
-    one put per word.  An eviction may remove a word that the same run
-    writes later; that word goes back in at the tail.  The evicted words are
-    written back when the run ends, oldest first, with one pack per run of
-    consecutive addresses; nothing reads the backing during a run, so this
-    writes the same bytes as a write-back per eviction.
+    The queue is kept as runs: ``_runs`` holds ``[space, addr, words]``
+    entries, oldest first, whose words are consecutive both in byte address
+    and in queue order, and no word is in two entries.  ``pending`` shows
+    the same queue word by word, as a fresh ``(space, byte addr) -> word``
+    dict, oldest first.
+
+    ``put_run`` takes a run of consecutive words and leaves the queue, the
+    evicted words and the backing as one put per word, in run order, would.
+    Words of the run that are not pending are new: before a stretch of new
+    words goes in at the tail (extending the tail entry when it continues
+    that entry's addresses in the same space), the oldest words are trimmed
+    from the front until the stretch fits, with one write-back per trimmed
+    piece.  The words of the run that are already pending split it into
+    such stretches.  Each one is updated in place when the run reaches it,
+    unless the trim for the stretch before it evicted it: then it is new
+    again and goes back in at the tail.
 
     ``lo[space]`` and ``hi[space]`` bound the byte addresses put in each
-    space since the last drain (the envelope).  ``put_run`` widens it once,
-    before queueing the run, so a read that misses it cannot hit
-    ``pending``; ``drain()`` empties it.
+    space since the last drain (the envelope).  ``put_run`` widens it before
+    queueing the run, so a run or a read that misses it meets no pending
+    word; ``drain()`` empties it.
     """
 
     def __init__(self, capacity: int, backings):
         self.capacity = capacity
         self.backings = backings  # one bytearray per space, or None
-        self.pending = {}  # (space, byte addr) -> word
+        self._runs = deque()  # [space, byte addr, words], oldest first
+        self.size = 0  # pending words
         self.lo = [_NO_ADDR] * _SPACES
         self.hi = [-1] * _SPACES
 
+    @property
+    def pending(self) -> dict:
+        """(space, byte addr) -> word, oldest first; a copy."""
+        return {(space, addr + i * WORD): word
+                for space, addr, words in self._runs
+                for i, word in enumerate(words)}
+
     def put_run(self, space: int, addr: int, words):
         """Queue ``words`` at consecutive byte addresses from ``addr``."""
-        last = addr + (len(words) - 1) * WORD
-        if addr < self.lo[space]:
+        n = len(words)
+        last = addr + (n - 1) * WORD
+        lo = self.lo[space]
+        hi = self.hi[space]
+        if addr < lo:
             self.lo[space] = addr
-        if last > self.hi[space]:
+        if last > hi:
             self.hi[space] = last
-        pending = self.pending
-        room = self.capacity - len(pending)  # an eviction frees its own slot
-        evicted = None
-        for word in words:
-            key = (space, addr)
-            addr += WORD
-            if key in pending:
-                pass
-            elif room:
-                room -= 1
-            else:
-                if evicted is None:
-                    evicted = []
-                    victims = iter(list(islice(pending, len(words))))
-                oldest = next(victims, None)
-                if oldest is None:
-                    # the snapshot ran out: the run is longer than the cache
-                    victims = iter(list(islice(pending, len(words))))
-                    oldest = next(victims)
-                evicted.append((oldest, pending.pop(oldest)))
-            pending[key] = word
-        if evicted:
-            self._flush(evicted)
+        if lo <= last and addr <= hi:
+            self._put_split(space, addr, words)
+        elif self.size + n > self.capacity:
+            self._append(space, addr, words)
+        else:
+            # no pending word in the run and room for all of it; the same
+            # as _push, kept inline for one-word writes
+            runs = self._runs
+            self.size += n
+            if runs:
+                tail = runs[-1]
+                if tail[0] == space and tail[1] + len(tail[2]) * WORD == addr:
+                    tail[2] += words
+                    return
+            runs.append([space, addr, list(words)])
 
-    def _flush(self, items):
-        """Write ``((space, addr), word)`` pairs back in order, with one
-        pack per run of consecutive addresses in one space."""
+    def _put_split(self, space: int, addr: int, words):
+        """``put_run`` for a run that may hold pending words."""
+        end = addr + len(words) * WORD
+        hits = []  # (run index, entry, queue position) of each pending word
+        pos = 0
+        for entry in self._runs:
+            s, a, run = entry
+            stop = a + len(run) * WORD
+            if s == space and a < end and addr < stop:
+                for b in range(max(a, addr), min(stop, end), WORD):
+                    hits.append(((b - addr) // WORD, entry, pos + (b - a) // WORD))
+            pos += len(run)
+        hits.sort()
+        start_size = self.size
+        queued = 0
+        start = 0
+        for i, entry, p in hits:
+            if i > start:
+                self._append(space, addr + start * WORD, words[start:i])
+                queued += i - start
+                start = i
+            # still pending unless the trims so far evicted it; then it is
+            # new again and goes in with the next stretch
+            if start_size + queued - self.size <= p:
+                entry[2][(addr + i * WORD - entry[1]) // WORD] = words[i]
+                start = i + 1
+        if start < len(words):
+            self._append(space, addr + start * WORD, words[start:])
+
+    def _append(self, space: int, addr: int, words):
+        """Queue words none of which is pending, in pieces of at most
+        ``capacity`` words, trimming the oldest words before each."""
+        capacity = self.capacity
+        for k in range(0, len(words), capacity):
+            piece = words[k:k + capacity]
+            over = self.size + len(piece) - capacity
+            if over > 0:
+                self._trim(over)
+            self._push(space, addr + k * WORD, piece)
+
+    def _push(self, space: int, addr: int, words):
+        runs = self._runs
+        self.size += len(words)
+        if runs:
+            tail = runs[-1]
+            if tail[0] == space and tail[1] + len(tail[2]) * WORD == addr:
+                tail[2] += words
+                return
+        runs.append([space, addr, list(words)])
+
+    def _trim(self, k: int):
+        """Evict the ``k`` oldest words (at most ``size``), writing back
+        one pack per entry they cover."""
+        runs = self._runs
         backings = self.backings
-        run = []
-        run_space = run_addr = nxt = None
-        for (space, addr), word in items:
-            if addr != nxt or space != run_space:
-                if run:
-                    struct.pack_into(f"<{len(run)}I", backings[run_space],
-                                     run_addr, *run)
-                run = []
-                run_space, run_addr = space, addr
-            run.append(word)
-            nxt = addr + WORD
-        if run:
-            struct.pack_into(f"<{len(run)}I", backings[run_space], run_addr, *run)
+        self.size -= k
+        while k:
+            entry = runs[0]
+            space, addr, words = entry
+            n = len(words)
+            if n <= k:
+                runs.popleft()
+                struct.pack_into(f"<{n}I", backings[space], addr, *words)
+                k -= n
+            else:
+                struct.pack_into(f"<{k}I", backings[space], addr, *words[:k])
+                del words[:k]
+                entry[1] = addr + k * WORD
+                return
 
-    def drop(self, key):
-        self.pending.pop(key, None)
+    def read(self, space: int, addr: int, n: int) -> list:
+        """``n`` words at ``addr``: the backing with pending words laid
+        over it."""
+        words = list(struct.unpack_from(f"<{n}I", self.backings[space], addr))
+        end = addr + n * WORD
+        if addr <= self.hi[space] and self.lo[space] < end:
+            for s, a, run in self._runs:
+                if s == space and a < end and addr < a + len(run) * WORD:
+                    if a >= addr:
+                        i, j = (a - addr) // WORD, 0
+                    else:
+                        i, j = 0, (addr - a) // WORD
+                    k = min(n - i, len(run) - j)
+                    words[i:i + k] = run[j:j + k]
+        return words
+
+    def drop(self, space: int, addr: int, n: int):
+        """Forget the pending words among the ``n`` at ``addr``, splitting
+        an entry that holds words on both sides of them."""
+        end = addr + n * WORD
+        if not (addr <= self.hi[space] and self.lo[space] < end):
+            return
+        kept = deque()
+        for entry in self._runs:
+            s, a, run = entry
+            stop = a + len(run) * WORD
+            if s != space or stop <= addr or end <= a:
+                kept.append(entry)
+                continue
+            self.size -= (min(stop, end) - max(a, addr)) // WORD
+            if a < addr:
+                kept.append([s, a, run[:(addr - a) // WORD]])
+            if end < stop:
+                kept.append([s, end, run[(end - a) // WORD:]])
+        self._runs = kept
 
     def drain(self):
-        self._flush(self.pending.items())
-        self.pending.clear()
+        backings = self.backings
+        for space, addr, words in self._runs:
+            struct.pack_into(f"<{len(words)}I", backings[space], addr, *words)
+        self._runs.clear()
+        self.size = 0
         self.lo = [_NO_ADDR] * _SPACES
         self.hi = [-1] * _SPACES
 
@@ -586,28 +687,13 @@ class SimDevice:
 
     # -- physical word access --------------------------------------------
 
-    def _read_phys_words(self, space, addr: int, n: int):
-        words = list(struct.unpack_from(f"<{n}I", self._backings[space], addr))
-        cache = self.cache
-        lo = cache.lo[space]
-        hi = cache.hi[space]
-        if addr <= hi and lo < addr + n * WORD:
-            # probe only the words inside the envelope
-            pending = cache.pending
-            for i in range(max(0, (lo - addr + WORD - 1) // WORD),
-                           min(n, (hi - addr) // WORD + 1)):
-                hit = pending.get((space, addr + i * WORD))
-                if hit is not None:
-                    words[i] = hit
-        return words
-
     def _read_run(self, da: int, n_words: int):
         spans = self._decode_run(da, n_words, False)
         if len(spans) == 1:
-            return self._read_phys_words(*spans[0])
+            return self.cache.read(*spans[0])
         words = []
         for space, addr, count in spans:
-            words.extend(self._read_phys_words(space, addr, count))
+            words.extend(self.cache.read(space, addr, count))
         return words
 
     def _write_run(self, da: int, words):
@@ -631,8 +717,7 @@ class SimDevice:
         k = 0
         for space, addr, count in spans:
             self._drop_window_over(space, addr, addr + (count - 1) * WORD)
-            for i in range(count):
-                drop((space, addr + i * WORD))
+            drop(space, addr, count)
             struct.pack_into(f"<{count}I", self._backings[space], addr,
                              *words[k:k + count])
             k += count
@@ -691,7 +776,7 @@ class SimDevice:
         except HardwareFault:
             self._window = None
             return None
-        words = self._read_phys_words(*span)
+        words = self.cache.read(*span)
         space, addr, count = span
         self._window = window = (off, off + count * WORD, words, space,
                                  addr, addr + (count - 1) * WORD)
@@ -713,11 +798,15 @@ class SimDevice:
         alone.  Word k of the instruction past the window's end is read
         alone from ring offset (RB_HEAD + 4k) mod the ring size, so the
         first word that faults is the one a word-by-word fetch faults on.
+        A tail at or past the ring end is a command fault.
         """
         regs = self.regs
         ring = self._ring_bytes()
+        tail = regs[REG_RB_TAIL]
+        if tail >= ring:
+            raise CmdFault(f"RB_TAIL 0x{tail:x} at or past the ring end")
         off = regs[REG_RB_HEAD] % ring
-        avail = (regs[REG_RB_TAIL] - off) % ring
+        avail = (tail - off) % ring
         base = regs[REG_RB_BASE]
         window = self._window
         if window is None or not window[0] <= off < window[1]:

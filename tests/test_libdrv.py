@@ -4,16 +4,17 @@ import struct
 
 import pytest
 
+from conftest import make_device, make_platform
 from devmux.devcore import DeviceCore
 from devmux.errors import (BadHandle, BatchTooBig, DeviceFault, InvalError,
                            OutOfPool, OutOfRange, OutOfSegment)
 from devmux.libdrv import LibraryDriver
-from devmux.pool import (GTT, MAX_BATCH_WORDS, MIN_POOL_PAGES, SLAB_FIRST_PAGE,
-                         SYS, VRAM)
+from devmux.pool import (GTT, MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_WORDS,
+                         SLAB_FIRST_PAGE, SYS, VRAM)
 from devmux.simdev import (APERTURE_BASE, CO_ADD, FLAG_CMD_FAULT, MASK32,
                            PAGE_SIZE, REG_FB_BASE, REG_MC_SEG_LIMIT,
-                           REG_MC_SEG_BASE, WORD, Compute, Copy, Nop, SetReg,
-                           fnv1a64)
+                           REG_MC_SEG_BASE, REG_RB_TAIL, WORD, Compute, Copy,
+                           Nop, SetReg, fnv1a64)
 
 POOL = 16
 
@@ -243,6 +244,41 @@ def test_wait_fence_refuses_a_seq_never_queued(bound_lib):
     lib.wait_fence(lib.submit([Nop()]))
     with pytest.raises(InvalError):
         lib.wait_fence(99)
+
+
+def _neighbour_after(tail_write: bool):
+    """Library A, optionally setting its RB_TAIL to the ring end through
+    the core, is revoked; then library B runs one COMPUTE.  Returns A's
+    status flags and everything B can observe."""
+    platform = make_platform(frames=1024)
+    device = make_device(platform, vram=4 << 20)
+    core = DeviceCore(platform, device, segment_bytes=1 << 20)
+    core.device_init()
+    a = LibraryDriver(core, "a", pool_pages=POOL)
+    b = LibraryDriver(core, "b", pool_pages=POOL)
+    core.bind_device_lib(a.lib_id)
+    a.wait_fence(a.submit([Nop()]))
+    if tail_write:
+        core.access_register(a.lib_id, REG_RB_TAIL, RING_WORDS * WORD, True)
+    core.revoke_device_lib(a.lib_id)  # runs the device to idle
+    core.bind_device_lib(b.lib_id)
+    h = b.create_buffer(64, VRAM)
+    b.write_buffer(h, 0, struct.pack("<8I", *range(1, 9)))
+    addr = b.buffers[h].device_addr
+    b.wait_fence(b.submit([Compute(CO_ADD, addr + 32, addr, addr, 8)]))
+    ctx = core.contexts[b.lib_id]
+    return (a.pool.read_status()[2], b.read_buffer(h, 0, 64),
+            b.pool.read_status(),
+            bytes(device.vram[ctx.segment_base:ctx.segment_limit]))
+
+
+def test_a_tail_past_the_ring_end_faults_its_library_only():
+    flags, *seen = _neighbour_after(tail_write=True)
+    assert flags & FLAG_CMD_FAULT
+    clean_flags, *clean = _neighbour_after(tail_write=False)
+    assert not clean_flags & FLAG_CMD_FAULT
+    assert seen == clean
+    assert clean[0][32:] == struct.pack("<8I", *range(2, 18, 2))
 
 
 def test_privileged_setreg_faults_the_batch(bound_lib):

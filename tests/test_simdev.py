@@ -200,6 +200,27 @@ def test_unknown_opcode_faults_and_halts(solo):
     assert device.mmio_read(REG_RB_HEAD) == device.mmio_read(REG_RB_TAIL)
 
 
+def _tail_write_past_the_ring_end(device):
+    device.mmio_write(REG_RB_TAIL, RING_WORDS * WORD)
+
+
+def _ring_shrunk_below_the_tail(device):
+    push_batch(device, [SetReg(REG_SCRATCH0, 9)] * 7)  # 84 bytes
+    device.mmio_write(REG_RB_SIZE, 16)                 # a 64-byte ring
+
+
+@pytest.mark.parametrize("arm", [_tail_write_past_the_ring_end,
+                                 _ring_shrunk_below_the_tail],
+                         ids=["tail-write", "size-shrink"])
+def test_a_tail_at_or_past_the_ring_end_faults_the_fetch(solo, arm):
+    _, device = solo
+    arm(device)
+    assert device.step(100).cycles_used == 0
+    assert read_status(device) == (0, 1, FLAG_CMD_FAULT)
+    assert device.cp_idle  # the fault took the batch
+    assert device.mmio_read(REG_SCRATCH0) == 0
+
+
 def test_set_reg_from_stream_reaches_scratch_only(solo):
     _, device = solo
     push_batch(device, [SetReg(REG_SCRATCH0, 0xABCD), Fence(1)])
@@ -607,11 +628,14 @@ def test_compute_longer_than_the_cache_reads_back_before_its_fence():
 
 @st.composite
 def _cache_ops(draw):
-    """A capacity and a list of runs, drains and drops that start within
-    CACHE_SPREAD words, so runs overlap pending words and each other."""
+    """A capacity, a list of runs, drains and drops that start within
+    CACHE_SPREAD words, so runs overlap pending words and each other, and
+    after each op one read per space of up to 16 words from there."""
     capacity = draw(st.integers(4, 8))
     ops = []
+    reads = []
     kinds = st.sampled_from(("run", "run", "run", "drain", "drop"))
+    read = st.tuples(st.integers(0, CACHE_SPREAD + 8), st.integers(1, 16))
     for kind in draw(st.lists(kinds, min_size=1, max_size=12)):
         space = draw(st.integers(0, 1))
         first = draw(st.integers(0, CACHE_SPREAD)) * WORD
@@ -620,27 +644,30 @@ def _cache_ops(draw):
             words = st.lists(st.integers(0, MASK32), min_size=n, max_size=n)
             ops.append(("run", space, first, draw(words)))
         elif kind == "drop":
-            ops.append(("drop", space, first))
+            ops.append(("drop", space, first, draw(st.integers(1, 4))))
         else:
             ops.append(("drain",))
-    return capacity, ops
+        reads.append((draw(read), draw(read)))
+    return capacity, ops, reads
 
 
 @settings(max_examples=150, deadline=None)
 @given(_cache_ops())
 def test_cache_runs_equal_one_put_per_word(program):
-    capacity, ops = program
+    capacity, ops, reads = program
     cache = WriteBackCache(capacity, cache_backings())
     ref = FifoReference(capacity, cache_backings())
-    for op in ops:
+    for op, per_space in zip(ops, reads):
         if op[0] == "run":
             _, space, addr, words = op
             cache.put_run(space, addr, words)
             for i, word in enumerate(words):
                 ref.put((space, addr + i * WORD), word)
         elif op[0] == "drop":
-            cache.drop(op[1:])
-            ref.pending.pop(op[1:], None)
+            _, space, addr, n = op
+            cache.drop(space, addr, n)
+            for i in range(n):
+                ref.pending.pop((space, addr + i * WORD), None)
         else:
             cache.drain()
             while ref.pending:
@@ -649,6 +676,81 @@ def test_cache_runs_equal_one_put_per_word(program):
         assert cache.backings == ref.backings
         for space, addr in cache.pending:
             assert cache.lo[space] <= addr <= cache.hi[space]
+        for space, (first, n) in enumerate(per_space):
+            backing = backing_words(ref.backings[space])
+            want = [ref.pending.get((space, i * WORD), backing[i])
+                    for i in range(first, first + n)]
+            assert cache.read(space, first * WORD, n) == want
+
+
+# Entry boundaries of the run-kept queue, each against the per-word FIFO.
+
+def test_an_eviction_can_trim_the_front_entry_partway():
+    backings = cache_backings()
+    cache = WriteBackCache(4, backings)
+    cache.put_run(0, 0, [1, 2, 3])
+    cache.put_run(1, 0, [4])
+    cache.put_run(0, 64, [5, 6])        # evicts words 0 and 1 only
+    assert list(cache.pending.items()) == [((0, 8), 3), ((1, 0), 4),
+                                           ((0, 64), 5), ((0, 68), 6)]
+    assert backing_words(backings[0], 3) == [1, 2, 102]
+    cache.put_run(0, 8, [7])            # the rest of the entry updates in place
+    assert cache.read(0, 0, 3) == [1, 2, 7]
+    cache.put_run(0, 72, [8])           # and is the next to go
+    assert backing_words(backings[0], 3) == [1, 2, 7]
+    assert list(cache.pending) == [(1, 0), (0, 64), (0, 68), (0, 72)]
+
+
+def test_a_read_across_two_entries_and_a_gap_overlays_both():
+    cache = WriteBackCache(8, cache_backings())
+    cache.put_run(0, 4, [1, 2])
+    cache.put_run(0, 20, [5, 6])
+    cache.put_run(1, 12, [9])           # the other space at the gap
+    assert cache.read(0, 0, 8) == [100, 1, 2, 103, 104, 5, 6, 107]
+    assert cache.read(0, 8, 4) == [2, 103, 104, 5]
+    assert cache.read(0, 12, 2) == [103, 104]
+    assert cache.read(1, 8, 3) == [102, 9, 104]
+
+
+def test_a_run_that_continues_the_tail_in_the_other_space_starts_an_entry():
+    backings = cache_backings()
+    cache = WriteBackCache(3, backings)
+    cache.put_run(0, 0, [1, 2])
+    cache.put_run(1, 8, [3])            # system word 2, after VRAM word 1
+    assert list(cache.pending.items()) == [((0, 0), 1), ((0, 4), 2),
+                                           ((1, 8), 3)]
+    assert cache.read(0, 8, 1) == [102]
+    cache.put_run(0, 32, [4, 5])        # evicts both VRAM words
+    assert backing_words(backings[0], 3) == [1, 2, 102]
+    assert backing_words(backings[1], 3) == [100, 101, 102]
+    cache.drain()
+    assert backing_words(backings[1], 3) == [100, 101, 3]
+
+
+def test_a_status_write_through_inside_a_pending_result_splits_it(solo):
+    _, device = solo
+    data = list(range(1, 13))
+    poke_words(device, DATA_AT, data)
+    dst = STATUS_AT - 4 * WORD          # words 4..7 of the result are the page
+    push_batch(device, [Compute(CO_ADD, dst, DATA_AT, DATA_AT, 12),
+                        SetReg(REG_MC_SEG_BASE, 1)])   # faults: status write
+    device.step(100)
+    # the per-word FIFO: twelve puts, then the status words written
+    # through; nothing was evicted, so it starts from the device's memory
+    ref = FifoReference(CACHE_WORDS, (bytearray(device.vram), None))
+    for i, x in enumerate(data):
+        ref.put((0, dst + i * WORD), 2 * x)
+    for i, word in enumerate((0, 0, 1, FLAG_CMD_FAULT)):
+        del ref.pending[(0, STATUS_AT + i * WORD)]
+        ref.backings[0][STATUS_AT + i * WORD:STATUS_AT + (i + 1) * WORD] = pack([word])
+    assert list(device.cache.pending.items()) == list(ref.pending.items())
+    assert device.cache.read(0, dst, 12) == (
+        [2 * x for x in data[:4]] + [0, 0, 1, FLAG_CMD_FAULT]
+        + [2 * x for x in data[8:]])
+    device.mmio_write(simdev.REG_CACHE_FLUSH, 1)
+    while ref.pending:
+        ref.write_back(next(iter(ref.pending)))
+    assert device.vram == ref.backings[0]
 
 
 # --- instruction fetch --------------------------------------------------------
