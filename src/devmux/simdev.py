@@ -50,11 +50,18 @@ bit0 VALID, bit1 WRITABLE, bits 12-31 frame number; the walk splits the
 aperture offset into a 10-bit level-1 index (bits 22-31), a 10-bit level-2
 index (bits 12-21) and a 12-bit page offset.
 
-Faults never have partial effects: an instruction either fully executes or
-leaves all target memory untouched, and a fault consumes the remainder of the
-batch.  A FENCE whose status page is unset or does not decode faults before
-it drains the cache, so its seq is never retired.  A fetch while RB_TAIL is
-at or past the ring end (RB_SIZE * 4 bytes) is a command fault.
+The command processor is one loop, ``SimDevice.step``: it fetches an
+instruction, pays its cycles from the budget and executes it in place, and
+an instruction the budget cannot pay for stays in flight until the next
+call.  Faults never have partial effects: an instruction either fully
+executes or leaves all target memory untouched, and a fault consumes the
+remainder of the batch.  Checks run in a fixed order: a COMPUTE checks its
+sub-op, reads src1, then src2, then decodes its target, and a DOT of count 0
+still writes one zero word; a FENCE whose status page is unset or does not
+decode faults before it drains the cache, so its seq is never retired.  A
+fetch while RB_HEAD or RB_TAIL is at or past the ring end (RB_SIZE * 4
+bytes) is a command fault, checked before any ring word is read, so a ring
+shrunk below either pointer faults its batch.
 
 Instruction fetch reads through a fetch window: when RB_HEAD lies outside
 it, the command processor reads the run from RB_HEAD to the nearest of the
@@ -74,6 +81,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
+from functools import lru_cache
 from operator import mul
 
 from devmux.errors import (CmdFault, HardwareFault, IommuFault, InvalError,
@@ -303,24 +311,19 @@ class PageTable:
 
 
 class IommuUnit:
-    """Translation front-end: a root table id plus a FIFO TLB.
-
-    ``flush_on_root_change`` exists so tests can demonstrate what stale TLB
-    entries would do; every production path leaves it True.
-    """
+    """Translation front-end: a root table id plus a FIFO TLB.  Changing
+    the root empties the TLB."""
 
     def __init__(self, tables: dict, tlb_entries: int = TLB_ENTRIES_DEFAULT):
         self.tables = tables
         self.tlb_entries = tlb_entries
         self.root = 0
         self.enabled = True
-        self.flush_on_root_change = True
         self.tlb = {}  # page number -> (frame, writable); insertion ordered
 
     def set_root(self, table_id: int):
         self.root = table_id
-        if self.flush_on_root_change:
-            self.tlb.clear()
+        self.tlb.clear()
 
     def tlb_flush(self):
         self.tlb.clear()
@@ -352,6 +355,12 @@ _SPACE_VRAM = 0
 _SPACE_SYS = 1
 _SPACES = 2
 _NO_ADDR = 1 << 64  # above every byte address: the empty envelope's lo
+
+
+@lru_cache(maxsize=256)
+def _words(n: int) -> struct.Struct:
+    """The layout of ``n`` little-endian words, built once per count."""
+    return struct.Struct(f"<{n}I")
 
 
 class WriteBackCache:
@@ -489,10 +498,10 @@ class WriteBackCache:
             n = len(words)
             if n <= k:
                 runs.popleft()
-                struct.pack_into(f"<{n}I", backings[space], addr, *words)
+                _words(n).pack_into(backings[space], addr, *words)
                 k -= n
             else:
-                struct.pack_into(f"<{k}I", backings[space], addr, *words[:k])
+                _words(k).pack_into(backings[space], addr, *words[:k])
                 del words[:k]
                 entry[1] = addr + k * WORD
                 return
@@ -500,7 +509,7 @@ class WriteBackCache:
     def read(self, space: int, addr: int, n: int) -> list:
         """``n`` words at ``addr``: the backing with pending words laid
         over it."""
-        words = list(struct.unpack_from(f"<{n}I", self.backings[space], addr))
+        words = list(_words(n).unpack_from(self.backings[space], addr))
         end = addr + n * WORD
         if addr <= self.hi[space] and self.lo[space] < end:
             for s, a, run in self._runs:
@@ -536,7 +545,7 @@ class WriteBackCache:
     def drain(self):
         backings = self.backings
         for space, addr, words in self._runs:
-            struct.pack_into(f"<{len(words)}I", backings[space], addr, *words)
+            _words(len(words)).pack_into(backings[space], addr, *words)
         self._runs.clear()
         self.size = 0
         self.lo = [_NO_ADDR] * _SPACES
@@ -659,7 +668,11 @@ class SimDevice:
         if da % WORD:
             raise McFault(f"unaligned device address 0x{da:x}")
         if da + n_words * WORD <= VRAM_WINDOW_END:  # VRAM_WINDOW_BASE is 0
-            return [self._vram_span(da, n_words)]
+            loc = self.regs[REG_MC_SEG_BASE] + da
+            end = loc + n_words * WORD
+            if end > self.regs[REG_MC_SEG_LIMIT] or end > len(self.vram):
+                raise McFault(f"VRAM access 0x{loc:x}..0x{end:x} outside segment")
+            return [(_SPACE_VRAM, loc, n_words)]
         spans = []
         remaining = n_words
         cur = da
@@ -678,13 +691,6 @@ class SimDevice:
             cur += take * WORD
         return spans
 
-    def _vram_span(self, da: int, n_words: int):
-        loc = self.regs[REG_MC_SEG_BASE] + da
-        end = loc + n_words * WORD
-        if end > self.regs[REG_MC_SEG_LIMIT] or end > len(self.vram):
-            raise McFault(f"VRAM access 0x{loc:x}..0x{end:x} outside segment")
-        return (_SPACE_VRAM, loc, n_words)
-
     # -- physical word access --------------------------------------------
 
     def _read_run(self, da: int, n_words: int):
@@ -698,16 +704,18 @@ class SimDevice:
 
     def _write_run(self, da: int, words):
         spans = self._decode_run(da, len(words), True)  # translate before any write
-        put_run = self.cache.put_run
         if len(spans) == 1:
             space, addr, count = spans[0]
-            self._drop_window_over(space, addr, addr + (count - 1) * WORD)
-            put_run(space, addr, words)
+            window = self._window
+            if (window is not None and window[3] == space
+                    and addr <= window[5] and window[4] <= addr + (count - 1) * WORD):
+                self._window = None
+            self.cache.put_run(space, addr, words)
             return
         k = 0
         for space, addr, count in spans:
             self._drop_window_over(space, addr, addr + (count - 1) * WORD)
-            put_run(space, addr, words[k:k + count])
+            self.cache.put_run(space, addr, words[k:k + count])
             k += count
 
     def _write_run_direct(self, da: int, words):
@@ -718,8 +726,8 @@ class SimDevice:
         for space, addr, count in spans:
             self._drop_window_over(space, addr, addr + (count - 1) * WORD)
             drop(space, addr, count)
-            struct.pack_into(f"<{count}I", self._backings[space], addr,
-                             *words[k:k + count])
+            _words(count).pack_into(self._backings[space], addr,
+                                    *words[k:k + count])
             k += count
 
     # -- interrupt status -------------------------------------------------
@@ -763,25 +771,6 @@ class SimDevice:
         """Accumulated event flags since the last CP reset."""
         return self._irq_flags
 
-    def _ring_bytes(self) -> int:
-        return self.regs[REG_RB_SIZE] * WORD
-
-    def _open_window(self, base: int, off: int, avail: int, ring: int):
-        """Read the fetch window at ring offset ``off``, or return None
-        (and hold no window) if that read faults."""
-        da = base + off
-        n_bytes = min(avail, ring - off, PAGE_SIZE - da % PAGE_SIZE)
-        try:
-            (span,) = self._decode_run(da, (n_bytes + WORD - 1) // WORD, False)
-        except HardwareFault:
-            self._window = None
-            return None
-        words = self.cache.read(*span)
-        space, addr, count = span
-        self._window = window = (off, off + count * WORD, words, space,
-                                 addr, addr + (count - 1) * WORD)
-        return window
-
     def _drop_window_over(self, space: int, first: int, last: int):
         """Drop the fetch window if bytes ``first..last`` of ``space``
         overlap its words."""
@@ -790,31 +779,43 @@ class SimDevice:
                 and first <= window[5] and window[4] <= last):
             self._window = None
 
-    def _fetch_instruction(self):
-        """Decode the instruction at RB_HEAD; returns [opcode, words, cost].
+    def _fetch(self, regs):
+        """Decode the instruction at RB_HEAD; returns (opcode, words, cost).
 
-        The words come from the fetch window, which is read afresh when
-        RB_HEAD lies outside it.  Without a window the opcode word is read
-        alone.  Word k of the instruction past the window's end is read
-        alone from ring offset (RB_HEAD + 4k) mod the ring size, so the
-        first word that faults is the one a word-by-word fetch faults on.
-        A tail at or past the ring end is a command fault.
+        A head or tail at or past the ring end is a command fault.  The
+        words come from the fetch window, which is read afresh when
+        RB_HEAD lies outside it; if that read faults, there is no window
+        and the opcode word is read alone.  Word k of the instruction past
+        the window's end is read alone from ring offset (RB_HEAD + 4k) mod
+        the ring size, so the first word that faults is the one a
+        word-by-word fetch faults on.
         """
-        regs = self.regs
-        ring = self._ring_bytes()
+        ring = regs[REG_RB_SIZE] * WORD
+        head = regs[REG_RB_HEAD]
         tail = regs[REG_RB_TAIL]
         if tail >= ring:
             raise CmdFault(f"RB_TAIL 0x{tail:x} at or past the ring end")
-        off = regs[REG_RB_HEAD] % ring
-        avail = (tail - off) % ring
+        if head >= ring:
+            raise CmdFault(f"RB_HEAD 0x{head:x} at or past the ring end")
+        avail = (tail - head) % ring  # not 0: the CP is not idle
         base = regs[REG_RB_BASE]
         window = self._window
-        if window is None or not window[0] <= off < window[1]:
-            window = self._open_window(base, off, avail, ring)
+        if window is None or not window[0] <= head < window[1]:
+            da = base + head
+            n_bytes = min(avail, ring - head, PAGE_SIZE - da % PAGE_SIZE)
+            try:
+                (span,) = self._decode_run(da, (n_bytes + WORD - 1) // WORD, False)
+            except HardwareFault:
+                window = self._window = None
+            else:
+                space, addr, count = span
+                window = self._window = (head, head + count * WORD,
+                                         self.cache.read(space, addr, count),
+                                         space, addr, addr + (count - 1) * WORD)
         if window is None:
-            fetched, i = self._read_run(base + off, 1), 0
+            fetched, i = self._read_run(base + head, 1), 0
         else:
-            fetched, i = window[2], (off - window[0]) // WORD
+            fetched, i = window[2], (head - window[0]) // WORD
         opcode = fetched[i]
         length = INSTR_WORDS.get(opcode)
         if length is None:
@@ -824,61 +825,18 @@ class SimDevice:
         words = fetched[i:i + length]
         if len(words) < length:  # rare: the window ends inside it
             for k in range(len(words), length):
-                words += self._read_run(base + (off + k * WORD) % ring, 1)
-        if opcode in (OP_COMPUTE, OP_COPY):
-            cost = 1 + words[5 if opcode == OP_COMPUTE else 3]
-        elif opcode == OP_FENCE:
-            cost = 4
-        else:
-            cost = 1
-        return [opcode, words, cost]
+                words += self._read_run(base + (head + k * WORD) % ring, 1)
+        if opcode == OP_COMPUTE:
+            return opcode, words, 1 + words[5]
+        if opcode == OP_COPY:
+            return opcode, words, 1 + words[3]
+        return opcode, words, 4 if opcode == OP_FENCE else 1
 
     def _fault(self, fault: HardwareFault):
         # a fault consumes the rest of the batch; nothing partial survives
         self.regs[REG_RB_HEAD] = self.regs[REG_RB_TAIL]
         self._inflight = None
         self._record_event(fault.flag)
-
-    def _execute(self, opcode: int, words):
-        if opcode == OP_NOP:
-            return
-        if opcode == OP_SET_REG:
-            reg, value = words[1], words[2]
-            if reg not in SCRATCH_REGISTERS:
-                raise CmdFault(f"SET_REG may only target scratch registers, got 0x{reg:x}")
-            self.regs[reg] = value
-            return
-        if opcode == OP_COMPUTE:
-            sub, dst, src1, src2, count = words[1:6]
-            if sub not in (CO_ADD, CO_MUL, CO_DOT):
-                raise CmdFault(f"unknown COMPUTE sub-op 0x{sub:x}")
-            a = self._read_run(src1, count) if count else []
-            b = self._read_run(src2, count) if count else []
-            if sub == CO_ADD:
-                out = [(x + y) & MASK32 for x, y in zip(a, b)]
-            elif sub == CO_MUL:
-                out = [(x * y) & MASK32 for x, y in zip(a, b)]
-            else:
-                out = [sum(map(mul, a, b)) & MASK32]
-            if out:
-                self._write_run(dst, out)
-            return
-        if opcode == OP_COPY:
-            dst, src, count = words[1:4]
-            if count:
-                self._write_run(dst, self._read_run(src, count))
-            return
-        # OP_FENCE: _fetch_instruction refused every other opcode.  The
-        # status page decodes before the drain, so a fault changes nothing.
-        ih = self.regs[REG_IH_PAGE_ADDR]
-        if ih == 0:
-            raise CmdFault("FENCE with no status page configured")
-        self._decode_run(ih, 4, True)
-        self.cache.drain()
-        self._irq_seq = words[1] | (words[2] << 32)
-        self._write_run_direct(ih, self._status_words())
-        if words[3] & FENCE_IRQ and self.regs[REG_IRQ_ENABLE]:
-            self._record_event(FLAG_FENCE)
 
     def step(self, budget: int) -> ExecReport:
         """Run the CP for up to ``budget`` cycles; partial batches resume.
@@ -889,31 +847,70 @@ class SimDevice:
         dropped when a device write lands on it or reading it faults.
         """
         self._window = None
-        report = ExecReport()
-        while report.cycles_used < budget:
-            if self._inflight is None:
-                if self.cp_idle or not self._fw_ready:
-                    break
+        regs = self.regs
+        read_run = self._read_run
+        write_run = self._write_run
+        used = 0
+        while used < budget:
+            if self._inflight is not None:
+                opcode, words, cost = self._inflight
+            elif regs[REG_RB_HEAD] == regs[REG_RB_TAIL] or not self._fw_ready:
+                break
+            else:
                 try:
-                    self._inflight = self._fetch_instruction()
+                    opcode, words, cost = self._fetch(regs)
                 except HardwareFault as fault:
                     self._fault(fault)
                     continue
-            take = min(budget - report.cycles_used, self._inflight[2])
-            self._inflight[2] -= take
-            report.cycles_used += take
-            if self._inflight[2] > 0:
-                break  # out of budget mid-instruction; resume next call
-            opcode, words, _ = self._inflight
+            if cost > budget - used:  # out of budget mid-instruction
+                self._inflight = [opcode, words, cost - (budget - used)]
+                used = budget
+                break
+            used += cost
             self._inflight = None
             try:
-                self._execute(opcode, words)
+                if opcode == OP_COMPUTE:
+                    sub, dst, src1, src2, count = words[1:]
+                    if sub > CO_DOT:  # CO_ADD, CO_MUL, CO_DOT are 0, 1, 2
+                        raise CmdFault(f"unknown COMPUTE sub-op 0x{sub:x}")
+                    if count:
+                        a = read_run(src1, count)
+                        b = read_run(src2, count)
+                        if sub == CO_DOT:
+                            write_run(dst, [sum(map(mul, a, b)) & MASK32])
+                        elif sub == CO_ADD:
+                            write_run(dst, [(x + y) & MASK32 for x, y in zip(a, b)])
+                        else:
+                            write_run(dst, [(x * y) & MASK32 for x, y in zip(a, b)])
+                    elif sub == CO_DOT:
+                        write_run(dst, [0])
+                elif opcode == OP_COPY:
+                    dst, src, count = words[1:]
+                    if count:
+                        write_run(dst, read_run(src, count))
+                elif opcode == OP_FENCE:
+                    # the status page decodes before the drain, so a fault
+                    # changes nothing
+                    ih = regs[REG_IH_PAGE_ADDR]
+                    if ih == 0:
+                        raise CmdFault("FENCE with no status page configured")
+                    self._decode_run(ih, 4, True)
+                    self.cache.drain()
+                    self._irq_seq = words[1] | (words[2] << 32)
+                    self._write_run_direct(ih, self._status_words())
+                    if words[3] & FENCE_IRQ and regs[REG_IRQ_ENABLE]:
+                        self._record_event(FLAG_FENCE)
+                elif opcode == OP_SET_REG:
+                    reg, value = words[1:]
+                    if reg not in SCRATCH_REGISTERS:
+                        raise CmdFault(f"SET_REG may only target scratch registers, got 0x{reg:x}")
+                    regs[reg] = value
             except HardwareFault as fault:
                 self._fault(fault)
             else:
-                head = self.regs[REG_RB_HEAD]
-                self.regs[REG_RB_HEAD] = (head + INSTR_WORDS[opcode] * WORD) % self._ring_bytes()
-        return report
+                regs[REG_RB_HEAD] = ((regs[REG_RB_HEAD] + len(words) * WORD)
+                                     % (regs[REG_RB_SIZE] * WORD))
+        return ExecReport(used)
 
     # -- display -----------------------------------------------------------
 

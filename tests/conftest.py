@@ -9,7 +9,8 @@ from devmux.devcore import DeviceCore
 from devmux.platform import CostLedger, Platform
 from devmux.simdev import (REG_IH_PAGE_ADDR, REG_IRQ_ENABLE, REG_MC_SEG_BASE,
                            REG_MC_SEG_LIMIT, REG_RB_BASE, REG_RB_SIZE,
-                           REG_RB_TAIL, WORD, SimDevice, encode_batch)
+                           REG_RB_TAIL, WORD, IommuUnit, SimDevice,
+                           encode_batch)
 
 # fixed VRAM layout for standalone (no-driver) device tests
 STATUS_AT = 0x2000
@@ -32,6 +33,14 @@ def make_platform(frames=256, **weights):
 
 def make_device(platform, vram=2 << 20):
     return SimDevice(platform.sysmem, vram_size=vram)
+
+
+class UnflushedRootIommu(IommuUnit):
+    """A translation unit whose root change keeps the TLB: the hazard the
+    flush on every root change prevents."""
+
+    def set_root(self, table_id: int):
+        self.root = table_id
 
 
 def boot_solo(device):

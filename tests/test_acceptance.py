@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import make_device, make_platform
+from conftest import UnflushedRootIommu, make_device, make_platform
 from devmux.bench.attacks import run_attacks
 from devmux.bench.cli import main
 from devmux.bench.config import BenchConfig, WorkloadSpec
@@ -167,12 +167,11 @@ def test_c08_snapshot_round_trip_and_flush():
     tables = {1: PageTable(), 2: PageTable()}
     tables[1].map(0, 7)
     tables[2].map(0, 9)
-    unit = IommuUnit(tables)
-    unit.set_root(1)
+    unit = UnflushedRootIommu(tables)
+    IommuUnit.set_root(unit, 1)
     assert unit.translate(0, False)[0] == 7
-    unit.set_root(2)
+    IommuUnit.set_root(unit, 2)
     assert unit.translate(0, False)[0] == 9   # flushing root change: correct
-    unit.flush_on_root_change = False
     unit.set_root(1)
     assert unit.translate(0, False)[0] == 9   # stale entry: mistranslation
     unit.tlb_flush()

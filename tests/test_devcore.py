@@ -14,7 +14,8 @@ from devmux.libdrv import LibraryDriver
 from devmux.simdev import (APERTURE_BASE, CO_ADD, DISPLAY_MODES, PAGE_SIZE,
                            REG_DISP_ENABLE, REG_DISP_PLL, REG_DISP_TIMING_H,
                            REG_DISP_TIMING_V, REG_MC_SEG_BASE, REG_RB_BASE,
-                           REG_RB_HEAD, REG_SCRATCH0, M_REGISTERS, Compute)
+                           REG_RB_HEAD, REG_RB_SIZE, REG_RB_TAIL,
+                           REG_SCRATCH0, M_REGISTERS, Compute, Nop)
 
 
 def test_api_surface_lists_nine_calls(lib_world):
@@ -262,6 +263,25 @@ def test_revoke_waits_for_inflight_work(lib_world):
     assert device.cp_idle
     # COMPUTE costs 1 + count cycles, and the batch's fence 4
     assert platform.ledger.device_cycles - before == 1 + 1000 + 4
+
+
+def test_revoke_survives_a_ring_shrunk_below_the_head(lib_world):
+    _, _, core = lib_world
+    a = LibraryDriver(core, "a", pool_pages=8)
+    core.bind_device_lib(a.lib_id)
+    a.wait_fence(a.submit([Nop()] * 20))  # with its fence: head at 96 bytes
+    core.access_register(a.lib_id, REG_RB_SIZE, 16, True)
+    core.access_register(a.lib_id, REG_RB_TAIL, 96 % 64, True)
+    core.revoke_device_lib(a.lib_id)  # the drain faults the fetch
+    assert core.bound is None
+    b = LibraryDriver(core, "b", pool_pages=8)
+    core.bind_device_lib(b.lib_id)
+    buf = b.create_buffer(PAGE_SIZE, "VRAM")
+    addr = b.buffers[buf].device_addr
+    b.write_buffer(buf, 0, bytes([3, 0, 0, 0]))
+    b.wait_fence(b.submit([Compute(CO_ADD, addr + 4, addr, addr, 1)]))
+    assert b.read_buffer(buf, 4, 4) == bytes([6, 0, 0, 0])
+    core.revoke_device_lib(b.lib_id)
 
 
 def test_revoke_idle_snapshot_equals_registers(lib_world):

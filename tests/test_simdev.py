@@ -7,9 +7,10 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (DATA_AT, RING_AT, RING_WORDS, STATUS_AT, boot_solo,
-                      make_device, make_platform, pack, poke_words,
-                      push_batch, read_status, unpack, vram_words)
+from conftest import (DATA_AT, RING_AT, RING_WORDS, STATUS_AT,
+                      UnflushedRootIommu, boot_solo, make_device,
+                      make_platform, pack, poke_words, push_batch,
+                      read_status, unpack, vram_words)
 from devmux import simdev
 from devmux.errors import IommuFault, InvalError, RegFault
 from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
@@ -209,16 +210,44 @@ def _ring_shrunk_below_the_tail(device):
     device.mmio_write(REG_RB_SIZE, 16)                 # a 64-byte ring
 
 
+def _ring_shrunk_below_the_head(device):
+    push_batch(device, [Nop()] * 24)
+    device.step(100)                                   # head at 96 bytes
+    device.mmio_write(REG_RB_SIZE, 16)                 # a 64-byte ring
+    device.mmio_write(REG_RB_TAIL, 96 % 64)
+
+
 @pytest.mark.parametrize("arm", [_tail_write_past_the_ring_end,
-                                 _ring_shrunk_below_the_tail],
-                         ids=["tail-write", "size-shrink"])
-def test_a_tail_at_or_past_the_ring_end_faults_the_fetch(solo, arm):
+                                 _ring_shrunk_below_the_tail,
+                                 _ring_shrunk_below_the_head],
+                         ids=["tail-write", "size-shrink", "head-past-size"])
+def test_a_head_or_tail_at_or_past_the_ring_end_faults_the_fetch(solo, arm):
     _, device = solo
     arm(device)
     assert device.step(100).cycles_used == 0
     assert read_status(device) == (0, 1, FLAG_CMD_FAULT)
     assert device.cp_idle  # the fault took the batch
     assert device.mmio_read(REG_SCRATCH0) == 0
+
+
+FAR = 0x0FFF_FF00  # in the device-local window, past the 2 MiB segment
+UNMAPPED = APERTURE_BASE + 0x3000_0000
+
+
+@pytest.mark.parametrize("instr, status", [
+    (Compute(7, FAR, FAR, FAR, 4), (0, 1, FLAG_CMD_FAULT)),
+    (Compute(CO_DOT, DATA_AT, FAR, UNMAPPED, 4), (0, 1, FLAG_MC_FAULT)),
+    (Compute(CO_DOT, DATA_AT, UNMAPPED, FAR, 4), (0, 1, FLAG_IOMMU_FAULT)),
+    (Compute(CO_DOT, FAR, DATA_AT, DATA_AT, 0), (0, 1, FLAG_MC_FAULT)),
+    (Compute(CO_ADD, FAR, DATA_AT, DATA_AT, 0), (5, 1, FLAG_FENCE)),
+], ids=["sub-op-first", "src1-before-src2", "src1-before-src2-swapped",
+        "empty-dot-writes-a-word", "empty-add-writes-nothing"])
+def test_compute_checks_sub_op_then_src1_then_src2_then_dst(solo, instr, status):
+    _, device = solo
+    push_batch(device, [instr, Fence(5)])
+    device.step(100)
+    assert read_status(device) == status
+    assert device.cp_idle
 
 
 def test_set_reg_from_stream_reaches_scratch_only(solo):
@@ -332,7 +361,7 @@ def test_root_swap_hides_and_restores_translations():
 
 def test_stale_tlb_after_unflushed_root_change_mistranslates():
     tables = {}
-    unit = IommuUnit(tables)
+    unit = UnflushedRootIommu(tables)
     platform = make_platform()
     frame_a = platform.sysmem.alloc_frames(1, "a")[0]
     frame_b = platform.sysmem.alloc_frames(1, "b")[0]
@@ -342,7 +371,6 @@ def test_stale_tlb_after_unflushed_root_change_mistranslates():
         tables[tid] = table
     unit.set_root(1)
     assert unit.translate(0, False)[0] == frame_a
-    unit.flush_on_root_change = False  # test-only hook
     unit.set_root(2)
     assert unit.translate(0, False)[0] == frame_a  # stale entry served
     unit.tlb_flush()
@@ -1066,7 +1094,7 @@ _instr = st.one_of(
               st.integers(0, MASK32)),
     st.builds(SetReg, st.sampled_from(sorted(S_REGISTERS)),
               st.integers(0, MASK32)),
-    st.builds(Compute, st.sampled_from([CO_ADD, CO_MUL, CO_DOT]),
+    st.builds(Compute, st.integers(0, 3),  # 3 is no sub-op: a command fault
               st.integers(0, 1 << 31), st.integers(0, 1 << 31),
               st.integers(0, 1 << 31), st.integers(0, 2000)),
     st.builds(Copy, st.integers(0, 1 << 31), st.integers(0, 1 << 31),
