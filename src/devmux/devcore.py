@@ -30,9 +30,9 @@ from devmux.errors import (BusyError, DoubleInit, ExistsError, InvalError,
 from devmux.platform import RUN_TO_IDLE
 from devmux.simdev import (APERTURE_BASE, APERTURE_END, DISPLAY_MODES,
                            M_REGISTERS, PAGE_SIZE, REG_CACHE_FLUSH,
-                           REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_HEAD,
-                           REG_CP_RESET, REG_TLB_FLUSH, PageTable, SimDevice,
-                           set_translation_root)
+                           REG_CP_RESET, REG_IOMMU_ROOT, REG_MC_SEG_BASE,
+                           REG_MC_SEG_LIMIT, REG_RB_HEAD, REG_TLB_FLUSH,
+                           PageTable, SimDevice)
 
 LIB_CALLS = ("init_device_lib", "iommu_map_page", "iommu_unmap_page",
              "alloc_device_memory", "release_device_memory",
@@ -254,7 +254,7 @@ class DeviceCore:
         self.restore_count += 1
         self.device.mmio_write(REG_MC_SEG_BASE, ctx.segment_base)
         self.device.mmio_write(REG_MC_SEG_LIMIT, ctx.segment_limit)
-        set_translation_root(self.device, lib_id)
+        self.device.mmio_write(REG_IOMMU_ROOT, lib_id)
         self._flush_tlb()
         self._flush_cache()
         self.bound = lib_id

@@ -26,10 +26,10 @@ from devmux.platform import RUN_TO_IDLE
 from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_REGISTERS,
                          Buffer, PagePool, payload)
 from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, DISPLAY_MODES, PAGE_SIZE,
-                           REG_FB_BASE, REG_MC_SEG_BASE, REG_MC_SEG_LIMIT,
-                           REG_RB_TAIL, SCRATCH_REGISTERS, WORD, Compute, Copy,
-                           Nop, PageTable, SetReg, SimDevice,
-                           set_translation_root)
+                           REG_FB_BASE, REG_IOMMU_ROOT, REG_MC_SEG_BASE,
+                           REG_MC_SEG_LIMIT, REG_RB_TAIL, SCRATCH_REGISTERS,
+                           WORD, Compute, Copy, Nop, PageTable, SetReg,
+                           SimDevice)
 
 LEGACY_API = ("legacy_open", "legacy_close", "legacy_alloc", "legacy_free",
               "legacy_write", "legacy_read", "legacy_submit", "legacy_wait",
@@ -56,7 +56,7 @@ class LegacyDriver:
 
         self._table = PageTable()
         device.translation_tables[KERNEL_TABLE_ID] = self._table
-        set_translation_root(device, KERNEL_TABLE_ID)
+        device.mmio_write(REG_IOMMU_ROOT, KERNEL_TABLE_ID)
 
         vaddrs = platform.alloc_pages("legacy-kernel", pool_pages)
         frames = []

@@ -1,12 +1,13 @@
 """The per-application library driver.
 
 All resource management lives here, in the application's own trust domain:
-buffer bookkeeping, slab allocation over a pre-mapped page pool (see
-``devmux.pool``), device addresses in every command, ring space and fence
-tracking.  The trusted core is involved only through its narrow call API,
-and the hot path needs exactly one such call per frame: the ring-tail write
-that triggers execution.  Fence completion is observed by polling the status page, which
-is ordinary application memory.
+buffer bookkeeping, range allocation over a pre-mapped page pool (see
+``devmux.pool``), device addresses in every command, ring space, fence
+tracking and recovery from a device fault.  The trusted core is involved
+only through its narrow call API, and the hot path needs exactly one such
+call per frame: the ring-tail write that triggers execution.  Fence
+completion is observed by polling the status page, which is ordinary
+application memory.
 
 One simulation-plumbing note: in deterministic mode nothing advances the
 device behind the scenes, so blocking waits interleave status-page polls
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from devmux.errors import BadHandle, BatchTooBig, InvalError
+from devmux.errors import BadHandle, BatchTooBig, DeviceFault, InvalError
 from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_REGISTERS,
                          RING_WORDS, SYS, VRAM, Buffer, PagePool, payload)
 from devmux.simdev import (APERTURE_BASE, PAGE_SIZE, REG_FB_BASE, REG_RB_TAIL,
@@ -52,12 +53,18 @@ class LibraryDriver:
         self._head_words = 0
         self._pending = deque()  # (fence seq, ring tail after the batch)
         self._device_ready = False
+        self._faulted = False
 
     # -- fences ------------------------------------------------------------
 
     def fence_completed(self, seq: int) -> bool:
-        """One poll of the status page; never blocks, never crosses."""
-        completed = self.pool.poll()
+        """One poll of the status page; never blocks, never crosses.  A
+        fault it raises is remembered, and cleared at the next submit."""
+        try:
+            completed = self.pool.poll()
+        except DeviceFault:
+            self._faulted = True
+            raise
         while self._pending and self._pending[0][0] <= completed:
             self._head_words = self._pending.popleft()[1]
         return completed >= seq
@@ -67,7 +74,7 @@ class LibraryDriver:
             return
         while not self.fence_completed(seq):
             if self.platform.ledger.run(self.core.device, PUMP_CYCLES) == 0:
-                self.pool.poll()  # raises the device's fault, if it has one
+                self.fence_completed(seq)  # raises the device's fault, if any
                 raise InvalError(f"fence {seq} can never complete (device idle)")
 
     # -- submission -----------------------------------------------------------
@@ -87,6 +94,13 @@ class LibraryDriver:
         boundary crossing is the tail-register write.
         """
         self._ensure_device_ready()
+        if self._faulted:
+            # Forget the fault's flags and the batches it consumed.  Unless a
+            # revoke has reset the device since, the next fence reports it.
+            self.pool.clear_flags()
+            self._pending.clear()
+            self._head_words = self.pool.tail
+            self._faulted = False
         words = encode_batch(instrs)
         if len(words) > MAX_BATCH_WORDS:
             raise BatchTooBig(f"{len(words)} words exceed the "

@@ -4,7 +4,8 @@ A pool is a run of pinned system pages mapped at consecutive aperture
 addresses from the aperture base.  Both stacks lay it out the same way
 (pages): page 0 is the interrupt status page, pages 1-4 hold the 4096-word
 ring, page 5 is the staging page that VRAM reads and writes pass through,
-and pages 6 and up feed the slab allocator that backs GTT buffers.
+and pages 6 and up are the GTT region, which GTT buffers take from the
+first-fit allocator that every other region uses.
 
 This module holds the mechanics the two stacks share: the layout,
 page-split host I/O on the pool, fence framing and the wrapping ring
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import struct
 
-from devmux.alloc import SlabPool
+from devmux.alloc import FirstFitAllocator
 from devmux.errors import DeviceFault, InvalError, OutOfPool, OutOfRange
 from devmux.simdev import (APERTURE_BASE, FAULT_FLAGS, INSTR_WORDS, OP_FENCE,
                            PAGE_SIZE, REG_IH_PAGE_ADDR, REG_RB_BASE,
@@ -36,7 +37,8 @@ RING_WORDS = 4096
 RING_PAGES = RING_WORDS * WORD // PAGE_SIZE
 RING_OFF = PAGE_SIZE                       # pool offset of ring page 0
 STAGING_OFF = (1 + RING_PAGES) * PAGE_SIZE  # the page after the ring
-SLAB_FIRST_PAGE = 2 + RING_PAGES
+SLAB_FIRST_PAGE = 2 + RING_PAGES           # first page of the GTT region
+GTT_OFF = SLAB_FIRST_PAGE * PAGE_SIZE
 MIN_POOL_PAGES = SLAB_FIRST_PAGE + 1
 
 
@@ -84,8 +86,7 @@ class PagePool:
     def __init__(self, sysmem, frames: list, *, alloc_vram, free_vram, copy):
         self.sysmem = sysmem
         self.frames = frames
-        self._slab_base = SLAB_FIRST_PAGE * PAGE_SIZE
-        self._slab = SlabPool((len(frames) - SLAB_FIRST_PAGE) * PAGE_SIZE)
+        self._gtt = FirstFitAllocator((len(frames) - SLAB_FIRST_PAGE) * PAGE_SIZE)
         self._alloc_vram = alloc_vram
         self._free_vram = free_vram
         self._copy = copy
@@ -136,6 +137,10 @@ class PagePool:
         """(last fence seq, irq count, pending flags) from the status page."""
         return struct.unpack("<QII", self.sysmem.read(self.frames[0], 0, 16))
 
+    def clear_flags(self):
+        """Zero the pending-flags word of the status page."""
+        self.sysmem.write(self.frames[0], 12, bytes(4))  # after seq and count
+
     def poll(self) -> int:
         """The last retired fence seq; raises DeviceFault if the device
         reported a fault."""
@@ -159,10 +164,10 @@ class PagePool:
         if placement == VRAM:
             return Buffer(handle, placement, size, self._alloc_vram(size), owner=owner)
         if placement == GTT:
-            slab_off = self._slab.alloc(size)
-            if slab_off is None:
+            gtt_off = self._gtt.alloc(size)
+            if gtt_off is None:
                 raise OutOfPool(f"no pool space for {size} bytes")
-            pool_off = self._slab_base + slab_off
+            pool_off = GTT_OFF + gtt_off
             return Buffer(handle, placement, size, APERTURE_BASE + pool_off,
                           pool_off, owner=owner)
         if placement == SYS:
@@ -174,7 +179,7 @@ class PagePool:
         if buf.placement == VRAM:
             self._free_vram(buf.device_addr, buf.size)
         elif buf.placement == GTT:
-            self._slab.free(buf.pool_off - self._slab_base, buf.size)
+            self._gtt.free(buf.pool_off - GTT_OFF, buf.size)
 
     def write_buffer(self, buf: Buffer, offset: int, data: bytes):
         buf.check_range(offset, len(data))

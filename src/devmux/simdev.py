@@ -17,12 +17,12 @@ untrusted caller; S-class registers control isolation and stay privileged.
     0x010  FB_BASE       M   scanout base (device address)
     0x014  IH_PAGE_ADDR  M   interrupt status page (device address, 0=unset)
     0x018  CACHE_FLUSH   M   write: drain the write-back cache
-    0x01C  TLB_FLUSH     M   write: empty the active TLB
+    0x01C  TLB_FLUSH     M   write: empty the active unit's TLB
     0x020  SCRATCH0..7   M   eight general scratch words (0x020-0x03C)
     0x100  MC_SEG_BASE   S   segment base added to every VRAM-window access
     0x104  MC_SEG_LIMIT  S   first out-of-bounds physical VRAM address
-    0x108  IOMMU_ROOT    S   translation table id; write flushes the TLB
-    0x10C  IOMMU_ENABLE  S   0 disables aperture translation entirely
+    0x108  IOMMU_ROOT    S   active unit's table id; write flushes its TLB
+    0x10C  IOMMU_ENABLE  S   0 disables the active unit's translation
     0x120  CP_RESET      S   write: clear head/tail and in-flight state
     0x124  IRQ_ENABLE    S   gates fence interrupt delivery
     0x200  DISP_PLL      S   display clock (stand-in: refresh rate)
@@ -640,9 +640,9 @@ class SimDevice:
         elif offset == REG_CACHE_FLUSH:
             self.cache.drain()
         elif offset == REG_IOMMU_ROOT:
-            self.iommu.set_root(value)
+            self.active_iommu.set_root(value)
         elif offset == REG_IOMMU_ENABLE:
-            self.iommu.enabled = bool(value)
+            self.active_iommu.enabled = bool(value)
         elif offset == REG_IH_PAGE_ADDR:
             self._sync_status_page()  # reveal anything recorded while unset
 
@@ -951,18 +951,6 @@ class SimDevice:
 
 
 # -- bring-up ---------------------------------------------------------------
-
-def set_translation_root(device: SimDevice, root_id: int):
-    """Point translation at ``root_id``'s table.
-
-    The register write covers the built-in unit; when a platform unit is
-    active instead, its root must be swapped in the same operation so the
-    two deployments stay behaviorally identical.
-    """
-    device.mmio_write(REG_IOMMU_ROOT, root_id)
-    if device.active_iommu is not device.iommu:
-        device.active_iommu.set_root(root_id)
-
 
 def install_firmware(device: SimDevice, image=FIRMWARE_IMAGE):
     device.mmio_write(REG_FW_ADDR, 0)

@@ -2,7 +2,7 @@
 
 import random
 
-from devmux.alloc import FirstFitAllocator, SlabPool
+from devmux.alloc import FirstFitAllocator
 
 
 def test_first_fit_starts_at_zero_and_reuses_exact_holes():
@@ -61,49 +61,3 @@ def test_first_fit_matches_bitmap_oracle():
                 live[got] = (want, rounded)
         assert a.bytes_free() == size - sum(used)
 
-
-def test_slab_classes_round_up():
-    pool = SlabPool(16 * 4096)
-    offs = [pool.alloc(s) for s in (1, 32, 33, 4096)]
-    assert all(o is not None for o in offs)
-    blocks = sorted(entry[1] for entry in pool.live.values())
-    assert blocks == [32, 32, 64, 4096]
-
-
-def test_slab_live_ranges_never_overlap_and_balance_holds():
-    pool = SlabPool(32 * 4096)
-    rng = random.Random(99)
-    live = {}
-    for _ in range(3000):
-        if live and rng.random() < 0.45:
-            off = rng.choice(sorted(live))
-            assert pool.free(off, live.pop(off))
-        else:
-            size = rng.choice([16, 32, 48, 200, 1000, 4000, 5000, 12000])
-            off = pool.alloc(size)
-            if off is not None:
-                live[off] = size
-        spans = sorted((off, off + entry[1]) for off, entry in pool.live.items())
-        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-            assert e1 <= s2, "live allocations overlap"
-        assert pool.accounted_bytes() == 32 * 4096
-
-
-def test_slab_exhaustion_returns_none_and_recovers():
-    pool = SlabPool(2 * 4096)
-    offs = []
-    while True:
-        off = pool.alloc(4096)
-        if off is None:
-            break
-        offs.append(off)
-    assert len(offs) == 2
-    assert pool.free(offs[0], 4096)
-    assert pool.alloc(4096) == offs[0]
-
-
-def test_slab_page_runs_for_large_allocations():
-    pool = SlabPool(8 * 4096)
-    off = pool.alloc(3 * 4096 + 1)
-    assert off is not None and off % 4096 == 0
-    assert pool.free(off, 3 * 4096 + 1)

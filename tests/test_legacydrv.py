@@ -5,13 +5,14 @@ import struct
 import pytest
 
 from conftest import make_device, make_platform
-from devmux.errors import (BadHandle, InvalError, NotFoundError, OutOfRange,
-                           PermError)
+from devmux.errors import (BadHandle, InvalError, NotFoundError, OutOfPool,
+                           OutOfRange, PermError)
 from devmux.legacydrv import LEGACY_API, LegacyDriver
+from devmux.pool import SLAB_FIRST_PAGE
 from devmux.simdev import (CO_ADD, CO_DOT, REG_DISP_ENABLE, REG_DISP_PLL,
                            REG_DISP_TIMING_H, REG_DISP_TIMING_V, REG_FB_BASE,
-                           REG_RB_TAIL, REG_SCRATCH0, WORD, Compute, Copy,
-                           Fence, Nop, SetReg)
+                           REG_RB_TAIL, REG_SCRATCH0, PAGE_SIZE, WORD,
+                           Compute, Copy, Fence, Nop, SetReg)
 
 
 @pytest.fixture
@@ -259,6 +260,19 @@ def test_close_releases_clients_and_buffers(legacy):
     # the closed client's VRAM came back to the allocator
     whole = driver.legacy_alloc(fresh, len(device.vram), "VRAM")
     assert driver.buffers[whole].device_addr == 0
+
+
+def test_a_closed_clients_gtt_space_comes_back_whole(legacy):
+    _, _, driver, client = legacy
+    while True:
+        try:
+            driver.legacy_alloc(client, 32, "GTT")
+        except OutOfPool:
+            break
+    driver.legacy_close(client)
+    fresh = driver.legacy_open("next")
+    whole = driver.legacy_alloc(fresh, (64 - SLAB_FIRST_PAGE) * PAGE_SIZE, "GTT")
+    assert driver.buffers[whole].pool_off == SLAB_FIRST_PAGE * PAGE_SIZE
 
 
 def test_oversized_batches_are_chunked_through_the_ring(legacy):

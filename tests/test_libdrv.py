@@ -3,6 +3,7 @@
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_device, make_platform
 from devmux.devcore import DeviceCore
@@ -11,10 +12,10 @@ from devmux.errors import (BadHandle, BatchTooBig, DeviceFault, InvalError,
 from devmux.libdrv import LibraryDriver
 from devmux.pool import (GTT, MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_WORDS,
                          SLAB_FIRST_PAGE, SYS, VRAM)
-from devmux.simdev import (APERTURE_BASE, CO_ADD, FLAG_CMD_FAULT, MASK32,
-                           PAGE_SIZE, REG_FB_BASE, REG_MC_SEG_LIMIT,
-                           REG_MC_SEG_BASE, REG_RB_TAIL, WORD, Compute, Copy,
-                           Nop, SetReg, fnv1a64)
+from devmux.simdev import (APERTURE_BASE, CO_ADD, FAULT_FLAGS, FLAG_CMD_FAULT,
+                           MASK32, PAGE_SIZE, REG_FB_BASE, REG_MC_SEG_LIMIT,
+                           REG_MC_SEG_BASE, REG_RB_TAIL, REG_SCRATCH0, WORD,
+                           Compute, Copy, Nop, SetReg, fnv1a64)
 
 POOL = 16
 
@@ -69,6 +70,36 @@ def test_gtt_pool_exhaustion(bound_lib):
     _, _, _, lib = bound_lib
     with pytest.raises(OutOfPool):
         lib.create_buffer((POOL - SLAB_FIRST_PAGE) * PAGE_SIZE + 1, GTT)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 3 * PAGE_SIZE)),
+                max_size=40))
+def test_gtt_ranges_stay_disjoint_and_freed_space_comes_back_whole(ops):
+    """Each op creates a GTT buffer of n bytes, or destroys live buffer
+    n mod the live count."""
+    platform = make_platform(frames=64)
+    core = DeviceCore(platform, make_device(platform), segment_bytes=1 << 20)
+    core.device_init()
+    lib = LibraryDriver(core, "app", pool_pages=POOL)
+    live = []
+    for create, n in ops:
+        if create:
+            try:
+                live.append(lib.create_buffer(n, GTT))
+            except OutOfPool:
+                pass
+        elif live:
+            lib.destroy_buffer(live.pop(n % len(live)))
+        spans = sorted((buf.pool_off, buf.pool_off + buf.size)
+                       for buf in lib.buffers.values())
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert end <= start, "live GTT buffers overlap"
+        for start, end in spans:
+            assert SLAB_FIRST_PAGE * PAGE_SIZE <= start and end <= POOL * PAGE_SIZE
+    for handle in live:
+        lib.destroy_buffer(handle)
+    lib.create_buffer((POOL - SLAB_FIRST_PAGE) * PAGE_SIZE, GTT)
 
 
 def test_vram_segment_exhaustion_and_address_reuse(bound_lib):
@@ -246,30 +277,39 @@ def test_wait_fence_refuses_a_seq_never_queued(bound_lib):
         lib.wait_fence(99)
 
 
-def _neighbour_after(tail_write: bool):
-    """Library A, optionally setting its RB_TAIL to the ring end through
-    the core, is revoked; then library B runs one COMPUTE.  Returns A's
-    status flags and everything B can observe."""
+def _two_libraries():
+    """(device, core, library A, library B) on one fresh device."""
     platform = make_platform(frames=1024)
     device = make_device(platform, vram=4 << 20)
     core = DeviceCore(platform, device, segment_bytes=1 << 20)
     core.device_init()
-    a = LibraryDriver(core, "a", pool_pages=POOL)
-    b = LibraryDriver(core, "b", pool_pages=POOL)
-    core.bind_device_lib(a.lib_id)
-    a.wait_fence(a.submit([Nop()]))
-    if tail_write:
-        core.access_register(a.lib_id, REG_RB_TAIL, RING_WORDS * WORD, True)
-    core.revoke_device_lib(a.lib_id)  # runs the device to idle
+    return (device, core, LibraryDriver(core, "a", pool_pages=POOL),
+            LibraryDriver(core, "b", pool_pages=POOL))
+
+
+def _neighbour_turn(device, core, b):
+    """Bind library B and run one COMPUTE; returns everything B observes."""
     core.bind_device_lib(b.lib_id)
     h = b.create_buffer(64, VRAM)
     b.write_buffer(h, 0, struct.pack("<8I", *range(1, 9)))
     addr = b.buffers[h].device_addr
     b.wait_fence(b.submit([Compute(CO_ADD, addr + 32, addr, addr, 8)]))
     ctx = core.contexts[b.lib_id]
-    return (a.pool.read_status()[2], b.read_buffer(h, 0, 64),
-            b.pool.read_status(),
+    return (b.read_buffer(h, 0, 64), b.pool.read_status(),
             bytes(device.vram[ctx.segment_base:ctx.segment_limit]))
+
+
+def _neighbour_after(tail_write: bool):
+    """Library A, optionally setting its RB_TAIL to the ring end through
+    the core, is revoked; then library B runs one COMPUTE.  Returns A's
+    status flags and everything B can observe."""
+    device, core, a, b = _two_libraries()
+    core.bind_device_lib(a.lib_id)
+    a.wait_fence(a.submit([Nop()]))
+    if tail_write:
+        core.access_register(a.lib_id, REG_RB_TAIL, RING_WORDS * WORD, True)
+    core.revoke_device_lib(a.lib_id)  # runs the device to idle
+    return (a.pool.read_status()[2], *_neighbour_turn(device, core, b))
 
 
 def test_a_tail_past_the_ring_end_faults_its_library_only():
@@ -290,6 +330,58 @@ def test_privileged_setreg_faults_the_batch(bound_lib):
     assert exc.value.flags & FLAG_CMD_FAULT
     assert device.mmio_read(REG_MC_SEG_BASE) == 0
     assert device.mmio_read(REG_MC_SEG_LIMIT) == limit_before
+
+
+def test_a_faulted_library_runs_again_after_a_revoke_and_a_bind(bound_lib):
+    _, _, core, lib = bound_lib
+    with pytest.raises(DeviceFault):
+        lib.wait_fence(lib.submit([SetReg(REG_MC_SEG_BASE, 0)]))
+    core.revoke_device_lib(lib.lib_id)
+    core.bind_device_lib(lib.lib_id)
+    seq = lib.submit([Nop()])
+    lib.wait_fence(seq)
+    completed, _, flags = lib.pool.read_status()
+    assert completed == seq and not flags & FAULT_FLAGS
+
+
+def test_without_a_revoke_a_faulted_library_still_faults(bound_lib):
+    _, _, _, lib = bound_lib
+    with pytest.raises(DeviceFault):
+        lib.wait_fence(lib.submit([SetReg(REG_MC_SEG_BASE, 0)]))
+    for _ in range(2):
+        seq = lib.submit([Nop()])
+        with pytest.raises(DeviceFault) as exc:
+            lib.wait_fence(seq)
+        assert exc.value.flags & FLAG_CMD_FAULT
+        # the new fence reported it, not the flags word the last one left
+        assert lib.pool.read_status()[0] == seq
+
+
+def _neighbour_of_a_recovery(fault: bool):
+    """Library A runs a batch that faults (or a clean one) and is revoked;
+    library B runs one COMPUTE and is revoked; A is bound again and runs a
+    Nop.  Returns everything B observed, and its status page and segment
+    at the end."""
+    device, core, a, b = _two_libraries()
+    core.bind_device_lib(a.lib_id)
+    if fault:
+        with pytest.raises(DeviceFault):
+            a.wait_fence(a.submit([SetReg(REG_MC_SEG_BASE, 0)]))
+    else:
+        a.wait_fence(a.submit([SetReg(REG_SCRATCH0, 0)]))
+    core.revoke_device_lib(a.lib_id)
+    seen = _neighbour_turn(device, core, b)
+    core.revoke_device_lib(b.lib_id)
+    core.bind_device_lib(a.lib_id)
+    a.wait_fence(a.submit([Nop()]))
+    ctx = core.contexts[b.lib_id]
+    return (seen, b.pool.read(0, 16),
+            bytes(device.vram[ctx.segment_base:ctx.segment_limit]))
+
+
+def test_a_recovering_library_leaves_its_neighbour_bit_identical():
+    assert _neighbour_of_a_recovery(fault=True) == \
+        _neighbour_of_a_recovery(fault=False)
 
 
 def test_present_programs_fb_base(bound_lib):

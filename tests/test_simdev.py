@@ -19,9 +19,10 @@ from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
                            MASK32, OP_SET_REG, PAGE_SIZE, REG_CP_RESET,
                            REG_DISP_ENABLE, REG_DISP_TIMING_H,
                            REG_DISP_TIMING_V, REG_FB_BASE, REG_IH_PAGE_ADDR,
-                           REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_BASE,
-                           REG_RB_HEAD, REG_RB_SIZE, REG_RB_TAIL, REG_SCRATCH0,
-                           S_REGISTERS, SCRATCH_REGISTERS, VRAM_WINDOW_END,
+                           REG_IOMMU_ENABLE, REG_IOMMU_ROOT, REG_MC_SEG_BASE,
+                           REG_MC_SEG_LIMIT, REG_RB_BASE, REG_RB_HEAD,
+                           REG_RB_SIZE, REG_RB_TAIL, REG_SCRATCH0, S_REGISTERS,
+                           SCRATCH_REGISTERS, VRAM_WINDOW_END,
                            WORD, Compute, Copy, Fence, IommuUnit, Nop,
                            PageTable, SetReg, SimDevice, WriteBackCache,
                            fnv1a64)
@@ -306,7 +307,7 @@ def test_pte_walk_example():
     table.map(0x2000, frame, writable=True)  # L1[0] -> L2, L2[2] -> frame
     assert table.lookup(0x2000) == (frame, True)
     device.translation_tables[7] = table
-    simdev.set_translation_root(device, 7)
+    device.mmio_write(REG_IOMMU_ROOT, 7)
     push_batch(device, [Copy(DATA_AT, 0x8000_2000, 2), Fence(1)])
     device.step(100)
     assert vram_words(device, DATA_AT, 2) == [0x11112222, 0x33334444]
@@ -320,7 +321,7 @@ def test_read_one_page_past_mapping_faults_and_memory_is_intact():
     for i, frame in enumerate(frames):
         table.map(i * PAGE_SIZE, frame, writable=True)
     device.translation_tables[1] = table
-    simdev.set_translation_root(device, 1)
+    device.mmio_write(REG_IOMMU_ROOT, 1)
     before = bytes(platform.sysmem.data)
     push_batch(device, [Copy(DATA_AT, APERTURE_BASE + 2 * PAGE_SIZE, 1),
                         Fence(1)])
@@ -336,10 +337,20 @@ def test_write_through_readonly_pte_faults():
     table = PageTable()
     table.map(0, frame, writable=False)
     device.translation_tables[1] = table
-    simdev.set_translation_root(device, 1)
+    device.mmio_write(REG_IOMMU_ROOT, 1)
     push_batch(device, [Copy(APERTURE_BASE, DATA_AT, 1), Fence(1)])
     device.step(100)
     assert read_status(device)[2] & FLAG_IOMMU_FAULT
+
+
+def test_root_and_enable_writes_drive_the_active_unit():
+    platform = make_platform()
+    device = boot_solo(make_device(platform))
+    unit = device.active_iommu = IommuUnit(device.translation_tables)
+    unit.tlb[0] = (1, True)
+    device.mmio_write(REG_IOMMU_ROOT, 3)
+    device.mmio_write(REG_IOMMU_ENABLE, 0)
+    assert (unit.root, unit.tlb, unit.enabled) == (3, {}, False)
 
 
 def test_root_swap_hides_and_restores_translations():
@@ -506,7 +517,7 @@ def aliased_device(vram=2 << 20):
     table.map(0, ALIAS_FRAME + 1)
     table.map(PAGE_SIZE, ALIAS_FRAME)
     device.translation_tables[1] = table
-    simdev.set_translation_root(device, 1)
+    device.mmio_write(REG_IOMMU_ROOT, 1)
     return platform, device
 
 
