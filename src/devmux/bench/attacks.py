@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from ..devcore import DeviceCore
 from ..errors import DeviceFault, NotBoundError, PermError
 from ..libdrv import LibraryDriver
+from ..platform import RUN_TO_IDLE
 from ..pool import GTT, VRAM
 from ..simdev import (APERTURE_BASE, FLAG_CMD_FAULT, FLAG_IOMMU_FAULT,
                       FLAG_MC_FAULT, PAGE_SIZE, REG_DISP_ENABLE,
@@ -182,7 +183,7 @@ def case_ring_unmapped(arena: Arena):
     core.access_register(lib, REG_RB_SIZE, 4096, True)
     core.access_register(lib, REG_RB_BASE, NOWHERE_IADDR, True)
     core.access_register(lib, REG_RB_TAIL, 8, True)
-    arena.world.step_device(64)
+    arena.world.step_device(RUN_TO_IDLE)
     _expect(arena.device.pending_flags & FLAG_IOMMU_FAULT,
             "fetch from unmapped ring did not fault")
     _expect(arena.device.cp_idle, "device still running after ring fault")
@@ -218,8 +219,7 @@ def case_status_page_unmapped(arena: Arena):
     arena.core.access_register(attacker.lib_id, REG_IH_PAGE_ADDR,
                                NOWHERE_IADDR, True)
     attacker.submit([])
-    while not arena.device.cp_idle:
-        arena.world.step_device(256)
+    arena.world.step_device(RUN_TO_IDLE)
     _expect(arena.device.pending_flags & FLAG_IOMMU_FAULT,
             "fence to unmapped status page did not fault")
     completed, _, _ = attacker.pool.read_status()

@@ -7,13 +7,10 @@ tracking and recovery from a device fault.  The trusted core is involved
 only through its narrow call API, and the hot path needs exactly one such
 call per frame: the ring-tail write that triggers execution.  Fence
 completion is observed by polling the status page, which is ordinary
-application memory.
-
-One simulation-plumbing note: in deterministic mode nothing advances the
-device behind the scenes, so blocking waits interleave status-page polls
-with explicit device stepping (the pump), billed through
-``CostLedger.run``; schedulers that want to own all stepping drive the
-non-blocking ``fence_completed`` instead.
+application memory.  Nothing advances the device behind the scenes, so a
+blocking wait that finds its fence pending runs the device until it is
+idle, billed through ``CostLedger.run``, and polls once more; schedulers
+that own all stepping drive the non-blocking ``fence_completed`` instead.
 """
 
 from __future__ import annotations
@@ -21,13 +18,13 @@ from __future__ import annotations
 from collections import deque
 
 from devmux.errors import BadHandle, BatchTooBig, DeviceFault, InvalError
+from devmux.platform import RUN_TO_IDLE
 from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_REGISTERS,
                          RING_WORDS, SYS, VRAM, Buffer, PagePool, payload)
 from devmux.simdev import (APERTURE_BASE, PAGE_SIZE, REG_FB_BASE, REG_RB_TAIL,
                            WORD, Copy, encode_batch)
 
 POOL_PAGES_DEFAULT = 256
-PUMP_CYCLES = 4096
 
 
 class LibraryDriver:
@@ -70,12 +67,13 @@ class LibraryDriver:
         return completed >= seq
 
     def wait_fence(self, seq: int):
-        if seq == 0:
+        """Block until fence ``seq`` retires: poll, and if it is pending,
+        run the device to idle and poll again."""
+        if seq == 0 or self.fence_completed(seq):
             return
-        while not self.fence_completed(seq):
-            if self.platform.ledger.run(self.core.device, PUMP_CYCLES) == 0:
-                self.fence_completed(seq)  # raises the device's fault, if any
-                raise InvalError(f"fence {seq} can never complete (device idle)")
+        self.platform.ledger.run(self.core.device, RUN_TO_IDLE)
+        if not self.fence_completed(seq):  # raises the device's fault, if any
+            raise InvalError(f"fence {seq} can never complete (device idle)")
 
     # -- submission -----------------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Host-side substrate: system memory, address spaces, and the cost model.
 
 Nothing here is device-specific.  System memory is a flat array of 4 KiB
-frames with per-frame ownership and pin counts; an AddressSpace hands out
-process-virtual page addresses (the numbers a user library sees before any
-device translation); the CostLedger accumulates the abstract costs every
-higher layer reports.
+frames with per-frame ownership and pin counts; each owner's process-virtual
+page addresses (the numbers a user library sees before any device
+translation) are handed out bump-style from ``VADDR_BASE`` and never reused;
+the CostLedger accumulates the abstract costs every higher layer reports.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ COST_PER_CYCLE = 1.0
 COST_PER_CORE_CALL = 10.0
 
 SYSMEM_FRAMES_DEFAULT = 4096
+VADDR_BASE = 0x1000_0000  # every owner's first page address
 # a step budget far above any batch's cost: the device runs until idle
 RUN_TO_IDLE = 1 << 62
 
@@ -121,20 +122,6 @@ class SystemMemory:
         self.data[base:base + len(payload)] = payload
 
 
-class AddressSpace:
-    """Process-virtual page address allocator (bump, never reused)."""
-
-    BASE = 0x1000_0000
-
-    def __init__(self):
-        self._next = self.BASE
-
-    def reserve(self, n_pages: int) -> int:
-        va = self._next
-        self._next += n_pages * PAGE_SIZE
-        return va
-
-
 class Platform:
     """One simulated host: memory, per-process address spaces, one ledger.
 
@@ -146,13 +133,8 @@ class Platform:
                  ledger: CostLedger | None = None):
         self.sysmem = SystemMemory(sysmem_frames)
         self.ledger = ledger if ledger is not None else CostLedger()
-        self._spaces = {}
+        self._next_vaddr = {}  # owner -> its next page address
         self.page_map = {}  # (owner, vaddr) -> frame
-
-    def space(self, owner) -> AddressSpace:
-        if owner not in self._spaces:
-            self._spaces[owner] = AddressSpace()
-        return self._spaces[owner]
 
     def alloc_pages(self, owner, n_pages: int) -> list:
         """Map ``n_pages`` fresh zeroed pages; returns their vaddrs.
@@ -162,7 +144,8 @@ class Platform:
         """
         self.ledger.crossings += 1
         frames = self.sysmem.alloc_frames(n_pages, owner)
-        va = self.space(owner).reserve(n_pages)
+        va = self._next_vaddr.get(owner, VADDR_BASE)
+        self._next_vaddr[owner] = va + n_pages * PAGE_SIZE
         out = []
         for i, frame in enumerate(frames):
             vaddr = va + i * PAGE_SIZE

@@ -133,11 +133,12 @@ S_REGISTERS = (REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_IOMMU_ROOT,
 
 ALL_REGISTERS = M_REGISTERS + S_REGISTERS
 
-# interrupt status flags (pending_flags bits on the status page)
+# interrupt status flags (pending_flags bits on the status page); a fault's
+# bit is its class's own
 FLAG_FENCE = 0x1
-FLAG_CMD_FAULT = 0x2
-FLAG_IOMMU_FAULT = 0x4
-FLAG_MC_FAULT = 0x8
+FLAG_CMD_FAULT = CmdFault.flag
+FLAG_IOMMU_FAULT = IommuFault.flag
+FLAG_MC_FAULT = McFault.flag
 FAULT_FLAGS = FLAG_CMD_FAULT | FLAG_IOMMU_FAULT | FLAG_MC_FAULT
 
 # opcodes
@@ -397,7 +398,7 @@ class WriteBackCache:
 
     def __init__(self, capacity: int, backings):
         self.capacity = capacity
-        self.backings = backings  # one bytearray per space, or None
+        self.backings = backings  # one bytearray per space
         self._runs = deque()  # [space, byte addr, words], oldest first
         self.size = 0  # pending words
         self.lo = [_NO_ADDR] * _SPACES
@@ -562,9 +563,6 @@ class ExecReport:
     def __init__(self, cycles_used: int = 0):
         self.cycles_used = cycles_used
 
-    def __repr__(self):
-        return f"ExecReport(cycles_used={self.cycles_used})"
-
 
 class ScanoutResult:
     __slots__ = ("digest", "faulted")
@@ -578,27 +576,24 @@ class ScanoutResult:
 
 class SimDevice:
     """The accelerator.  ``sysmem`` is anything with a ``data`` bytearray
-    covering frame*4096+offset addressing (DMA target), read once here; it
-    may be None for device-memory-only use."""
+    covering frame*4096+offset addressing (the DMA target), read once here.
+    The command processor runs only while FW_CTRL reads READY."""
 
-    def __init__(self, sysmem=None, *, vram_size: int = VRAM_SIZE_DEFAULT):
+    def __init__(self, sysmem, *, vram_size: int = VRAM_SIZE_DEFAULT):
         self.regs = {off: 0 for off in ALL_REGISTERS}
         self.vram = bytearray(vram_size)
-        self.sysmem = sysmem
         self.translation_tables = {}
         self.iommu = IommuUnit(self.translation_tables)
         self.active_iommu = self.iommu
         # the bytes behind each physical space, indexed by _SPACE_*
-        self._backings = (self.vram, None if sysmem is None else sysmem.data)
+        self._backings = (self.vram, sysmem.data)
         self.cache = WriteBackCache(CACHE_WORDS, self._backings)
         self.firmware = [0] * FW_SIZE
-        self._fw_ready = False
         self._inflight = None  # [opcode, words, cycles_left]
         # (ring lo, ring hi, words, space, phys lo, phys hi); byte offsets
         self._window = None
-        self._irq_seq = 0
-        self._irq_count = 0
-        self._irq_flags = 0
+        # the status page: fence seq (low, high word), event count, flags
+        self._status = [0, 0, 0, 0]
 
     # -- MMIO ---------------------------------------------------------
 
@@ -615,7 +610,8 @@ class SimDevice:
             if value < 16 or value & (value - 1):
                 raise RegFault(f"RB_SIZE must be a power of two >= 16 words, got {value}")
         elif offset == REG_RB_TAIL:
-            if not self._fw_ready or self.regs[REG_RB_SIZE] < 16:
+            if (self.regs[REG_FW_CTRL] != FW_CTRL_READY
+                    or self.regs[REG_RB_SIZE] < 16):
                 self._record_event(FLAG_CMD_FAULT)
                 return
         elif offset == REG_FW_DATA:
@@ -624,13 +620,12 @@ class SimDevice:
                 raise RegFault(f"firmware index {index} out of range")
             self.firmware[index] = value
             self.regs[REG_FW_ADDR] = index + 1
-            self._fw_ready = False
             self.regs[REG_FW_CTRL] = 0
             return
         elif offset == REG_FW_CTRL:
-            self._fw_ready = (value == FW_CTRL_VERIFY
-                              and sum(self.firmware) & MASK32 == FW_CHECKSUM)
-            self.regs[offset] = FW_CTRL_READY if self._fw_ready else 0
+            ready = (value == FW_CTRL_VERIFY
+                     and sum(self.firmware) & MASK32 == FW_CHECKSUM)
+            self.regs[offset] = FW_CTRL_READY if ready else 0
             return
         self.regs[offset] = value
         if offset == REG_CP_RESET:
@@ -682,8 +677,6 @@ class SimDevice:
                 in_page = PAGE_SIZE - (off & (PAGE_SIZE - 1))
                 take = min(remaining, in_page // WORD)
                 frame, page_off = self.active_iommu.translate(off, is_write)
-                if self.sysmem is None:
-                    raise IommuFault("no system memory attached")
                 spans.append((_SPACE_SYS, frame * PAGE_SIZE + page_off, take))
             else:  # outside both windows, or a device-local run past its end
                 raise McFault(f"run at 0x{cur:x} does not fit a window")
@@ -732,23 +725,20 @@ class SimDevice:
 
     # -- interrupt status -------------------------------------------------
 
-    def _status_words(self):
-        return [self._irq_seq & MASK32, (self._irq_seq >> 32) & MASK32,
-                self._irq_count & MASK32, self._irq_flags & MASK32]
-
     def _sync_status_page(self):
         # best effort: a page that is unset or faults is written when next set
         ih = self.regs[REG_IH_PAGE_ADDR]
         if ih == 0:
             return
         try:
-            self._write_run_direct(ih, self._status_words())
+            self._write_run_direct(ih, self._status)
         except HardwareFault:
             pass
 
     def _record_event(self, flag: int):
-        self._irq_flags |= flag
-        self._irq_count += 1
+        status = self._status
+        status[2] = (status[2] + 1) & MASK32
+        status[3] |= flag
         self._sync_status_page()
 
     # -- command processor -------------------------------------------------
@@ -757,9 +747,7 @@ class SimDevice:
         self.regs[REG_RB_HEAD] = 0
         self.regs[REG_RB_TAIL] = 0
         self._inflight = None
-        self._irq_seq = 0
-        self._irq_count = 0
-        self._irq_flags = 0
+        self._status = [0, 0, 0, 0]
 
     @property
     def cp_idle(self) -> bool:
@@ -769,7 +757,7 @@ class SimDevice:
     @property
     def pending_flags(self) -> int:
         """Accumulated event flags since the last CP reset."""
-        return self._irq_flags
+        return self._status[3]
 
     def _drop_window_over(self, space: int, first: int, last: int):
         """Drop the fetch window if bytes ``first..last`` of ``space``
@@ -854,7 +842,8 @@ class SimDevice:
         while used < budget:
             if self._inflight is not None:
                 opcode, words, cost = self._inflight
-            elif regs[REG_RB_HEAD] == regs[REG_RB_TAIL] or not self._fw_ready:
+            elif (regs[REG_RB_HEAD] == regs[REG_RB_TAIL]
+                  or regs[REG_FW_CTRL] != FW_CTRL_READY):
                 break
             else:
                 try:
@@ -896,8 +885,8 @@ class SimDevice:
                         raise CmdFault("FENCE with no status page configured")
                     self._decode_run(ih, 4, True)
                     self.cache.drain()
-                    self._irq_seq = words[1] | (words[2] << 32)
-                    self._write_run_direct(ih, self._status_words())
+                    self._status[:2] = words[1:3]
+                    self._write_run_direct(ih, self._status)
                     if words[3] & FENCE_IRQ and regs[REG_IRQ_ENABLE]:
                         self._record_event(FLAG_FENCE)
                 elif opcode == OP_SET_REG:
@@ -945,7 +934,7 @@ class SimDevice:
         else:
             cp = [1, self._inflight[0], self._inflight[2] & MASK32] + [
                 w & MASK32 for w in self._inflight[1]]
-        cp += self._status_words()
+        cp += self._status
         h.update(b"".join(w.to_bytes(4, "little") for w in cp))
         return int.from_bytes(h.digest(), "little")
 

@@ -15,7 +15,7 @@ from devmux.pool import (GTT, MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_WORDS,
 from devmux.simdev import (APERTURE_BASE, CO_ADD, FAULT_FLAGS, FLAG_CMD_FAULT,
                            MASK32, PAGE_SIZE, REG_FB_BASE, REG_MC_SEG_LIMIT,
                            REG_MC_SEG_BASE, REG_RB_TAIL, REG_SCRATCH0, WORD,
-                           Compute, Copy, Nop, SetReg, fnv1a64)
+                           Compute, Copy, Nop, SetReg, SimDevice, fnv1a64)
 
 POOL = 16
 
@@ -275,6 +275,27 @@ def test_wait_fence_refuses_a_seq_never_queued(bound_lib):
     lib.wait_fence(lib.submit([Nop()]))
     with pytest.raises(InvalError):
         lib.wait_fence(99)
+
+
+def test_a_blocking_wait_runs_the_device_to_idle_in_one_step(bound_lib,
+                                                             monkeypatch):
+    platform, _, _, lib = bound_lib
+    lib.wait_fence(lib.submit([Nop()]))
+    n = 5000  # the COPY and its fence cost 1 + n + 4 cycles
+    addr = lib.buffers[lib.create_buffer(2 * n * WORD, GTT)].device_addr
+    seq = lib.submit([Copy(addr + n * WORD, addr, n)])
+    steps, step = [], SimDevice.step
+
+    def counted_step(device, budget):
+        report = step(device, budget)
+        steps.append(report.cycles_used)
+        return report
+
+    monkeypatch.setattr(SimDevice, "step", counted_step)
+    cycles = platform.ledger.device_cycles
+    lib.wait_fence(seq)
+    assert steps == [1 + n + 4]
+    assert platform.ledger.device_cycles - cycles == 1 + n + 4
 
 
 def _two_libraries():
