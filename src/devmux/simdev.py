@@ -836,14 +836,14 @@ class SimDevice:
         """
         self._window = None
         regs = self.regs
+        ready = regs[REG_FW_CTRL] == FW_CTRL_READY  # no instruction changes it
         read_run = self._read_run
         write_run = self._write_run
         used = 0
         while used < budget:
             if self._inflight is not None:
                 opcode, words, cost = self._inflight
-            elif (regs[REG_RB_HEAD] == regs[REG_RB_TAIL]
-                  or regs[REG_FW_CTRL] != FW_CTRL_READY):
+            elif regs[REG_RB_HEAD] == regs[REG_RB_TAIL] or not ready:
                 break
             else:
                 try:
