@@ -14,7 +14,8 @@ Client-visible entry points (the whole attack surface):
     scheduler   bind_device_lib, revoke_device_lib
 
 Builds for devices without dedicated memory drop the two device-memory
-calls, leaving seven entry points.
+calls, leaving seven entry points, and give every client an empty segment,
+so any device-local access is a memory-controller fault.
 """
 
 from __future__ import annotations
@@ -150,13 +151,16 @@ class DeviceCore:
             raise InvalError(f"owner {app!r} cannot be hashed") from None
         if not self._initialized:
             raise NotInitialized("device_init has not run")
-        if not self._free_segments:
+        if not self.device_memory:
+            base = limit = 0  # an empty segment: device-local access faults
+        elif self._free_segments:
+            base = self._free_segments.pop(0) * self.segment_bytes
+            limit = base + self.segment_bytes
+        else:
             raise OutOfVram("no device-memory segment free")
-        seg = self._free_segments.pop(0)
-        base = seg * self.segment_bytes
         lib_id = self._next_id
         self._next_id += 1
-        ctx = LibContext(app, base, base + self.segment_bytes)
+        ctx = LibContext(app, base, limit)
         self.contexts[lib_id] = ctx
         self.device.translation_tables[lib_id] = ctx.table
         return lib_id, self.info

@@ -26,10 +26,10 @@ from devmux.platform import RUN_TO_IDLE
 from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_REGISTERS,
                          Buffer, PagePool, payload)
 from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, DISPLAY_MODES, PAGE_SIZE,
-                           REG_FB_BASE, REG_IOMMU_ROOT, REG_MC_SEG_BASE,
-                           REG_MC_SEG_LIMIT, REG_RB_TAIL, SCRATCH_REGISTERS,
-                           WORD, Compute, Copy, Nop, PageTable, SetReg,
-                           SimDevice)
+                           REG_DISP_ENABLE, REG_FB_BASE, REG_IOMMU_ROOT,
+                           REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_TAIL,
+                           SCRATCH_REGISTERS, WORD, Compute, Copy, Nop,
+                           PageTable, SetReg, SimDevice)
 
 LEGACY_API = ("legacy_open", "legacy_close", "legacy_alloc", "legacy_free",
               "legacy_write", "legacy_read", "legacy_submit", "legacy_wait",
@@ -77,6 +77,7 @@ class LegacyDriver:
         self.buffers = self.pool.buffers
         self.clients = {}
         self._next_client = 1
+        self._scanout = None  # the buffer the display reads, if any
 
     # -- kernel-side plumbing (no boundary crossings in here) ---------------
 
@@ -112,6 +113,12 @@ class LegacyDriver:
             raise BadHandle(f"no client {client}")
         return client
 
+    def _release(self, buf: Buffer):
+        if buf is self._scanout:  # never show the space's next owner
+            self.device.mmio_write(REG_DISP_ENABLE, 0)
+            self._scanout = None
+        self.pool.release(buf)
+
     def _buffer(self, client: int, buffer_id: int) -> Buffer:
         buf = self.buffers.get(_word(buffer_id, "buffer id"))
         if buf is None:
@@ -133,7 +140,7 @@ class LegacyDriver:
         self._charge()
         self._client(client)
         for buffer_id in [b.handle for b in self.buffers.values() if b.owner == client]:
-            self.pool.release(self.buffers.pop(buffer_id))
+            self._release(self.buffers.pop(buffer_id))
         del self.clients[client]
 
     def legacy_alloc(self, client: int, size: int, placement: str) -> int:
@@ -144,7 +151,7 @@ class LegacyDriver:
     def legacy_free(self, client: int, buffer_id: int):
         self._charge()
         self._client(client)
-        self.pool.release(self._buffer(client, buffer_id))
+        self._release(self._buffer(client, buffer_id))
         del self.buffers[buffer_id]
 
     def legacy_write(self, client: int, buffer_id: int, offset: int, data: bytes):
@@ -236,16 +243,19 @@ class LegacyDriver:
         self._client(client)
         return self.pool.poll() >= _word(seq, "fence seq")
 
-    def legacy_set_mode(self, client: int, display: int, mode, fb: int | None = None):
+    def legacy_set_mode(self, client: int, display: int, mode, fb=None):
+        """Scan out ``fb`` in ``mode``.  ``fb`` is required: before any
+        display register is written, it must be the caller's own,
+        device-visible, and a whole frame long."""
         self._charge()
         self._client(client)
-        if fb is not None:
-            buf = self._buffer(client, fb)
-            if buf.device_addr is None:
-                raise InvalError(f"buffer {fb} cannot be scanned out")
+        width, height, _ = simdev.check_mode(display, mode)
+        buf = self._buffer(client, fb)
+        if buf.device_addr is None or buf.size < width * height * WORD:
+            raise InvalError(f"buffer {fb} cannot hold a scanned-out frame")
         simdev.program_display(self.device, display, mode)
-        if fb is not None:
-            self.device.mmio_write(REG_FB_BASE, buf.device_addr)
+        self.device.mmio_write(REG_FB_BASE, buf.device_addr)
+        self._scanout = buf
 
     def legacy_info(self, client: int) -> dict:
         self._charge()

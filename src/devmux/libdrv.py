@@ -36,8 +36,13 @@ class LibraryDriver:
         self.core = core
         self.platform = core.platform
 
-        self.lib_id, self.info = core.init_device_lib(app)
+        # pages first: a refused library gives them back and keeps nothing
         vaddrs = self.platform.alloc_pages(app, pool_pages)
+        try:
+            self.lib_id, self.info = core.init_device_lib(app)
+        except Exception:
+            self.platform.free_pages(app, vaddrs)
+            raise
         for i, vaddr in enumerate(vaddrs):
             core.iommu_map_page(self.lib_id, vaddr, APERTURE_BASE + i * PAGE_SIZE)
         self.pool = PagePool(

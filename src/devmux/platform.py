@@ -143,8 +143,11 @@ class Platform:
         kernel happens whether or not memory is available.
         """
         self.ledger.crossings += 1
+        try:
+            va = self._next_vaddr.get(owner, VADDR_BASE)
+        except TypeError:  # before any frame is taken
+            raise InvalError(f"owner {owner!r} cannot be hashed") from None
         frames = self.sysmem.alloc_frames(n_pages, owner)
-        va = self._next_vaddr.get(owner, VADDR_BASE)
         self._next_vaddr[owner] = va + n_pages * PAGE_SIZE
         out = []
         for i, frame in enumerate(frames):

@@ -960,8 +960,9 @@ def bring_up(device: SimDevice):
         device.mmio_write(off, 0)
 
 
-def program_display(device: SimDevice, display: int, mode):
-    """Check ``mode`` against DISPLAY_MODES, then program and enable it."""
+def check_mode(display: int, mode) -> tuple:
+    """``mode`` as a (width, height, refresh) tuple, or InvalError unless
+    ``display`` offers it in DISPLAY_MODES."""
     if type(display) is not int or not 0 <= display < len(DISPLAY_MODES):
         raise InvalError(f"no display {display!r}")
     if not (isinstance(mode, (tuple, list)) and len(mode) == 3
@@ -970,7 +971,12 @@ def program_display(device: SimDevice, display: int, mode):
     mode = tuple(mode)
     if mode not in DISPLAY_MODES[display]:
         raise InvalError(f"mode {mode} not offered")
-    width, height, refresh = mode
+    return mode
+
+
+def program_display(device: SimDevice, display: int, mode):
+    """Check ``mode`` with ``check_mode``, then program and enable it."""
+    width, height, refresh = check_mode(display, mode)
     device.mmio_write(REG_DISP_PLL, refresh)
     device.mmio_write(REG_DISP_TIMING_H, width)
     device.mmio_write(REG_DISP_TIMING_V, height)

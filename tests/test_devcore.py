@@ -6,16 +6,18 @@ import pytest
 
 from conftest import make_device, make_platform
 from devmux.devcore import ACL_WRITE, LIB_CALLS, SCHEDULER_CALLS, DeviceCore
-from devmux.errors import (BusyError, DoubleInit, ExistsError, InvalError,
-                           IommuFault, NotBoundError, NotFoundError,
-                           NotInitialized, NotSupportedError, OutOfSegment,
-                           OutOfVram, PermError)
+from devmux.errors import (BusyError, DeviceFault, DoubleInit, ExistsError,
+                           InvalError, IommuFault, NotBoundError,
+                           NotFoundError, NotInitialized, NotSupportedError,
+                           OutOfSegment, OutOfVram, PermError)
 from devmux.libdrv import LibraryDriver
-from devmux.simdev import (APERTURE_BASE, CO_ADD, DISPLAY_MODES, PAGE_SIZE,
-                           REG_DISP_ENABLE, REG_DISP_PLL, REG_DISP_TIMING_H,
-                           REG_DISP_TIMING_V, REG_MC_SEG_BASE, REG_RB_BASE,
-                           REG_RB_HEAD, REG_RB_SIZE, REG_RB_TAIL,
-                           REG_SCRATCH0, M_REGISTERS, Compute, Nop)
+from devmux.pool import GTT, VRAM
+from devmux.simdev import (APERTURE_BASE, CO_ADD, DISPLAY_MODES, FLAG_MC_FAULT,
+                           PAGE_SIZE, REG_DISP_ENABLE, REG_DISP_PLL,
+                           REG_DISP_TIMING_H, REG_DISP_TIMING_V,
+                           REG_MC_SEG_BASE, REG_RB_BASE, REG_RB_HEAD,
+                           REG_RB_SIZE, REG_RB_TAIL, REG_SCRATCH0, M_REGISTERS,
+                           Compute, Copy, Nop)
 
 
 def test_api_surface_lists_nine_calls(lib_world):
@@ -39,6 +41,27 @@ def test_no_device_memory_build_exports_seven():
         core.alloc_device_memory(lib_id, 4096)
     with pytest.raises(NotSupportedError):
         core.release_device_memory(lib_id, 0, 4096)
+
+
+def test_no_device_memory_build_hosts_libraries_with_an_empty_segment():
+    platform = make_platform(frames=512)
+    device = make_device(platform, vram=0)
+    core = DeviceCore(platform, device, device_memory=False)
+    core.device_init()
+    libs = [LibraryDriver(core, f"app{i}", pool_pages=16) for i in range(6)]
+    assert len(core.api_surface()) == 7
+    lib = libs[0]
+    core.bind_device_lib(lib.lib_id)
+    src, dst = lib.create_buffer(64, GTT), lib.create_buffer(64, GTT)
+    lib.write_buffer(src, 0, bytes(range(64)))
+    s, d = (lib.buffers[h].device_addr for h in (src, dst))
+    lib.wait_fence(lib.submit([Copy(d, s, 16)]))
+    assert lib.read_buffer(dst, 0, 64) == bytes(range(64))
+    with pytest.raises(DeviceFault) as exc:
+        lib.wait_fence(lib.submit([Copy(0, s, 16)]))  # device-local window
+    assert exc.value.flags & FLAG_MC_FAULT
+    with pytest.raises(NotSupportedError):
+        lib.create_buffer(64, VRAM)
 
 
 def test_device_init_loads_firmware_once(lib_world):

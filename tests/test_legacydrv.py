@@ -201,6 +201,8 @@ def test_refused_framebuffer_leaves_the_display_untouched(legacy):
     other = driver.legacy_open("other")
     foreign = driver.legacy_alloc(other, 64 * 48 * WORD, "VRAM")
     sysbuf = driver.legacy_alloc(client, 64, "SYS")
+    # one word short of a frame: scanout would read past it
+    small = driver.legacy_alloc(client, 64 * 48 * WORD - WORD, "VRAM")
     display_regs = (REG_DISP_PLL, REG_DISP_TIMING_H, REG_DISP_TIMING_V,
                     REG_DISP_ENABLE, REG_FB_BASE)
     before = [device.mmio_read(reg) for reg in display_regs]
@@ -208,7 +210,32 @@ def test_refused_framebuffer_leaves_the_display_untouched(legacy):
         driver.legacy_set_mode(client, 0, (64, 48, 60), fb=foreign)
     with pytest.raises(InvalError):
         driver.legacy_set_mode(client, 0, (64, 48, 60), fb=sysbuf)
+    with pytest.raises(InvalError):
+        driver.legacy_set_mode(client, 0, (64, 48, 60), fb=small)
+    with pytest.raises(InvalError):
+        driver.legacy_set_mode(client, 0, (64, 48, 60))  # no fb at all
     assert [device.mmio_read(reg) for reg in display_regs] == before
+
+
+@pytest.mark.parametrize("release", ["free", "close"])
+def test_releasing_the_scanned_out_buffer_turns_the_display_off(legacy, release):
+    _, device, driver, client = legacy
+    frame = 64 * 48 * WORD
+    fb = driver.legacy_alloc(client, frame, "VRAM")
+    driver.legacy_set_mode(client, 0, (64, 48, 60), fb=fb)
+    addr = driver.buffers[fb].device_addr
+    assert not device.scanout().faulted
+    if release == "free":
+        driver.legacy_free(client, fb)
+    else:
+        driver.legacy_close(client)
+    other = driver.legacy_open("other")
+    secret = driver.legacy_alloc(other, frame, "VRAM")
+    assert driver.buffers[secret].device_addr == addr  # the space came back
+    driver.legacy_write(other, secret, 0, b"\x5A" * frame)
+    assert device.mmio_read(REG_DISP_ENABLE) == 0
+    with pytest.raises(InvalError):
+        device.scanout()
 
 
 @pytest.mark.parametrize("call, error, crossings", [

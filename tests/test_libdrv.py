@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_device, make_platform
 from devmux.devcore import DeviceCore
 from devmux.errors import (BadHandle, BatchTooBig, DeviceFault, InvalError,
-                           OutOfPool, OutOfRange, OutOfSegment)
+                           OutOfMemory, OutOfPool, OutOfRange, OutOfSegment,
+                           OutOfVram)
 from devmux.libdrv import LibraryDriver
 from devmux.pool import (GTT, MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_WORDS,
                          SLAB_FIRST_PAGE, SYS, VRAM)
@@ -44,6 +45,38 @@ def test_pool_below_reserved_pages_is_rejected(lib_world):
     _, _, core = lib_world
     with pytest.raises(InvalError):
         LibraryDriver(core, "app", pool_pages=MIN_POOL_PAGES - 1)
+
+
+def _four_segment_core(frames):
+    platform = make_platform(frames=frames)
+    core = DeviceCore(platform, make_device(platform, vram=4 << 20),
+                      segment_bytes=1 << 20)
+    core.device_init()
+    return platform, core
+
+
+def test_a_library_refused_for_memory_keeps_no_segment_and_no_context():
+    platform, core = _four_segment_core(frames=64)
+    segments, tables = list(core._free_segments), dict(core.device.translation_tables)
+    for i in range(4):
+        with pytest.raises(OutOfMemory):
+            LibraryDriver(core, f"big{i}", pool_pages=128)
+    assert core._free_segments == segments and core.contexts == {}
+    assert core.device.translation_tables == tables
+    lib = LibraryDriver(core, "fits", pool_pages=8)
+    core.bind_device_lib(lib.lib_id)
+    lib.wait_fence(lib.submit([Nop()]))
+
+
+def test_a_library_refused_for_vram_returns_its_frames():
+    platform, core = _four_segment_core(frames=64)
+    for i in range(4):
+        LibraryDriver(core, f"app{i}", pool_pages=8)
+    owners = list(platform.sysmem.owner)
+    with pytest.raises(OutOfVram):
+        LibraryDriver(core, "fifth", pool_pages=8)
+    assert platform.sysmem.owner == owners
+    assert len(core.contexts) == 4
 
 
 def test_two_libraries_keep_private_apertures(lib_world):

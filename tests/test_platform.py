@@ -99,3 +99,11 @@ def test_free_pages_releases_frames():
         platform.alloc_pages("a", 1)
     platform.free_pages("a", vaddrs)
     assert len(platform.alloc_pages("a", 8)) == 8
+
+
+def test_an_owner_that_cannot_be_hashed_is_refused_before_any_frame_is_taken():
+    platform = Platform(8, CostLedger())
+    with pytest.raises(InvalError):
+        platform.alloc_pages(["a"], 2)
+    assert platform.sysmem.owner == [None] * 8
+    assert len(platform.alloc_pages("a", 8)) == 8
