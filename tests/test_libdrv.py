@@ -56,7 +56,7 @@ def _four_segment_core(frames):
 
 
 def test_a_library_refused_for_memory_keeps_no_segment_and_no_context():
-    platform, core = _four_segment_core(frames=64)
+    _, core = _four_segment_core(frames=64)
     segments, tables = list(core._free_segments), dict(core.device.translation_tables)
     for i in range(4):
         with pytest.raises(OutOfMemory):
