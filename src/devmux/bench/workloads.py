@@ -15,8 +15,9 @@ talk to the driver only through a small per-stack adapter: open, alloc,
 write, read, compute (operands as (buffer, byte offset) pairs), show,
 split, submit and wait.  Both build ``simdev.Compute`` instructions:
 ``_Library`` resolves operands to device addresses itself and cuts the
-stream into ring-sized batches; ``_Legacy`` leaves the (buffer id, byte
-offset) pairs in place for the kernel, which validates and patches them.
+stream into ring-sized batches, which it records once at ``prepare``;
+``_Legacy`` leaves the (buffer id, byte offset) pairs in place for the
+kernel, which validates and patches them on every submit.
 Only the library stack can be scheduled, so only its adapter offers the
 non-blocking ``completed`` poll.  The instruction streams are the same on
 both stacks, so results (and their digests) must match bit for bit.
@@ -76,8 +77,14 @@ def matmul_oracle(n: int, a: list, b: list) -> list:
     return out
 
 
+VERTEX_STRIDE = 2654435761
+
+
 def vertex_fill(n_words: int, salt: int) -> list:
-    return [(j * 2654435761 + salt * 97) & MASK32 for j in range(n_words)]
+    """Word j is ``(j * VERTEX_STRIDE + salt * 97) & MASK32``."""
+    start = salt * 97
+    return [x & MASK32 for x in range(start, start + n_words * VERTEX_STRIDE,
+                                      VERTEX_STRIDE)]
 
 
 def framebuffer_oracle(vertex_words: list) -> list:
@@ -130,7 +137,8 @@ class _Library:
         self.lib.present(fb)
 
     def split(self, instrs: list) -> list:
-        return _chunked(instrs, MAX_COMPUTES_PER_SUBMIT)
+        return [self.lib.record(chunk)
+                for chunk in _chunked(instrs, MAX_COMPUTES_PER_SUBMIT)]
 
     def submit(self, batch) -> int:
         return self.lib.submit(batch)

@@ -56,7 +56,7 @@ class InfoPage:
 
     version: int
     vram_total: int
-    segment_size: int
+    segment_size: int  # bytes in each client's segment; 0 without device memory
     displays: tuple
 
 
@@ -92,7 +92,7 @@ class DeviceCore:
         self._next_id = 1
         self._free_segments = []
         self.info = InfoPage(version=1, vram_total=len(device.vram),
-                             segment_size=segment_bytes,
+                             segment_size=segment_bytes if device_memory else 0,
                              displays=DISPLAY_MODES)
         # audit counters; the flush ones exist to prove revocation hygiene
         self.tlb_flush_count = 0

@@ -11,6 +11,13 @@ application memory.  Nothing advances the device behind the scenes, so a
 blocking wait that finds its fence pending runs the device until it is
 idle, billed through ``CostLedger.run``, and polls once more; schedulers
 that own all stepping drive the non-blocking ``fence_completed`` instead.
+
+Because the ring is the library's own memory, a batch it submits again and
+again is encoded once: ``record`` turns instructions into an immutable
+``RecordedBatch`` of words, and ``submit`` copies those words into the
+ring.  The legacy kernel cannot do the same: the application can change a
+batch between submits, so the kernel copies, validates and patches every
+one.
 """
 
 from __future__ import annotations
@@ -25,6 +32,12 @@ from devmux.simdev import (APERTURE_BASE, PAGE_SIZE, REG_FB_BASE, REG_RB_TAIL,
                            WORD, Copy, encode_batch)
 
 POOL_PAGES_DEFAULT = 256
+
+
+class RecordedBatch(tuple):
+    """The words of a batch, encoded once by ``LibraryDriver.record``."""
+
+    __slots__ = ()
 
 
 class LibraryDriver:
@@ -90,11 +103,21 @@ class LibraryDriver:
             self.core.access_register(self.lib_id, reg, value, True)
         self._device_ready = True
 
-    def submit(self, instrs) -> int:
+    def record(self, instrs) -> RecordedBatch:
+        """Encode ``instrs`` once, for any number of submits; BatchTooBig
+        if they do not fit one ring batch."""
+        words = RecordedBatch(encode_batch(instrs))
+        if len(words) > MAX_BATCH_WORDS:
+            raise BatchTooBig(f"{len(words)} words exceed the "
+                              f"{MAX_BATCH_WORDS}-word batch limit")
+        return words
+
+    def submit(self, batch) -> int:
         """Queue a batch followed by an interrupting fence; returns the seq.
 
-        Everything is written into lib-owned ring memory directly; the only
-        boundary crossing is the tail-register write.
+        ``batch`` is a recorded batch or a list of instructions, which is
+        recorded first.  Everything is written into lib-owned ring memory
+        directly; the only boundary crossing is the tail-register write.
         """
         self._ensure_device_ready()
         if self._faulted:
@@ -104,10 +127,7 @@ class LibraryDriver:
             self._pending.clear()
             self._head_words = self.pool.tail
             self._faulted = False
-        words = encode_batch(instrs)
-        if len(words) > MAX_BATCH_WORDS:
-            raise BatchTooBig(f"{len(words)} words exceed the "
-                              f"{MAX_BATCH_WORDS}-word batch limit")
+        words = batch if type(batch) is RecordedBatch else self.record(batch)
         pool = self.pool
         while (pool.tail - self._head_words) % RING_WORDS + len(words) > MAX_BATCH_WORDS:
             self.wait_fence(self._pending[0][0])  # reclaim oldest batch

@@ -27,7 +27,7 @@ from devmux.alloc import FirstFitAllocator
 from devmux.errors import DeviceFault, InvalError, OutOfPool, OutOfRange
 from devmux.simdev import (APERTURE_BASE, FAULT_FLAGS, INSTR_WORDS, OP_FENCE,
                            PAGE_SIZE, REG_IH_PAGE_ADDR, REG_RB_BASE,
-                           REG_RB_SIZE, WORD, Fence)
+                           REG_RB_SIZE, WORD, Fence, _words)
 
 VRAM = "VRAM"
 GTT = "GTT"
@@ -115,20 +115,21 @@ class PagePool:
             done += take
         return b"".join(out)
 
-    def queue(self, words: list) -> int:
+    def queue(self, words) -> int:
         """Write a batch of at most MAX_BATCH_WORDS ``words`` and an
         interrupting fence into the ring at ``tail``, wrapping at its end,
         and advance ``tail`` past them; returns the fence's seq.  The caller
         has made room for them and writes the tail register."""
         seq = self._next_seq
         self._next_seq += 1
-        words = words + Fence(seq).encode()
-        first = min(len(words), RING_WORDS - self.tail)
-        self.write(RING_OFF + self.tail * WORD,
-                   struct.pack(f"<{first}I", *words[:first]))
-        if first < len(words):
-            self.write(RING_OFF, struct.pack(f"<{len(words) - first}I", *words[first:]))
-        self.tail = (self.tail + len(words)) % RING_WORDS
+        fence = Fence(seq).encode()
+        n = len(words) + len(fence)
+        data = _words(n).pack(*words, *fence)
+        split = (RING_WORDS - self.tail) * WORD
+        self.write(RING_OFF + self.tail * WORD, data[:split])
+        if split < len(data):
+            self.write(RING_OFF, data[split:])
+        self.tail = (self.tail + n) % RING_WORDS
         return seq
 
     # -- the status page -----------------------------------------------------

@@ -75,6 +75,16 @@ reads the opcode word alone, so the fault fires at the same instruction and
 address as a word-by-word fetch.  The words of an instruction that lie
 past the window's end are read one at a time, word k from ring offset
 (RB_HEAD + 4k) mod the ring size, as a word-by-word fetch reads them.
+
+Operand runs that lie in device-local memory decode inline: a word-aligned
+COMPUTE or COPY run that ends inside the device-local window and inside
+the MC segment and VRAM is read and written at MC_SEG_BASE + address
+without building a span list, and a read that misses the write-back
+cache's address envelope unpacks straight from VRAM.  Every other run,
+and every run that faults, goes through ``_decode_run``, which raises the
+fault, so the words, the faults and the IOMMU's translations are the same
+either way.  The fetch window, FENCE, scanout and the status page always
+decode through ``_decode_run``.
 """
 
 from __future__ import annotations
@@ -687,6 +697,18 @@ class SimDevice:
     # -- physical word access --------------------------------------------
 
     def _read_run(self, da: int, n_words: int):
+        """The ``n_words`` words at ``da``, as a sequence."""
+        if not da % WORD and da + n_words * WORD <= VRAM_WINDOW_END:
+            # _decode_run's device-local span, inline; a run outside the
+            # segment or VRAM falls through to it, and it raises the fault
+            regs = self.regs
+            loc = regs[REG_MC_SEG_BASE] + da
+            end = loc + n_words * WORD
+            if end <= regs[REG_MC_SEG_LIMIT] and end <= len(self.vram):
+                cache = self.cache
+                if loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= end:
+                    return _words(n_words).unpack_from(self.vram, loc)
+                return cache.read(_SPACE_VRAM, loc, n_words)
         spans = self._decode_run(da, n_words, False)
         if len(spans) == 1:
             return self.cache.read(*spans[0])
@@ -696,15 +718,17 @@ class SimDevice:
         return words
 
     def _write_run(self, da: int, words):
-        spans = self._decode_run(da, len(words), True)  # translate before any write
-        if len(spans) == 1:
-            space, addr, count = spans[0]
-            window = self._window
-            if (window is not None and window[3] == space
-                    and addr <= window[5] and window[4] <= addr + (count - 1) * WORD):
-                self._window = None
-            self.cache.put_run(space, addr, words)
-            return
+        n_words = len(words)
+        if not da % WORD and da + n_words * WORD <= VRAM_WINDOW_END:
+            # as in _read_run
+            regs = self.regs
+            loc = regs[REG_MC_SEG_BASE] + da
+            end = loc + n_words * WORD
+            if end <= regs[REG_MC_SEG_LIMIT] and end <= len(self.vram):
+                self._drop_window_over(_SPACE_VRAM, loc, end - WORD)
+                self.cache.put_run(_SPACE_VRAM, loc, words)
+                return
+        spans = self._decode_run(da, n_words, True)  # translate before any write
         k = 0
         for space, addr, count in spans:
             self._drop_window_over(space, addr, addr + (count - 1) * WORD)

@@ -43,6 +43,24 @@ class UnflushedRootIommu(IommuUnit):
         self.root = table_id
 
 
+class DecodeRunDevice(SimDevice):
+    """A device whose operand runs all decode through ``_decode_run``: the
+    reference for the inline device-local path of ``SimDevice``."""
+
+    def _read_run(self, da: int, n_words: int):
+        words = []
+        for space, addr, count in self._decode_run(da, n_words, False):
+            words.extend(self.cache.read(space, addr, count))
+        return words
+
+    def _write_run(self, da: int, words):
+        k = 0
+        for space, addr, count in self._decode_run(da, len(words), True):
+            self._drop_window_over(space, addr, addr + (count - 1) * WORD)
+            self.cache.put_run(space, addr, words[k:k + count])
+            k += count
+
+
 def boot_solo(device):
     """Boot a bare device with MC wide open and ring/status in VRAM.
 

@@ -10,10 +10,10 @@ from devmux.bench.cli import main
 from devmux.bench.config import DRIVERS, BenchConfig, WorkloadSpec
 from devmux.bench.report import ITERATION_COLUMNS, RunReport
 from devmux.bench.schedule import measure_switch, run_schedule
-from devmux.bench.workloads import run_workload, speedup
+from devmux.bench.workloads import run_workload, speedup, vertex_fill
 from devmux.bench.world import World
 from devmux.errors import InvalError
-from devmux.simdev import SimDevice
+from devmux.simdev import MASK32, SimDevice
 
 
 def test_config_file_parsing(tmp_path):
@@ -91,7 +91,7 @@ def test_results_agree_across_every_deployment():
         assert len(digests) == 1, kind
 
 
-@pytest.mark.parametrize("n", [4, 26, 27])
+@pytest.mark.parametrize("n", [4, 26, 27, 32])
 def test_steady_matmul_rows_follow_the_host_cost_formula(n):
     # n*n DOTs of n terms: 1 + n cycles each, plus 4 cycles per fence.  A
     # ring of 4096 words holds 681 six-word COMPUTEs and the 4-word fence,
@@ -110,6 +110,13 @@ def test_steady_matmul_rows_follow_the_host_cost_formula(n):
         assert row["device_cycles"] == cycles
         assert row["instructions_validated"] == 6 * n * n
         assert row["bytes_copied"] == 24 * n * n
+
+
+@pytest.mark.parametrize("n_words, salt", [
+    (0, 0), (1, 0), (64, 1), (3072, 17), (3072, (1 << 32) - 1), (5, (1 << 32) + 3)])
+def test_vertex_fill_is_the_per_index_formula(n_words, salt):
+    assert vertex_fill(n_words, salt) == [(j * 2654435761 + salt * 97) & MASK32
+                                          for j in range(n_words)]
 
 
 def test_library_hot_loop_is_one_crossing_and_no_copies():

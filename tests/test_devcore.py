@@ -51,6 +51,7 @@ def test_no_device_memory_build_hosts_libraries_with_an_empty_segment():
     libs = [LibraryDriver(core, f"app{i}", pool_pages=16) for i in range(6)]
     assert len(core.api_surface()) == 7
     lib = libs[0]
+    assert (lib.info.vram_total, lib.info.segment_size) == (0, 0)
     core.bind_device_lib(lib.lib_id)
     src, dst = lib.create_buffer(64, GTT), lib.create_buffer(64, GTT)
     lib.write_buffer(src, 0, bytes(range(64)))

@@ -13,10 +13,11 @@ from devmux.errors import (BadHandle, BatchTooBig, DeviceFault, InvalError,
 from devmux.libdrv import LibraryDriver
 from devmux.pool import (GTT, MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_WORDS,
                          SLAB_FIRST_PAGE, SYS, VRAM)
-from devmux.simdev import (APERTURE_BASE, CO_ADD, FAULT_FLAGS, FLAG_CMD_FAULT,
-                           MASK32, PAGE_SIZE, REG_FB_BASE, REG_MC_SEG_LIMIT,
-                           REG_MC_SEG_BASE, REG_RB_TAIL, REG_SCRATCH0, WORD,
-                           Compute, Copy, Nop, SetReg, SimDevice, fnv1a64)
+from devmux.simdev import (APERTURE_BASE, CO_ADD, CO_DOT, FAULT_FLAGS,
+                           FLAG_CMD_FAULT, MASK32, PAGE_SIZE, REG_FB_BASE,
+                           REG_MC_SEG_LIMIT, REG_MC_SEG_BASE, REG_RB_TAIL,
+                           REG_SCRATCH0, WORD, Compute, Copy, Nop, SetReg,
+                           SimDevice, fnv1a64)
 
 POOL = 16
 
@@ -467,7 +468,55 @@ def test_oversized_batch_is_rejected_before_the_ring(bound_lib):
     _, _, _, lib = bound_lib
     with pytest.raises(BatchTooBig):
         lib.submit([Nop()] * (MAX_BATCH_WORDS + 1))
+    with pytest.raises(BatchTooBig):
+        lib.record([Nop()] * (MAX_BATCH_WORDS + 1))
     lib.wait_fence(lib.submit([Nop()] * MAX_BATCH_WORDS))  # largest legal
+    lib.wait_fence(lib.submit(lib.record([Nop()] * MAX_BATCH_WORDS)))
+
+
+def _accumulating_lib(n):
+    """A bound library, a VRAM buffer ``acc`` of ``n`` words, and a batch
+    that adds a fixed vector to ``acc`` and writes their dot product after
+    it, so every submit of it changes the result."""
+    platform = make_platform(frames=1024)
+    core = DeviceCore(platform, make_device(platform, vram=4 << 20),
+                      segment_bytes=1 << 20)
+    core.device_init()
+    lib = LibraryDriver(core, "app", pool_pages=POOL)
+    core.bind_device_lib(lib.lib_id)
+    vec, acc = lib.create_buffer(n * WORD, VRAM), lib.create_buffer((n + 1) * WORD, VRAM)
+    lib.write_buffer(vec, 0, struct.pack(f"<{n}I", *range(1, n + 1)))
+    v, a = lib.buffers[vec].device_addr, lib.buffers[acc].device_addr
+    # 2 * 300 instructions: a batch of 3,600 words, so the ring wraps
+    instrs = [Compute(CO_ADD, a, a, v, n), Compute(CO_DOT, a + n * WORD, a, v, n)] * 300
+    return platform, lib, acc, instrs
+
+
+def test_a_recorded_batch_submits_like_its_instruction_list():
+    n, k = 8, 5
+    runs = []
+    for recorded in (False, True):
+        platform, lib, acc, instrs = _accumulating_lib(n)
+        batch = lib.record(instrs) if recorded else instrs
+        rows = []
+        for _ in range(k):
+            before = platform.ledger.snapshot()
+            seq = lib.submit(batch)
+            lib.wait_fence(seq)
+            result = lib.read_buffer(acc, 0, (n + 1) * WORD)
+            rows.append((seq, platform.ledger.delta_since(before), fnv1a64(result)))
+        runs.append(rows)
+    assert runs[0] == runs[1]
+    assert len({digest for _, _, digest in runs[0]}) == k
+
+
+def test_a_recorded_batch_is_an_immutable_tuple_of_words(bound_lib):
+    _, _, _, lib = bound_lib
+    batch = lib.record([Nop(), SetReg(REG_SCRATCH0, 7)])
+    assert isinstance(batch, tuple)
+    assert batch == (0, 1, REG_SCRATCH0, 7)
+    with pytest.raises(TypeError):
+        batch[0] = 1
 
 
 def test_ring_backpressure_recycles_consumed_space(bound_lib):

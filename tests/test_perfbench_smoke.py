@@ -3,10 +3,12 @@
 perfbench drives devmux from outside and patches its modules by name, so a
 change under ``src/`` can break it without failing any other test.  Each
 workload here builds both stacks under the span tracer, runs one step and
-verifies it; nothing under ``perfbench/`` is changed.
+verifies it; nothing under ``perfbench/`` is changed.  The profiler in
+``tools/profile_step.py`` builds the same stacks.
 """
 
 import os
+import subprocess
 import sys
 
 import pytest
@@ -39,3 +41,15 @@ def test_one_traced_step_per_stack_verifies_and_accounts(workload):
     assert digests["library"] == digests["legacy"]
     for driver in ("library", "legacy"):
         assert tracer.buckets[(driver, "step")]["calls.SimDevice.step"] > 0
+
+
+def test_profile_step_prints_a_profile_of_one_step():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "profile_step.py"),
+         "--workload", "matmul", "--driver", "library", "--steps", "1"],
+        cwd=root, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0].startswith("matmul library: 1 steps, ")
+    assert "own ms/step" in lines[1]
+    assert any("(step)" in line for line in lines[2:])

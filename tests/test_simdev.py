@@ -1,18 +1,20 @@
 """Device-level tests: register file, command processor, translation,
 cache, firmware gate, scanout, and digests."""
 
+import itertools
 import random
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (DATA_AT, RING_AT, RING_WORDS, STATUS_AT,
-                      UnflushedRootIommu, boot_solo, make_device,
+                      DecodeRunDevice, UnflushedRootIommu, boot_solo, make_device,
                       make_platform, pack, poke_words, push_batch,
                       read_status, unpack, vram_words)
 from devmux import simdev
-from devmux.errors import IommuFault, InvalError, RegFault
+from devmux.errors import HardwareFault, IommuFault, InvalError, RegFault
 from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
                            FAULT_FLAGS, FLAG_CMD_FAULT, FLAG_FENCE,
                            FLAG_IOMMU_FAULT, FLAG_MC_FAULT, M_REGISTERS,
@@ -1034,6 +1036,116 @@ def test_step_budget_does_not_change_what_runs(program, data):
     assert whole.vram == single.vram
     assert platform_a.sysmem.data == platform_b.sysmem.data
     assert whole.device_digest() == single.device_digest()
+
+
+# --- inline device-local operand decode -------------------------------------
+
+DIFF_VRAM_WORDS = 2048   # the largest device memory drawn
+DIFF_FRAMES = 4          # system memory; the aperture maps its pages 0-2
+DIFF_PATTERN = bytes(range(251)) * 200  # 251 is prime: no two words repeat
+
+
+@st.composite
+def _run_program(draw):
+    """Device-local memory, an MC segment, pending cache runs, a fetch
+    window and a few operand runs.  Most runs start or end at an edge: the
+    segment limit, the end of device memory, the end of the device-local
+    window, or either end of a pending run; the window lies over one end of
+    a run."""
+    vram_words = draw(st.sampled_from((DIFF_VRAM_WORDS,
+                                       draw(st.integers(0, DIFF_VRAM_WORDS)))))
+    base = draw(st.sampled_from((0, 2, draw(st.integers(0, vram_words)) * WORD)))
+    limit = draw(st.sampled_from((vram_words * WORD, vram_words * WORD + WORD, base,
+                                  base + draw(st.integers(0, DIFF_VRAM_WORDS)) * WORD
+                                  + draw(st.sampled_from((0, 1, 3))))))
+    window_end = draw(st.sampled_from((VRAM_WINDOW_END, 1 << 11, 1 << 12)))
+    backing_words = (vram_words, DIFF_FRAMES * PAGE_SIZE // WORD)
+    pending = []
+    for space in draw(st.lists(st.sampled_from((0, 0, 1)), max_size=4)):
+        n = draw(st.integers(1, 400))
+        if n <= backing_words[space]:
+            pending.append((space, draw(st.integers(0, backing_words[space] - n)) * WORD, n))
+    # edges as device-local addresses, which the segment base offsets
+    edges = [limit - base, vram_words * WORD - base, window_end]
+    edges += [addr - base + k * n * WORD for _, addr, n in pending for k in (0, 1)]
+    ops = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 40))
+        kind = draw(st.sampled_from(("ends", "ends", "starts", "anywhere",
+                                     "unaligned", "aperture")))
+        if kind == "ends":
+            da = draw(st.sampled_from(edges)) - n * WORD
+        elif kind == "starts":
+            da = draw(st.sampled_from(edges))
+        elif kind == "unaligned":
+            da = draw(st.integers(0, vram_words)) * WORD + draw(st.integers(1, 3))
+        elif kind == "aperture":
+            da = APERTURE_BASE + draw(st.integers(0, 3 * PAGE_SIZE // WORD - 1)) * WORD
+        else:
+            da = draw(st.integers(0, vram_words)) * WORD
+        ops.append((da, n))
+    window = None
+    if draw(st.booleans()):  # over one end of a run
+        da, n = draw(st.sampled_from(ops))
+        size = draw(st.integers(1, 64))
+        lo = max(0, base + da + draw(st.sampled_from((-size, 1 - size, n - 1, n))) * WORD)
+        window = (0, size * WORD, list(range(size)), draw(st.sampled_from((0, 0, 1))),
+                  lo, lo + (size - 1) * WORD)
+    return vram_words, base, limit, window_end, pending, window, ops
+
+
+def _run_device(cls, vram_words, base, limit, pending, window):
+    platform = make_platform(frames=DIFF_FRAMES)
+    device = cls(platform.sysmem, vram_size=vram_words * WORD)
+    device.vram[:] = DIFF_PATTERN[:len(device.vram)]
+    platform.sysmem.data[:] = DIFF_PATTERN[7:7 + len(platform.sysmem.data)]
+    device.regs[REG_MC_SEG_BASE] = base
+    device.regs[REG_MC_SEG_LIMIT] = limit
+    table = PageTable()
+    for page in range(3):  # the last one read-only
+        table.map(page * PAGE_SIZE, DIFF_FRAMES - 1 - page, writable=page < 2)
+    device.translation_tables[1] = table
+    device.mmio_write(REG_IOMMU_ROOT, 1)
+    for space, addr, n in pending:
+        device.cache.put_run(space, addr, [addr + i for i in range(n)])
+    device._window = window
+    return platform, device
+
+
+def _run_outcome(device, is_write, da, n):
+    try:
+        if is_write:
+            device._write_run(da, [(da * 31 + i * 2654435761) & MASK32
+                                   for i in range(n)])
+            return None
+        return list(device._read_run(da, n))
+    except HardwareFault as fault:
+        return type(fault), str(fault)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_run_program())
+def test_inline_device_local_runs_equal_decoding_every_run(program):
+    """Each run is read and then written, moved a word down, in place and
+    a word up."""
+    vram_words, base, limit, window_end, pending, window, ops = program
+    with mock.patch.object(simdev, "VRAM_WINDOW_END", window_end):
+        platform, device = _run_device(SimDevice, vram_words, base, limit,
+                                       pending, window)
+        ref_platform, ref = _run_device(DecodeRunDevice, vram_words, base,
+                                        limit, pending, window)
+        for (da, n), near, is_write in itertools.product(
+                ops, (-WORD, 0, WORD), (False, True)):
+            da = max(0, da + near)
+            assert (_run_outcome(device, is_write, da, n)
+                    == _run_outcome(ref, is_write, da, n))
+            assert list(device.cache._runs) == list(ref.cache._runs)
+            assert device.cache.size == ref.cache.size
+            assert (device.cache.lo, device.cache.hi) == (ref.cache.lo, ref.cache.hi)
+            assert device._window == ref._window
+            assert list(device.iommu.tlb.items()) == list(ref.iommu.tlb.items())
+            assert device.vram == ref.vram
+            assert platform.sysmem.data == ref_platform.sysmem.data
 
 
 # --- scanout -----------------------------------------------------------------

@@ -1,0 +1,75 @@
+"""Profile the benchmark's steady steps on one driver stack.
+
+    PYTHONPATH=src python tools/profile_step.py --workload {matmul,stream,tenants} \
+        --driver {library,legacy} --steps N
+
+Builds the stack that ``perfbench/run.py`` measures (``perfbench/harness.py``,
+imported as is), runs the launch step, times N steady steps without the
+profiler, then runs N more under cProfile.  It prints the per-step
+milliseconds of both and the functions with the most own time.  cProfile
+adds a cost to every Python call, so the profiled figures overstate call-heavy
+code: use them to find where the time goes, and ``perfbench/run.py`` to
+measure a change.
+"""
+
+import argparse
+import cProfile
+import os
+import pstats
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from devmux.bench import BenchConfig  # noqa: E402
+from harness import Stack  # noqa: E402
+
+TOP = 15
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True,
+                        choices=("matmul", "stream", "tenants"))
+    parser.add_argument("--driver", required=True, choices=("library", "legacy"))
+    parser.add_argument("--steps", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.steps < 1:
+        parser.error("--steps must be at least 1")
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    stack = Stack(args.workload, args.driver, BenchConfig())
+    stack.step()  # the launch: first bind and uploads
+    start = time.perf_counter()
+    for _ in range(args.steps):
+        stack.step()
+    plain_ms = (time.perf_counter() - start) * 1e3 / args.steps
+
+    profiler = cProfile.Profile()
+    start = time.perf_counter()
+    profiler.enable()
+    for _ in range(args.steps):
+        stack.step()
+    profiler.disable()
+    profiled_ms = (time.perf_counter() - start) * 1e3 / args.steps
+
+    stats = pstats.Stats(profiler).stats
+    total = sum(tt for _, _, tt, _, _ in stats.values())
+    print(f"{args.workload} {args.driver}: {args.steps} steps, "
+          f"{plain_ms:.3f} ms per step, {profiled_ms:.3f} ms profiled")
+    print(f"{'own ms/step':>11} {'share':>6} {'calls/step':>10} "
+          f"{'cum ms/step':>11}  function")
+    top = sorted(stats.items(), key=lambda item: -item[1][2])[:TOP]
+    for (path, line, name), (_, calls, tt, ct, _) in top:
+        where = f"{os.path.basename(path)}:{line}" if line else path
+        print(f"{tt * 1e3 / args.steps:11.3f} {tt / total:6.1%} "
+              f"{calls / args.steps:10.1f} {ct * 1e3 / args.steps:11.3f}  "
+              f"{where}({name})")
+
+
+if __name__ == "__main__":
+    main()
