@@ -10,9 +10,11 @@ can be compared byte for byte.
 
 Applications build command streams from the device's own instruction
 classes (``simdev.Nop``, ``SetReg``, ``Compute`` and ``Copy``), with a
-(buffer id, byte offset) pair in each address field; the kernel checks
-every pair, builds the instruction again with the device address in its
-place, and encodes that.  Applications never see device addresses, and
+(buffer id, byte offset) pair in each address field.  The kernel checks
+and encodes each instruction in one pass, writing the device address of
+every pair in its place.  Nothing carries over from one submit to the
+next: the application can change its batch between submits, so every
+submit is checked again.  Applications never see device addresses, and
 FENCE stays the kernel's own.
 """
 
@@ -25,11 +27,12 @@ from devmux.errors import (BadHandle, InvalError, NotFoundError, OutOfVram,
 from devmux.platform import RUN_TO_IDLE
 from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_REGISTERS,
                          Buffer, PagePool, payload)
-from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, DISPLAY_MODES, PAGE_SIZE,
-                           REG_DISP_ENABLE, REG_FB_BASE, REG_IOMMU_ROOT,
-                           REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_TAIL,
-                           SCRATCH_REGISTERS, WORD, Compute, Copy, Nop,
-                           PageTable, SetReg, SimDevice)
+from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, DISPLAY_MODES, INSTR_WORDS,
+                           MASK32, OP_COMPUTE, OP_COPY, OP_NOP, OP_SET_REG,
+                           PAGE_SIZE, REG_DISP_ENABLE, REG_FB_BASE,
+                           REG_IOMMU_ROOT, REG_MC_SEG_BASE, REG_MC_SEG_LIMIT,
+                           REG_RB_TAIL, SCRATCH_REGISTERS, WORD, Compute, Copy,
+                           Nop, PageTable, SetReg, SimDevice)
 
 LEGACY_API = ("legacy_open", "legacy_close", "legacy_alloc", "legacy_free",
               "legacy_write", "legacy_read", "legacy_submit", "legacy_wait",
@@ -167,63 +170,92 @@ class LegacyDriver:
         return self.pool.read_buffer(self._buffer(client, buffer_id),
                                      _word(offset, "offset"), n)
 
-    def _resolve_ref(self, client: int, ref, n_words: int) -> int:
-        """Ownership + bounds + device-visibility check; returns the address."""
-        if not (type(ref) is tuple and len(ref) == 2
-                and isinstance(ref[0], int) and isinstance(ref[1], int)):
-            raise InvalError(f"operand {ref!r} is not a (buffer id, byte offset) pair")
-        buffer_id, offset = ref
-        buf = self._buffer(client, buffer_id)
-        if buf.device_addr is None:
-            raise InvalError(f"buffer {buffer_id} is not device-visible")
-        if offset % WORD:
-            raise InvalError("operand offsets must be word-aligned")
-        buf.check_range(offset, n_words * WORD)
-        return buf.device_addr + offset
+    def _resolver(self, client: int):
+        """``resolve(ref, n_bytes)`` for one submit: checks that ``ref`` is a
+        (buffer id, byte offset) pair naming ``n_bytes`` of one of
+        ``client``'s device-visible buffers, at a word-aligned offset, and
+        returns the device address as an instruction word.
 
-    def _patch(self, client: int, instr):
-        """The kernel's own copy of one application instruction, checked,
-        with device addresses in place of buffer references."""
-        kind = type(instr)
-        if kind is Nop:
-            return Nop()
-        if kind is SetReg:
-            reg = _word(instr.reg, "SET_REG target")
-            if reg not in SCRATCH_REGISTERS:
-                raise InvalError(f"SET_REG target 0x{reg:x} is sensitive")
-            return SetReg(reg, _word(instr.value, "SET_REG value"))
-        if kind is Compute:
-            sub = _word(instr.sub, "compute sub-op")
-            if sub not in (CO_ADD, CO_MUL, CO_DOT):
-                raise InvalError(f"unknown compute sub-op {sub}")
-            count = _word(instr.count, "count")
-            dst_words = 1 if sub == CO_DOT else count
-            return Compute(sub, self._resolve_ref(client, instr.dst, dst_words),
-                           self._resolve_ref(client, instr.src1, count),
-                           self._resolve_ref(client, instr.src2, count), count)
-        if kind is Copy:
-            count = _word(instr.count, "count")
-            return Copy(self._resolve_ref(client, instr.dst, count),
-                        self._resolve_ref(client, instr.src, count), count)
-        raise InvalError(f"unknown instruction {kind.__name__}")
+        A buffer id found owned and device-visible is remembered for the
+        rest of this submit only: nothing changes ``self.buffers`` before
+        the batch is queued, so a later operand naming the same buffer
+        skips the lookup and the ownership and visibility checks.  The pair's shape, the
+        alignment and the bounds are checked for every operand.  Only a
+        plain ``int`` id is remembered or looked up: a subclass can compare
+        equal to an id it is not."""
+        seen = {}
+
+        def resolve(ref, n_bytes: int) -> int:
+            if not (type(ref) is tuple and len(ref) == 2
+                    and isinstance(ref[0], int) and isinstance(ref[1], int)):
+                raise InvalError(f"operand {ref!r} is not a (buffer id, byte offset) pair")
+            buffer_id, offset = ref
+            buf = seen.get(buffer_id) if type(buffer_id) is int else None
+            if buf is None:
+                buf = self._buffer(client, buffer_id)
+                if buf.device_addr is None:
+                    raise InvalError(f"buffer {buffer_id} is not device-visible")
+                if type(buffer_id) is int:
+                    seen[buffer_id] = buf
+            if offset % WORD:
+                raise InvalError("operand offsets must be word-aligned")
+            if offset < 0 or offset + n_bytes > buf.size:
+                buf.check_range(offset, n_bytes)
+            return (buf.device_addr + offset) & MASK32
+
+        return resolve
 
     def legacy_submit(self, client: int, batch) -> int:
-        """Copy, validate, patch, and enqueue an application batch."""
+        """Copy an application batch in, check and encode it, and enqueue it.
+
+        One pass checks each instruction and writes the kernel's words for
+        it, with device addresses in place of buffer references; the words
+        are those ``simdev.encode_batch`` gives for the patched
+        instructions.  The whole batch is checked before its first chunk
+        reaches the ring."""
         self._client(client)
         if not isinstance(batch, (list, tuple)):
             raise InvalError(f"batch must be a list of instructions, got {batch!r}")
-        patched = [self._patch(client, instr).encode() for instr in batch]
-        total_words = sum(map(len, patched))
+        resolve = self._resolver(client)
+        words = []
+        for instr in batch:
+            kind = type(instr)
+            if kind is Compute:
+                sub = instr.sub
+                if not isinstance(sub, int) or sub not in (CO_ADD, CO_MUL, CO_DOT):
+                    raise InvalError(f"unknown compute sub-op {sub!r}")
+                count = _word(instr.count, "count")
+                n_bytes = count * WORD
+                words += (OP_COMPUTE, sub,
+                          resolve(instr.dst, WORD if sub == CO_DOT else n_bytes),
+                          resolve(instr.src1, n_bytes), resolve(instr.src2, n_bytes),
+                          count & MASK32)
+            elif kind is Copy:
+                count = _word(instr.count, "count")
+                n_bytes = count * WORD
+                words += (OP_COPY, resolve(instr.dst, n_bytes),
+                          resolve(instr.src, n_bytes), count & MASK32)
+            elif kind is SetReg:
+                reg = _word(instr.reg, "SET_REG target")
+                if reg not in SCRATCH_REGISTERS:
+                    raise InvalError(f"SET_REG target 0x{reg:x} is sensitive")
+                words += (OP_SET_REG, reg, _word(instr.value, "SET_REG value") & MASK32)
+            elif kind is Nop:
+                words.append(OP_NOP)
+            else:
+                raise InvalError(f"unknown instruction {kind.__name__}")
         # one syscall: the whole stream crosses the boundary and is inspected
-        self._charge(total_words * WORD)
-        self.platform.ledger.instructions_validated += total_words
-        chunk = []
-        for words in patched:
-            if len(chunk) + len(words) > MAX_BATCH_WORDS:
-                self._push_ring(chunk, drain=True)
-                chunk = []
-            chunk.extend(words)
-        return self._push_ring(chunk, drain=False)
+        self._charge(len(words) * WORD)
+        self.platform.ledger.instructions_validated += len(words)
+        # cut the stream into ring chunks at instruction boundaries
+        start = 0
+        while len(words) - start > MAX_BATCH_WORDS:
+            end = start
+            while end - start + INSTR_WORDS[words[end]] <= MAX_BATCH_WORDS:
+                end += INSTR_WORDS[words[end]]
+            self._push_ring(words[start:end], drain=True)
+            start = end
+        return self._push_ring(words[start:], drain=False)
 
     def legacy_wait(self, client: int, seq: int):
         """Syscall-based completion wait: one crossing per poll round."""

@@ -2,17 +2,20 @@
 
 import struct
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
-from conftest import make_device, make_platform
+from conftest import make_device, make_platform, unpack
+from devmux.bench.workloads import MAX_COMPUTES_PER_SUBMIT
 from devmux.errors import (BadHandle, InvalError, NotFoundError, OutOfPool,
                            OutOfRange, PermError)
 from devmux.legacydrv import LEGACY_API, LegacyDriver
-from devmux.pool import SLAB_FIRST_PAGE
-from devmux.simdev import (CO_ADD, CO_DOT, REG_DISP_ENABLE, REG_DISP_PLL,
+from devmux.pool import MAX_BATCH_WORDS, RING_OFF, RING_WORDS, SLAB_FIRST_PAGE
+from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, REG_DISP_ENABLE, REG_DISP_PLL,
                            REG_DISP_TIMING_H, REG_DISP_TIMING_V, REG_FB_BASE,
-                           REG_RB_TAIL, REG_SCRATCH0, PAGE_SIZE, WORD,
-                           Compute, Copy, Fence, Nop, SetReg)
+                           INSTR_WORDS, OP_COMPUTE, REG_RB_HEAD, REG_RB_TAIL, REG_SCRATCH0,
+                           SCRATCH_REGISTERS, PAGE_SIZE, WORD, Compute, Copy,
+                           Fence, Nop, SetReg, encode_batch)
 
 
 @pytest.fixture
@@ -309,3 +312,145 @@ def test_oversized_batches_are_chunked_through_the_ring(legacy):
     driver.legacy_wait(client, seq)
     assert platform.ledger.instructions_validated - validated == 5000
     assert device.cp_idle
+
+
+def _refused_untouched(platform, device, driver, client, batch, error):
+    """Submit ``batch``, expect ``error``, and check that nothing was billed
+    or queued and the device did not run."""
+    before = platform.ledger.snapshot()
+    tail, head = device.mmio_read(REG_RB_TAIL), device.mmio_read(REG_RB_HEAD)
+    with pytest.raises(error):
+        driver.legacy_submit(client, batch)
+    assert platform.ledger.snapshot() == before
+    assert device.mmio_read(REG_RB_TAIL) == tail
+    assert device.mmio_read(REG_RB_HEAD) == head
+
+
+class _ClaimsToBe(int):
+    """An int that says it equals (and hashes as) another buffer id."""
+
+    def __new__(cls, value, claims):
+        obj = super().__new__(cls, value)
+        obj.claims = claims
+        return obj
+
+    def __eq__(self, other):
+        return other == self.claims
+
+    def __hash__(self):
+        return hash(self.claims)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (lambda b: (b["mine"], 2), InvalError),
+    (lambda b: (b["mine"], 256 - 8), OutOfRange),
+    (lambda b: (b["foreign"], 0), PermError),
+    (lambda b: (b["freed"], 0), NotFoundError),
+    (lambda b: (b["sys"], 0), InvalError),
+    (lambda b: (float(b["mine"]), 0), InvalError),
+    (lambda b: (_ClaimsToBe(-1, b["mine"]), 0), InvalError),
+], ids=["misaligned", "out-of-range", "foreign", "freed", "sys", "float-id",
+        "negative-int-claiming-the-id"])
+def test_a_buffer_found_good_once_does_not_pass_a_bad_operand(legacy, bad, error):
+    platform, device, driver, client = legacy
+    other = driver.legacy_open("other")
+    bufs = {"mine": driver.legacy_alloc(client, 256, "VRAM"),
+            "foreign": driver.legacy_alloc(other, 256, "VRAM"),
+            "freed": driver.legacy_alloc(client, 256, "VRAM"),
+            "sys": driver.legacy_alloc(client, 256, "SYS")}
+    driver.legacy_free(client, bufs["freed"])
+    mine = bufs["mine"]
+    # the first operands name ``mine`` validly; a later one is bad
+    batch = [Copy((mine, 0), (mine, 16), 4), Copy((mine, 32), bad(bufs), 4)]
+    _refused_untouched(platform, device, driver, client, batch, error)
+
+
+def test_the_whole_batch_is_checked_before_any_chunk_is_queued(legacy):
+    platform, device, driver, client = legacy
+    n = 32
+    a, b, c = (driver.legacy_alloc(client, n * WORD, "VRAM") for _ in range(3))
+    computes = [Compute(CO_DOT, (c, 0), (a, 0), (b, 0), n)] * (MAX_COMPUTES_PER_SUBMIT + 1)
+    assert INSTR_WORDS[OP_COMPUTE] * len(computes) > MAX_BATCH_WORDS  # two chunks
+    _refused_untouched(platform, device, driver, client,
+                       computes + [SetReg(REG_DISP_PLL, 90)], InvalError)
+    # the same COMPUTEs alone are queued as two fenced chunks
+    first = driver.legacy_submit(client, [Nop()])
+    assert driver.legacy_submit(client, computes) == first + 2
+
+
+def test_every_submit_is_checked_again(legacy):
+    platform, device, driver, client = legacy
+    other = driver.legacy_open("other")
+    mine = driver.legacy_alloc(client, 64, "VRAM")
+    foreign = driver.legacy_alloc(other, 64, "VRAM")
+    batch = [Compute(CO_ADD, (mine, 0), (mine, 0), (mine, 0), 4), Nop()]
+    driver.legacy_wait(client, driver.legacy_submit(client, batch))
+    batch[0].dst = (foreign, 0)
+    _refused_untouched(platform, device, driver, client, batch, PermError)
+
+
+_BUFFERS = (("VRAM", 256), ("VRAM", 512), ("GTT", 128), ("GTT", 384))
+
+
+@st.composite
+def _operand(draw, n_bytes):
+    """(index into _BUFFERS, byte offset) of a valid ``n_bytes`` operand."""
+    index = draw(st.sampled_from([i for i, (_, size) in enumerate(_BUFFERS)
+                                  if size >= n_bytes]))
+    last = (_BUFFERS[index][1] - n_bytes) // WORD
+    return index, draw(st.integers(0, last)) * WORD
+
+
+@st.composite
+def _instruction(draw):
+    """(class, fields) of one valid instruction, its operands still
+    _operand pairs."""
+    kind = draw(st.sampled_from((Nop, SetReg, Compute, Copy)))
+    if kind is Nop:
+        return Nop, ()
+    if kind is SetReg:
+        return SetReg, (draw(st.sampled_from(SCRATCH_REGISTERS)),
+                        draw(st.integers(0, 1 << 70)))
+    count = draw(st.integers(0, 24))
+    if kind is Copy:
+        return Copy, (draw(_operand(count * WORD)), draw(_operand(count * WORD)),
+                      count)
+    sub = draw(st.sampled_from((CO_ADD, CO_MUL, CO_DOT)))
+    dst_bytes = WORD if sub == CO_DOT else count * WORD
+    return Compute, (sub, draw(_operand(dst_bytes)), draw(_operand(count * WORD)),
+                     draw(_operand(count * WORD)), count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_instruction(), max_size=40))
+def test_queued_words_are_the_encoding_of_the_patched_batch(program):
+    platform = make_platform(frames=512)
+    device = make_device(platform)
+    driver = LegacyDriver(platform, device, pool_pages=64)
+    client = driver.legacy_open("app")
+    ids = [driver.legacy_alloc(client, size, placement)
+           for placement, size in _BUFFERS]
+
+    def fill(fields, operand):
+        return [operand(*f) if type(f) is tuple else f for f in fields]
+
+    batch = [kind(*fill(fields, lambda i, off: (ids[i], off)))
+             for kind, fields in program]
+    patched = [kind(*fill(fields, lambda i, off: driver.buffers[ids[i]].device_addr + off))
+               for kind, fields in program]
+    for instr, (kind, fields) in zip(batch, program):
+        if kind is SetReg:  # past the constructor's mask, as an application may
+            instr.value = fields[1]
+
+    before = platform.ledger.snapshot()
+    tail = driver.pool.tail
+    seq = driver.legacy_submit(client, batch)
+    words = encode_batch(patched)
+    expected = words + Fence(seq).encode()
+    ring = unpack(driver.pool.read(RING_OFF, RING_WORDS * WORD))
+    assert [ring[(tail + i) % RING_WORDS] for i in range(len(expected))] == expected
+    after = platform.ledger.snapshot()
+    assert after["crossings"] - before["crossings"] == 1
+    assert after["bytes_copied"] - before["bytes_copied"] == len(words) * WORD
+    assert (after["instructions_validated"]
+            - before["instructions_validated"]) == len(words)
