@@ -97,11 +97,14 @@ class SystemMemory:
         return out
 
     def free_frames(self, frames, owner):
+        """Free and zero ``frames``, or change nothing: PermError unless
+        ``owner`` holds every frame and none is pinned."""
         for frame in frames:
             if self.owner[frame] != owner:
                 raise PermError(f"frame {frame} not owned by {owner}")
             if self.pins[frame]:
                 raise PermError(f"frame {frame} still pinned")
+        for frame in frames:
             self.owner[frame] = None
             self.data[frame * PAGE_SIZE:(frame + 1) * PAGE_SIZE] = bytes(PAGE_SIZE)
 
@@ -157,15 +160,17 @@ class Platform:
         return out
 
     def free_pages(self, owner, vaddrs):
+        """Unmap ``vaddrs`` and free their frames, or change nothing: each
+        vaddr must be mapped for ``owner`` and named once, and its frame
+        must pass ``SystemMemory.free_frames``'s checks."""
         self.ledger.crossings += 1
-        frames = []
-        for vaddr in vaddrs:
-            frame = self.page_map.get((owner, vaddr))
-            if frame is None:
-                raise InvalError(f"vaddr 0x{vaddr:x} not mapped for {owner}")
-            del self.page_map[(owner, vaddr)]
-            frames.append(frame)
+        vaddrs = list(vaddrs)
+        if len(set(vaddrs)) < len(vaddrs):
+            raise InvalError(f"a vaddr is named twice for {owner}")
+        frames = [self.resolve(owner, vaddr) for vaddr in vaddrs]
         self.sysmem.free_frames(frames, owner)
+        for vaddr in vaddrs:
+            del self.page_map[(owner, vaddr)]
 
     def resolve(self, owner, vaddr: int) -> int:
         """Virtual page address -> frame (page-aligned lookups only)."""

@@ -53,7 +53,12 @@ index (bits 12-21) and a 12-bit page offset.
 The command processor is one loop, ``SimDevice.step``: it fetches an
 instruction, pays its cycles from the budget and executes it in place, and
 an instruction the budget cannot pay for stays in flight until the next
-call.  Faults never have partial effects: an instruction either fully
+call.  The loop reads the ring size, RB_TAIL, MC_SEG_BASE and the end of
+device-local memory (the lower of MC_SEG_LIMIT and the VRAM size) once a
+call: nothing a call runs writes a register other than RB_HEAD and the
+scratch registers, since SET_REG may target only scratch registers and a
+fault, a FENCE and the status page move only RB_HEAD and the status words.
+Faults never have partial effects: an instruction either fully
 executes or leaves all target memory untouched, and a fault consumes the
 remainder of the batch.  Checks run in a fixed order: a COMPUTE checks its
 sub-op, reads src1, then src2, then decodes its target, and a DOT of count 0
@@ -75,16 +80,20 @@ reads the opcode word alone, so the fault fires at the same instruction and
 address as a word-by-word fetch.  The words of an instruction that lie
 past the window's end are read one at a time, word k from ring offset
 (RB_HEAD + 4k) mod the ring size, as a word-by-word fetch reads them.
+``step`` slices an instruction out of the window itself when RB_HEAD lies
+in it, the opcode is known, the whole instruction lies inside it and the
+batch holds all of it; ``_fetch`` takes every other case.
 
-Operand runs that lie in device-local memory decode inline: a word-aligned
-COMPUTE or COPY run that ends inside the device-local window and inside
-the MC segment and VRAM is read and written at MC_SEG_BASE + address
-without building a span list, and a read that misses the write-back
-cache's address envelope unpacks straight from VRAM.  Every other run,
-and every run that faults, goes through ``_decode_run``, which raises the
-fault, so the words, the faults and the IOMMU's translations are the same
-either way.  The fetch window, FENCE, scanout and the status page always
-decode through ``_decode_run``.
+Operand runs that lie in device-local memory decode inline, in ``step``: a
+word-aligned COMPUTE or COPY run that ends inside the device-local window
+and inside the MC segment and VRAM is read and written at MC_SEG_BASE +
+address without building a span list, and a read that misses the
+write-back cache's address envelope unpacks straight from VRAM.  Every
+other run, and every run that faults, goes through ``_read_run`` or
+``_write_run`` and so ``_decode_run``, which raises the fault, so the
+words, the faults and the IOMMU's translations are the same either way.
+The fetch window, FENCE, scanout and the status page always decode
+through ``_decode_run``.
 """
 
 from __future__ import annotations
@@ -698,17 +707,6 @@ class SimDevice:
 
     def _read_run(self, da: int, n_words: int):
         """The ``n_words`` words at ``da``, as a sequence."""
-        if not da % WORD and da + n_words * WORD <= VRAM_WINDOW_END:
-            # _decode_run's device-local span, inline; a run outside the
-            # segment or VRAM falls through to it, and it raises the fault
-            regs = self.regs
-            loc = regs[REG_MC_SEG_BASE] + da
-            end = loc + n_words * WORD
-            if end <= regs[REG_MC_SEG_LIMIT] and end <= len(self.vram):
-                cache = self.cache
-                if loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= end:
-                    return _words(n_words).unpack_from(self.vram, loc)
-                return cache.read(_SPACE_VRAM, loc, n_words)
         spans = self._decode_run(da, n_words, False)
         if len(spans) == 1:
             return self.cache.read(*spans[0])
@@ -718,17 +716,7 @@ class SimDevice:
         return words
 
     def _write_run(self, da: int, words):
-        n_words = len(words)
-        if not da % WORD and da + n_words * WORD <= VRAM_WINDOW_END:
-            # as in _read_run
-            regs = self.regs
-            loc = regs[REG_MC_SEG_BASE] + da
-            end = loc + n_words * WORD
-            if end <= regs[REG_MC_SEG_LIMIT] and end <= len(self.vram):
-                self._drop_window_over(_SPACE_VRAM, loc, end - WORD)
-                self.cache.put_run(_SPACE_VRAM, loc, words)
-                return
-        spans = self._decode_run(da, n_words, True)  # translate before any write
+        spans = self._decode_run(da, len(words), True)  # translate before any write
         k = 0
         for space, addr, count in spans:
             self._drop_window_over(space, addr, addr + (count - 1) * WORD)
@@ -792,7 +780,7 @@ class SimDevice:
             self._window = None
 
     def _fetch(self, regs):
-        """Decode the instruction at RB_HEAD; returns (opcode, words, cost).
+        """Decode the instruction at RB_HEAD; returns its words.
 
         A head or tail at or past the ring end is a command fault.  The
         words come from the fetch window, which is read afresh when
@@ -838,11 +826,7 @@ class SimDevice:
         if len(words) < length:  # rare: the window ends inside it
             for k in range(len(words), length):
                 words += self._read_run(base + (head + k * WORD) % ring, 1)
-        if opcode == OP_COMPUTE:
-            return opcode, words, 1 + words[5]
-        if opcode == OP_COPY:
-            return opcode, words, 1 + words[3]
-        return opcode, words, 4 if opcode == OP_FENCE else 1
+        return words
 
     def _fault(self, fault: HardwareFault):
         # a fault consumes the rest of the batch; nothing partial survives
@@ -860,47 +844,103 @@ class SimDevice:
         """
         self._window = None
         regs = self.regs
-        ready = regs[REG_FW_CTRL] == FW_CTRL_READY  # no instruction changes it
+        # read once a call: no instruction writes a register but RB_HEAD
+        # and the scratch registers
+        ready = regs[REG_FW_CTRL] == FW_CTRL_READY
+        ring = regs[REG_RB_SIZE] * WORD
+        tail = regs[REG_RB_TAIL]
+        seg_base = regs[REG_MC_SEG_BASE]
+        local_end = min(regs[REG_MC_SEG_LIMIT], len(self.vram))
+        vram_window_end = VRAM_WINDOW_END
+        vram = self.vram
+        cache = self.cache
+        put_run = cache.put_run
         read_run = self._read_run
         write_run = self._write_run
         used = 0
         while used < budget:
             if self._inflight is not None:
                 opcode, words, cost = self._inflight
-            elif regs[REG_RB_HEAD] == regs[REG_RB_TAIL] or not ready:
-                break
             else:
-                try:
-                    opcode, words, cost = self._fetch(regs)
-                except HardwareFault as fault:
-                    self._fault(fault)
-                    continue
+                head = regs[REG_RB_HEAD]
+                if head == tail or not ready:
+                    break
+                # an instruction wholly inside this call's window is sliced
+                # out of it; _fetch takes every other case
+                words = None
+                window = self._window
+                if window is not None and window[0] <= head < window[1]:
+                    i = (head - window[0]) // WORD
+                    length = INSTR_WORDS.get(window[2][i])
+                    if (length is not None and head + length * WORD <= window[1]
+                            and length * WORD <= (tail - head) % ring):
+                        words = window[2][i:i + length]
+                if words is None:
+                    try:
+                        words = self._fetch(regs)
+                    except HardwareFault as fault:
+                        self._fault(fault)
+                        continue
+                opcode = words[0]
+                if opcode == OP_COMPUTE:
+                    cost = 1 + words[5]
+                elif opcode == OP_COPY:
+                    cost = 1 + words[3]
+                else:
+                    cost = 4 if opcode == OP_FENCE else 1
             if cost > budget - used:  # out of budget mid-instruction
                 self._inflight = [opcode, words, cost - (budget - used)]
                 used = budget
                 break
             used += cost
             self._inflight = None
+            # device-local operand runs decode inline (see the module
+            # docstring); every other run, and every fault, goes through
+            # _read_run/_write_run
             try:
+                out = None
                 if opcode == OP_COMPUTE:
                     sub, dst, src1, src2, count = words[1:]
                     if sub > CO_DOT:  # CO_ADD, CO_MUL, CO_DOT are 0, 1, 2
                         raise CmdFault(f"unknown COMPUTE sub-op 0x{sub:x}")
                     if count:
-                        a = read_run(src1, count)
-                        b = read_run(src2, count)
-                        if sub == CO_DOT:
-                            write_run(dst, [sum(map(mul, a, b)) & MASK32])
-                        elif sub == CO_ADD:
-                            write_run(dst, [(x + y) & MASK32 for x, y in zip(a, b)])
+                        n_bytes = count * WORD
+                        loc = seg_base + src1
+                        if (src1 % WORD or src1 + n_bytes > vram_window_end
+                                or loc + n_bytes > local_end):
+                            a = read_run(src1, count)
+                        elif loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= loc + n_bytes:
+                            a = _words(count).unpack_from(vram, loc)
                         else:
-                            write_run(dst, [(x * y) & MASK32 for x, y in zip(a, b)])
+                            a = cache.read(_SPACE_VRAM, loc, count)
+                        loc = seg_base + src2
+                        if (src2 % WORD or src2 + n_bytes > vram_window_end
+                                or loc + n_bytes > local_end):
+                            b = read_run(src2, count)
+                        elif loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= loc + n_bytes:
+                            b = _words(count).unpack_from(vram, loc)
+                        else:
+                            b = cache.read(_SPACE_VRAM, loc, count)
+                        if sub == CO_DOT:
+                            out = [sum(map(mul, a, b)) & MASK32]
+                        elif sub == CO_ADD:
+                            out = [(x + y) & MASK32 for x, y in zip(a, b)]
+                        else:
+                            out = [(x * y) & MASK32 for x, y in zip(a, b)]
                     elif sub == CO_DOT:
-                        write_run(dst, [0])
+                        out = [0]
                 elif opcode == OP_COPY:
                     dst, src, count = words[1:]
                     if count:
-                        write_run(dst, read_run(src, count))
+                        n_bytes = count * WORD
+                        loc = seg_base + src
+                        if (src % WORD or src + n_bytes > vram_window_end
+                                or loc + n_bytes > local_end):
+                            out = read_run(src, count)
+                        elif loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= loc + n_bytes:
+                            out = _words(count).unpack_from(vram, loc)
+                        else:
+                            out = cache.read(_SPACE_VRAM, loc, count)
                 elif opcode == OP_FENCE:
                     # the status page decodes before the drain, so a fault
                     # changes nothing
@@ -908,7 +948,7 @@ class SimDevice:
                     if ih == 0:
                         raise CmdFault("FENCE with no status page configured")
                     self._decode_run(ih, 4, True)
-                    self.cache.drain()
+                    cache.drain()
                     self._status[:2] = words[1:3]
                     self._write_run_direct(ih, self._status)
                     if words[3] & FENCE_IRQ and regs[REG_IRQ_ENABLE]:
@@ -918,11 +958,24 @@ class SimDevice:
                     if reg not in SCRATCH_REGISTERS:
                         raise CmdFault(f"SET_REG may only target scratch registers, got 0x{reg:x}")
                     regs[reg] = value
+                if out is not None:
+                    n_bytes = len(out) * WORD
+                    loc = seg_base + dst
+                    if (dst % WORD or dst + n_bytes > vram_window_end
+                            or loc + n_bytes > local_end):
+                        write_run(dst, out)
+                    else:
+                        # _drop_window_over, inline
+                        window = self._window
+                        if (window is not None and window[3] == _SPACE_VRAM
+                                and loc <= window[5]
+                                and window[4] <= loc + n_bytes - WORD):
+                            self._window = None
+                        put_run(_SPACE_VRAM, loc, out)
             except HardwareFault as fault:
                 self._fault(fault)
             else:
-                regs[REG_RB_HEAD] = ((regs[REG_RB_HEAD] + len(words) * WORD)
-                                     % (regs[REG_RB_SIZE] * WORD))
+                regs[REG_RB_HEAD] = (regs[REG_RB_HEAD] + len(words) * WORD) % ring
         return ExecReport(used)
 
     # -- display -----------------------------------------------------------

@@ -6,11 +6,15 @@ import pytest
 
 from devmux import simdev
 from devmux.devcore import DeviceCore
+from devmux.errors import CmdFault, HardwareFault
 from devmux.platform import CostLedger, Platform
-from devmux.simdev import (REG_IH_PAGE_ADDR, REG_IRQ_ENABLE, REG_MC_SEG_BASE,
-                           REG_MC_SEG_LIMIT, REG_RB_BASE, REG_RB_SIZE,
-                           REG_RB_TAIL, WORD, IommuUnit, SimDevice,
-                           encode_batch)
+from devmux.simdev import (CO_ADD, CO_DOT, FENCE_IRQ, FLAG_FENCE,
+                           FW_CTRL_READY, MASK32, OP_COMPUTE, OP_COPY,
+                           OP_FENCE, OP_SET_REG, REG_FW_CTRL,
+                           REG_IH_PAGE_ADDR, REG_IRQ_ENABLE, REG_MC_SEG_BASE,
+                           REG_MC_SEG_LIMIT, REG_RB_BASE, REG_RB_HEAD,
+                           REG_RB_SIZE, REG_RB_TAIL, SCRATCH_REGISTERS, WORD,
+                           ExecReport, IommuUnit, SimDevice, encode_batch)
 
 # fixed VRAM layout for standalone (no-driver) device tests
 STATUS_AT = 0x2000
@@ -44,21 +48,82 @@ class UnflushedRootIommu(IommuUnit):
 
 
 class DecodeRunDevice(SimDevice):
-    """A device whose operand runs all decode through ``_decode_run``: the
-    reference for the inline device-local path of ``SimDevice``."""
+    """A device whose command processor fetches every instruction with
+    ``_fetch`` and decodes every operand run with ``_decode_run``, through
+    ``_read_run`` and ``_write_run``: the reference for the inline fetch and
+    device-local operand decode of ``SimDevice.step``."""
 
-    def _read_run(self, da: int, n_words: int):
-        words = []
-        for space, addr, count in self._decode_run(da, n_words, False):
-            words.extend(self.cache.read(space, addr, count))
-        return words
-
-    def _write_run(self, da: int, words):
-        k = 0
-        for space, addr, count in self._decode_run(da, len(words), True):
-            self._drop_window_over(space, addr, addr + (count - 1) * WORD)
-            self.cache.put_run(space, addr, words[k:k + count])
-            k += count
+    def step(self, budget: int) -> ExecReport:
+        self._window = None
+        regs = self.regs
+        ready = regs[REG_FW_CTRL] == FW_CTRL_READY
+        used = 0
+        while used < budget:
+            if self._inflight is not None:
+                opcode, words, cost = self._inflight
+            elif regs[REG_RB_HEAD] == regs[REG_RB_TAIL] or not ready:
+                break
+            else:
+                try:
+                    words = self._fetch(regs)
+                except HardwareFault as fault:
+                    self._fault(fault)
+                    continue
+                opcode = words[0]
+                if opcode == OP_COMPUTE:
+                    cost = 1 + words[5]
+                elif opcode == OP_COPY:
+                    cost = 1 + words[3]
+                else:
+                    cost = 4 if opcode == OP_FENCE else 1
+            if cost > budget - used:
+                self._inflight = [opcode, words, cost - (budget - used)]
+                used = budget
+                break
+            used += cost
+            self._inflight = None
+            try:
+                if opcode == OP_COMPUTE:
+                    sub, dst, src1, src2, count = words[1:]
+                    if sub > CO_DOT:
+                        raise CmdFault(f"unknown COMPUTE sub-op 0x{sub:x}")
+                    if count:
+                        a = self._read_run(src1, count)
+                        b = self._read_run(src2, count)
+                        if sub == CO_DOT:
+                            out = [sum(x * y for x, y in zip(a, b)) & MASK32]
+                        elif sub == CO_ADD:
+                            out = [(x + y) & MASK32 for x, y in zip(a, b)]
+                        else:
+                            out = [(x * y) & MASK32 for x, y in zip(a, b)]
+                        self._write_run(dst, out)
+                    elif sub == CO_DOT:
+                        self._write_run(dst, [0])
+                elif opcode == OP_COPY:
+                    dst, src, count = words[1:]
+                    if count:
+                        self._write_run(dst, self._read_run(src, count))
+                elif opcode == OP_FENCE:
+                    ih = regs[REG_IH_PAGE_ADDR]
+                    if ih == 0:
+                        raise CmdFault("FENCE with no status page configured")
+                    self._decode_run(ih, 4, True)
+                    self.cache.drain()
+                    self._status[:2] = words[1:3]
+                    self._write_run_direct(ih, self._status)
+                    if words[3] & FENCE_IRQ and regs[REG_IRQ_ENABLE]:
+                        self._record_event(FLAG_FENCE)
+                elif opcode == OP_SET_REG:
+                    reg, value = words[1:]
+                    if reg not in SCRATCH_REGISTERS:
+                        raise CmdFault(f"SET_REG may only target scratch registers, got 0x{reg:x}")
+                    regs[reg] = value
+            except HardwareFault as fault:
+                self._fault(fault)
+            else:
+                regs[REG_RB_HEAD] = ((regs[REG_RB_HEAD] + len(words) * WORD)
+                                     % (regs[REG_RB_SIZE] * WORD))
+        return ExecReport(used)
 
 
 def boot_solo(device):

@@ -53,3 +53,15 @@ def test_profile_step_prints_a_profile_of_one_step():
     assert lines[0].startswith("matmul library: 1 steps, ")
     assert "own ms/step" in lines[1]
     assert any("(step)" in line for line in lines[2:])
+
+
+def test_profile_step_stops_quietly_when_its_reader_goes():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(root, "tools", "profile_step.py"),
+         "--workload", "tenants", "--driver", "library", "--steps", "1"],
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # as ``| head -0`` does
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""

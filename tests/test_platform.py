@@ -107,3 +107,31 @@ def test_an_owner_that_cannot_be_hashed_is_refused_before_any_frame_is_taken():
         platform.alloc_pages(["a"], 2)
     assert platform.sysmem.owner == [None] * 8
     assert len(platform.alloc_pages("a", 8)) == 8
+
+
+def _page_state(platform):
+    mem = platform.sysmem
+    return dict(platform.page_map), list(mem.owner), list(mem.pins), bytes(mem.data)
+
+
+@pytest.mark.parametrize("pick, error", [
+    (lambda vaddrs: vaddrs, PermError),  # the middle frame is pinned
+    (lambda vaddrs: vaddrs + vaddrs[:1], InvalError),
+    (lambda vaddrs: vaddrs + [vaddrs[-1] + 0x1000], InvalError),  # not mapped
+], ids=["pinned", "repeated", "unmapped"])
+def test_a_refused_free_changes_nothing_and_a_retry_frees_every_page(pick, error):
+    platform = Platform(8, CostLedger())
+    vaddrs = platform.alloc_pages("a", 3)
+    for i, vaddr in enumerate(vaddrs):
+        platform.sysmem.write(platform.resolve("a", vaddr), 0, bytes([i + 1]) * 16)
+    middle = platform.resolve("a", vaddrs[1])
+    platform.sysmem.pin(middle)
+    before = _page_state(platform)
+    with pytest.raises(error):
+        platform.free_pages("a", pick(vaddrs))
+    assert _page_state(platform) == before
+    platform.sysmem.unpin(middle)
+    platform.free_pages("a", vaddrs)
+    assert platform.page_map == {}
+    assert platform.sysmem.owner == [None] * 8
+    assert platform.sysmem.data == bytes(8 * 4096)

@@ -14,7 +14,7 @@ from conftest import (DATA_AT, RING_AT, RING_WORDS, STATUS_AT,
                       make_platform, pack, poke_words, push_batch,
                       read_status, unpack, vram_words)
 from devmux import simdev
-from devmux.errors import HardwareFault, IommuFault, InvalError, RegFault
+from devmux.errors import IommuFault, InvalError, RegFault
 from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
                            FAULT_FLAGS, FLAG_CMD_FAULT, FLAG_FENCE,
                            FLAG_IOMMU_FAULT, FLAG_MC_FAULT, M_REGISTERS,
@@ -231,6 +231,18 @@ def test_a_head_or_tail_at_or_past_the_ring_end_faults_the_fetch(solo, arm):
     assert read_status(device) == (0, 1, FLAG_CMD_FAULT)
     assert device.cp_idle  # the fault took the batch
     assert device.mmio_read(REG_SCRATCH0) == 0
+
+
+def test_a_tail_inside_a_word_truncates_the_instruction_it_cuts(solo):
+    _, device = solo
+    poke_words(device, RING_AT, simdev.encode_batch([Nop(), SetReg(REG_SCRATCH0, 9)]))
+    # the batch ends two bytes into the SET_REG's last word, which the
+    # fetch window the NOP's fetch read still holds: it reads whole words
+    device.mmio_write(REG_RB_TAIL, 14)
+    assert device.step(100).cycles_used == 1
+    assert read_status(device) == (0, 1, FLAG_CMD_FAULT)
+    assert device.mmio_read(REG_SCRATCH0) == 0
+    assert device.cp_idle
 
 
 FAR = 0x0FFF_FF00  # in the device-local window, past the 2 MiB segment
@@ -512,9 +524,9 @@ ALIAS_WORDS = 2 * PAGE_SIZE // WORD
 ALIAS_FRAME = DATA_AT // PAGE_SIZE
 
 
-def aliased_device(vram=2 << 20):
+def aliased_device(vram=2 << 20, cls=SimDevice):
     platform = make_platform()
-    device = boot_solo(make_device(platform, vram=vram))
+    device = boot_solo(cls(platform.sysmem, vram_size=vram))
     table = PageTable()
     table.map(0, ALIAS_FRAME + 1)
     table.map(PAGE_SIZE, ALIAS_FRAME)
@@ -1001,41 +1013,63 @@ def _ring_program(draw):
     return ring, status, start, simdev.encode_batch(instrs)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_ring_program(), st.lists(st.integers(0, 8), min_size=FETCH_DATA_WORDS,
-                                 max_size=FETCH_DATA_WORDS))
-def test_step_budget_does_not_change_what_runs(program, data):
+_fetch_data = st.lists(st.integers(0, 8), min_size=FETCH_DATA_WORDS,
+                       max_size=FETCH_DATA_WORDS)
+
+
+def _run_ring(cls, program, data, budget):
+    """Queue ``program`` on an aliased ``cls`` device and spend
+    FETCH_BUDGET cycles on it, ``budget`` cycles a call."""
     ring, status, start, words = program
+    platform, device = aliased_device(vram=128 << 10, cls=cls)
+    device.mmio_write(REG_RB_BASE, ring)
+    device.mmio_write(REG_RB_SIZE, FETCH_RING_WORDS)
+    device.mmio_write(REG_IH_PAGE_ADDR, status)
+    device.mmio_write(REG_RB_HEAD, start * WORD)
+    device.mmio_write(REG_RB_TAIL, start * WORD)
+    poke_words(device, DATA_AT, data)
+    queue(platform, device, words)
+    for _ in range(FETCH_BUDGET // budget):
+        if device.cp_idle:
+            break
+        device.step(budget)
+    return platform, device
 
-    def run(budget):
-        platform, device = aliased_device(vram=128 << 10)
-        device.mmio_write(REG_RB_BASE, ring)
-        device.mmio_write(REG_RB_SIZE, FETCH_RING_WORDS)
-        device.mmio_write(REG_IH_PAGE_ADDR, status)
-        device.mmio_write(REG_RB_HEAD, start * WORD)
-        device.mmio_write(REG_RB_TAIL, start * WORD)
-        poke_words(device, DATA_AT, data)
-        queue(platform, device, words)
-        # the same FETCH_BUDGET cycles, in one call or one cycle per call;
-        # a call of one cycle fetches at most one instruction, so it reads
-        # every instruction afresh
-        for _ in range(FETCH_BUDGET // budget):
-            if device.cp_idle:
-                break
-            device.step(budget)
-        return platform, device
 
-    platform_a, whole = run(FETCH_BUDGET)
-    platform_b, single = run(1)
+def _assert_same_ring_state(status, run_a, run_b):
+    (platform_a, a), (platform_b, b) = run_a, run_b
     # the cheap comparisons come first, so that while a failure shrinks,
     # only examples that pass them pay for hashing VRAM
-    assert whole.mmio_read(REG_RB_HEAD) == single.mmio_read(REG_RB_HEAD)
-    assert (device_words(platform_a, whole, status, 4)
-            == device_words(platform_b, single, status, 4))
-    assert list(whole.cache.pending.items()) == list(single.cache.pending.items())
-    assert whole.vram == single.vram
+    assert a.mmio_read(REG_RB_HEAD) == b.mmio_read(REG_RB_HEAD)
+    assert (device_words(platform_a, a, status, 4)
+            == device_words(platform_b, b, status, 4))
+    assert list(a.cache.pending.items()) == list(b.cache.pending.items())
+    assert a.vram == b.vram
     assert platform_a.sysmem.data == platform_b.sysmem.data
-    assert whole.device_digest() == single.device_digest()
+    assert a.device_digest() == b.device_digest()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_program(), _fetch_data)
+def test_step_budget_does_not_change_what_runs(program, data):
+    # the same FETCH_BUDGET cycles, in one call or one cycle per call; a
+    # call of one cycle fetches at most one instruction, so it reads every
+    # instruction afresh
+    _assert_same_ring_state(program[1], _run_ring(SimDevice, program, data, FETCH_BUDGET),
+                            _run_ring(SimDevice, program, data, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ring_program(), _fetch_data, st.sampled_from((1, 7, FETCH_BUDGET)))
+def test_ring_programs_run_as_on_the_reference_interpreter(program, data, budget):
+    """Self-modifying rings, a status page inside the ring and instructions
+    across page and ring ends run as when every instruction goes through
+    ``_fetch`` and every operand through ``_decode_run``."""
+    run = _run_ring(SimDevice, program, data, budget)
+    ref = _run_ring(DecodeRunDevice, program, data, budget)
+    _assert_same_ring_state(program[1], run, ref)
+    assert run[1]._window == ref[1]._window
+    assert list(run[1].iommu.tlb.items()) == list(ref[1].iommu.tlb.items())
 
 
 # --- inline device-local operand decode -------------------------------------
@@ -1043,15 +1077,22 @@ def test_step_budget_does_not_change_what_runs(program, data):
 DIFF_VRAM_WORDS = 2048   # the largest device memory drawn
 DIFF_FRAMES = 4          # system memory; the aperture maps its pages 0-2
 DIFF_PATTERN = bytes(range(251)) * 200  # 251 is prime: no two words repeat
+# a 16-word ring on aperture page 4, in system frame 0, which no operand
+# run reaches: aperture page 3 is unmapped
+DIFF_RING = APERTURE_BASE + 4 * PAGE_SIZE
+DIFF_RING_WORDS = 16
+# the other operands: aperture pages 0 and 1, both writable
+DIFF_SINK = APERTURE_BASE
+DIFF_SOURCE = APERTURE_BASE + PAGE_SIZE
+DIFF_BUDGET = 1000
 
 
 @st.composite
 def _run_program(draw):
-    """Device-local memory, an MC segment, pending cache runs, a fetch
-    window and a few operand runs.  Most runs start or end at an edge: the
-    segment limit, the end of device memory, the end of the device-local
-    window, or either end of a pending run; the window lies over one end of
-    a run."""
+    """Device-local memory, an MC segment, pending cache runs and a few
+    operand runs, each for a COPY or a COMPUTE sub-op.  Most runs start or
+    end at an edge: the segment limit, the end of device memory, the end of
+    the device-local window, or either end of a pending run."""
     vram_words = draw(st.sampled_from((DIFF_VRAM_WORDS,
                                        draw(st.integers(0, DIFF_VRAM_WORDS)))))
     base = draw(st.sampled_from((0, 2, draw(st.integers(0, vram_words)) * WORD)))
@@ -1059,12 +1100,15 @@ def _run_program(draw):
                                   base + draw(st.integers(0, DIFF_VRAM_WORDS)) * WORD
                                   + draw(st.sampled_from((0, 1, 3))))))
     window_end = draw(st.sampled_from((VRAM_WINDOW_END, 1 << 11, 1 << 12)))
+    # system memory past frame 0, which holds the ring
+    first_words = (0, PAGE_SIZE // WORD)
     backing_words = (vram_words, DIFF_FRAMES * PAGE_SIZE // WORD)
     pending = []
     for space in draw(st.lists(st.sampled_from((0, 0, 1)), max_size=4)):
         n = draw(st.integers(1, 400))
-        if n <= backing_words[space]:
-            pending.append((space, draw(st.integers(0, backing_words[space] - n)) * WORD, n))
+        if first_words[space] + n <= backing_words[space]:
+            pending.append((space, draw(st.integers(first_words[space],
+                                                    backing_words[space] - n)) * WORD, n))
     # edges as device-local addresses, which the segment base offsets
     edges = [limit - base, vram_words * WORD - base, window_end]
     edges += [addr - base + k * n * WORD for _, addr, n in pending for k in (0, 1)]
@@ -1083,69 +1127,75 @@ def _run_program(draw):
             da = APERTURE_BASE + draw(st.integers(0, 3 * PAGE_SIZE // WORD - 1)) * WORD
         else:
             da = draw(st.integers(0, vram_words)) * WORD
-        ops.append((da, n))
-    window = None
-    if draw(st.booleans()):  # over one end of a run
-        da, n = draw(st.sampled_from(ops))
-        size = draw(st.integers(1, 64))
-        lo = max(0, base + da + draw(st.sampled_from((-size, 1 - size, n - 1, n))) * WORD)
-        window = (0, size * WORD, list(range(size)), draw(st.sampled_from((0, 0, 1))),
-                  lo, lo + (size - 1) * WORD)
-    return vram_words, base, limit, window_end, pending, window, ops
+        ops.append((da, n, draw(st.sampled_from((None, CO_ADD, CO_MUL, CO_DOT)))))
+    return vram_words, base, limit, window_end, pending, ops
 
 
-def _run_device(cls, vram_words, base, limit, pending, window):
+def _run_device(cls, vram_words, base, limit, pending):
     platform = make_platform(frames=DIFF_FRAMES)
     device = cls(platform.sysmem, vram_size=vram_words * WORD)
     device.vram[:] = DIFF_PATTERN[:len(device.vram)]
     platform.sysmem.data[:] = DIFF_PATTERN[7:7 + len(platform.sysmem.data)]
+    simdev.install_firmware(device)
     device.regs[REG_MC_SEG_BASE] = base
     device.regs[REG_MC_SEG_LIMIT] = limit
     table = PageTable()
     for page in range(3):  # the last one read-only
         table.map(page * PAGE_SIZE, DIFF_FRAMES - 1 - page, writable=page < 2)
+    table.map(DIFF_RING - APERTURE_BASE, 0)
     device.translation_tables[1] = table
     device.mmio_write(REG_IOMMU_ROOT, 1)
+    device.mmio_write(REG_RB_BASE, DIFF_RING)
+    device.mmio_write(REG_RB_SIZE, DIFF_RING_WORDS)
     for space, addr, n in pending:
         device.cache.put_run(space, addr, [addr + i for i in range(n)])
-    device._window = window
     return platform, device
 
 
-def _run_outcome(device, is_write, da, n):
-    try:
-        if is_write:
-            device._write_run(da, [(da * 31 + i * 2654435761) & MASK32
-                                   for i in range(n)])
-            return None
-        return list(device._read_run(da, n))
-    except HardwareFault as fault:
-        return type(fault), str(fault)
+def _run_alone(platform, device, instr):
+    """Queue ``instr`` at RB_TAIL in the ring in frame 0 and run it."""
+    tail = device.mmio_read(REG_RB_TAIL) // WORD
+    words = instr.encode()
+    for i, word in enumerate(words):
+        addr = (tail + i) % DIFF_RING_WORDS * WORD
+        platform.sysmem.data[addr:addr + WORD] = pack([word])
+    device.mmio_write(REG_RB_TAIL, (tail + len(words)) % DIFF_RING_WORDS * WORD)
+    device.step(DIFF_BUDGET)
 
 
-@settings(max_examples=300, deadline=None)
+def _operand_uses(da, n, sub):
+    """Instructions with the run at ``da`` as each operand of a COPY, or of
+    a COMPUTE ``sub``; a DOT writes one word at ``da``."""
+    if sub is None:
+        return [Copy(DIFF_SINK, da, n), Copy(da, DIFF_SOURCE, n)]
+    return [Compute(sub, DIFF_SINK, da, DIFF_SOURCE, n),
+            Compute(sub, DIFF_SINK, DIFF_SOURCE, da, n),
+            Compute(sub, da, DIFF_SOURCE, DIFF_SOURCE, n)]
+
+
+@settings(max_examples=200, deadline=None)
 @given(_run_program())
 def test_inline_device_local_runs_equal_decoding_every_run(program):
-    """Each run is read and then written, moved a word down, in place and
-    a word up."""
-    vram_words, base, limit, window_end, pending, window, ops = program
+    """Each run, moved a word down, in place and a word up, is an operand
+    of instructions run one at a time from an aperture ring."""
+    vram_words, base, limit, window_end, pending, ops = program
     with mock.patch.object(simdev, "VRAM_WINDOW_END", window_end):
-        platform, device = _run_device(SimDevice, vram_words, base, limit,
-                                       pending, window)
+        platform, device = _run_device(SimDevice, vram_words, base, limit, pending)
         ref_platform, ref = _run_device(DecodeRunDevice, vram_words, base,
-                                        limit, pending, window)
-        for (da, n), near, is_write in itertools.product(
-                ops, (-WORD, 0, WORD), (False, True)):
-            da = max(0, da + near)
-            assert (_run_outcome(device, is_write, da, n)
-                    == _run_outcome(ref, is_write, da, n))
-            assert list(device.cache._runs) == list(ref.cache._runs)
-            assert device.cache.size == ref.cache.size
-            assert (device.cache.lo, device.cache.hi) == (ref.cache.lo, ref.cache.hi)
-            assert device._window == ref._window
-            assert list(device.iommu.tlb.items()) == list(ref.iommu.tlb.items())
-            assert device.vram == ref.vram
-            assert platform.sysmem.data == ref_platform.sysmem.data
+                                        limit, pending)
+        for (da, n, sub), near in itertools.product(ops, (-WORD, 0, WORD)):
+            for instr in _operand_uses(max(0, da + near), n, sub):
+                _run_alone(platform, device, instr)
+                _run_alone(ref_platform, ref, instr)
+                assert device._status == ref._status
+                assert device.regs == ref.regs
+                assert list(device.cache._runs) == list(ref.cache._runs)
+                assert device.cache.size == ref.cache.size
+                assert (device.cache.lo, device.cache.hi) == (ref.cache.lo, ref.cache.hi)
+                assert device._window == ref._window
+                assert list(device.iommu.tlb.items()) == list(ref.iommu.tlb.items())
+                assert device.vram == ref.vram
+                assert platform.sysmem.data == ref_platform.sysmem.data
 
 
 # --- scanout -----------------------------------------------------------------
@@ -1226,6 +1276,14 @@ _instr = st.one_of(
 )
 
 
+def _registers_step_keeps(device):
+    """Every register but RB_HEAD and the scratch registers: what
+    ``SimDevice.step`` reads once a call relies on no instruction writing
+    them."""
+    return {reg: device.mmio_read(reg) for reg in simdev.ALL_REGISTERS
+            if reg != REG_RB_HEAD and reg not in SCRATCH_REGISTERS}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_instr, min_size=1, max_size=12))
 def test_random_batches_never_touch_privileged_registers(batch):
@@ -1236,8 +1294,10 @@ def test_random_batches_never_touch_privileged_registers(batch):
         push_batch(device, batch)
     except Exception:
         return  # batch too large for the ring; nothing ran
+    kept = _registers_step_keeps(device)
     device.step(1_000_000)
     assert {reg: device.mmio_read(reg) for reg in S_REGISTERS} == s_before
+    assert _registers_step_keeps(device) == kept
     # the CP always ends parked: batch done or faulted with head == tail
     assert device.mmio_read(REG_RB_HEAD) == device.mmio_read(REG_RB_TAIL)
 
@@ -1331,6 +1391,8 @@ def test_garbage_streams_fault_cleanly(words):
     s_before = {reg: device.mmio_read(reg) for reg in S_REGISTERS}
     poke_words(device, RING_AT, words)
     device.mmio_write(REG_RB_TAIL, (len(words) * WORD) % (RING_WORDS * WORD))
+    kept = _registers_step_keeps(device)
     device.step(1_000_000)
     assert device.cp_idle
     assert {reg: device.mmio_read(reg) for reg in S_REGISTERS} == s_before
+    assert _registers_step_keeps(device) == kept
