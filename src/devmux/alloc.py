@@ -48,6 +48,3 @@ class FirstFitAllocator:
         self._free = merged
         return True
 
-    def bytes_free(self) -> int:
-        return sum(s for _, s in self._free)
-

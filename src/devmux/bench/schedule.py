@@ -101,8 +101,10 @@ def measure_switch(config: BenchConfig = None, pool_pages: int = None,
     Nothing is in flight, so every switch costs exactly two privileged
     calls; the cost must not depend on how much memory the libraries map.
     """
+    if cycles < 1:
+        raise InvalError(f"switch cycles must be at least 1, got {cycles}")
     config = config or BenchConfig()
-    pool = pool_pages or config.pool_pages
+    pool = config.pool_pages if pool_pages is None else pool_pages
     world = build_world(config, "library", "builtin")
     core = world.core
     a = LibraryDriver(core, "switch-a", pool_pages=pool)

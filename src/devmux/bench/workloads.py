@@ -21,11 +21,20 @@ kernel, which validates and patches them on every submit.
 Only the library stack can be scheduled, so only its adapter offers the
 non-blocking ``completed`` poll.  The instruction streams are the same on
 both stacks, so results (and their digests) must match bit for bit.
+
+Host-side words are built with bulk operations, not a per-word loop:
+vertex-array frames are uploaded as the packed bytes of ``vertex_frame``,
+``matmul_oracle`` dots whole rows with whole columns, and
+``framebuffer_oracle`` doubles a packed frame in one shift.
+``vertex_fill`` stays the readable per-index reference that
+``vertex_frame`` must pack to.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
+from operator import mul
 
 from ..devcore import DeviceCore
 from ..errors import InvalError, VerifyFail
@@ -66,15 +75,11 @@ def matmul_fill_b(n: int) -> list:
 
 
 def matmul_oracle(n: int, a: list, b: list) -> list:
-    """Reference product with 32-bit wrap-around, row-major operands."""
-    out = [0] * (n * n)
-    for r in range(n):
-        for c in range(n):
-            acc = 0
-            for k in range(n):
-                acc += a[r * n + k] * b[k * n + c]
-            out[r * n + c] = acc & MASK32
-    return out
+    """Reference product with 32-bit wrap-around, row-major operands:
+    each output word is one row of ``a`` dotted with one column of ``b``."""
+    cols = [b[c::n] for c in range(n)]
+    return [sum(map(mul, a[r:r + n], col)) & MASK32
+            for r in range(0, n * n, n) for col in cols]
 
 
 VERTEX_STRIDE = 2654435761
@@ -87,11 +92,40 @@ def vertex_fill(n_words: int, salt: int) -> list:
                                       VERTEX_STRIDE)]
 
 
-def framebuffer_oracle(vertex_words: list) -> list:
-    """The graphics pass doubles every vertex word into the framebuffer."""
-    fb = [(2 * v) & MASK32 for v in vertex_words]
-    fb.extend([0] * (FB_WORDS - len(fb)))
-    return fb
+@lru_cache(maxsize=4)
+def _vertex_lanes(n_words: int) -> int:
+    """Word j of the salt-0 fill in the jth 64-bit lane of one integer."""
+    return int.from_bytes(struct.pack(f"<{n_words}Q", *vertex_fill(n_words, 0)),
+                          "little")
+
+
+def vertex_frame(n_words: int, salt: int) -> bytes:
+    """``_pack(vertex_fill(n_words, salt))``, built without a per-word loop.
+
+    Word j is the low half of lane j of ``lanes + salt term``: both
+    addends are below 2**32 in every lane, so no lane carries into the
+    next, and four strided copies keep each lane's low four bytes.
+    """
+    term = ((salt * 97) & MASK32).to_bytes(8, "little") * n_words
+    lanes = (_vertex_lanes(n_words) + int.from_bytes(term, "little")
+             ).to_bytes(8 * n_words, "little")
+    frame = bytearray(n_words * WORD)
+    for k in range(WORD):
+        frame[k::WORD] = lanes[k::8]
+    return bytes(frame)
+
+
+def framebuffer_oracle(vertices: bytes) -> bytes:
+    """The graphics pass doubles every vertex word into the framebuffer.
+
+    Takes the packed vertex words and returns the packed frame.  Each
+    word's top bit is cleared first, so one shift of the whole frame
+    doubles every word modulo 2**32 without carrying into the next.
+    """
+    n = len(vertices) // WORD
+    low31 = int.from_bytes(b"\xff\xff\xff\x7f" * n, "little")
+    doubled = (int.from_bytes(vertices, "little") & low31) << 1
+    return doubled.to_bytes(n * WORD, "little") + bytes((FB_WORDS - n) * WORD)
 
 
 def _transpose(mat: list, n: int) -> list:
@@ -275,11 +309,10 @@ class Matmul(Program):
 
     def finalize(self) -> dict:
         n = self.spec.size
-        got = _unpack(self.stack.read(self.c_buf, 0, n * n * WORD))
-        want = matmul_oracle(n, self.a, self.b)
-        if got != want:
+        data = self.stack.read(self.c_buf, 0, n * n * WORD)
+        if _unpack(data) != matmul_oracle(n, self.a, self.b):
             raise VerifyFail(f"matmul n={n}: device result differs from host oracle")
-        return {"result": f"{fnv1a64(_pack(got)):016x}"}
+        return {"result": f"{fnv1a64(data):016x}"}
 
 
 class Graphics(Program):
@@ -310,20 +343,20 @@ class Graphics(Program):
     def start(self):
         self.stack.show(self.fb)
         if not self.rewrite_vertices:
-            self.stack.write(self.vb, 0, _pack(vertex_fill(self.n_words, 0)))
+            self.stack.write(self.vb, 0, vertex_frame(self.n_words, 0))
         self.started = True
 
     def _before_iteration(self, index: int):
         if self.rewrite_vertices:
             self.last_salt = index
-            self.stack.write(self.vb, 0, _pack(vertex_fill(self.n_words, index)))
+            self.stack.write(self.vb, 0, vertex_frame(self.n_words, index))
 
     def finalize(self) -> dict:
         shot = self.world.device.scanout()
         if shot.faulted:
             raise VerifyFail("scanout faulted")
-        want = framebuffer_oracle(vertex_fill(self.n_words, self.last_salt))
-        if shot.digest != fnv1a64(_pack(want)):
+        want = framebuffer_oracle(vertex_frame(self.n_words, self.last_salt))
+        if shot.digest != fnv1a64(want):
             raise VerifyFail("framebuffer differs from host oracle")
         return {"result": f"{shot.digest:016x}"}
 

@@ -1,16 +1,20 @@
 """Benchmark harness: config files, reports, runs, scheduling, containment."""
 
 import json
+import random
+import struct
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from devmux.bench.attacks import CASES, run_attacks
 from devmux.bench.cli import main
 from devmux.bench.config import DRIVERS, BenchConfig, WorkloadSpec
 from devmux.bench.report import ITERATION_COLUMNS, RunReport
 from devmux.bench.schedule import measure_switch, run_schedule
-from devmux.bench.workloads import run_workload, speedup, vertex_fill
+from devmux.bench.workloads import (FB_WORDS, framebuffer_oracle, matmul_oracle,
+                                    run_workload, speedup, vertex_fill, vertex_frame)
 from devmux.bench.world import World
 from devmux.errors import InvalError
 from devmux.simdev import MASK32, SimDevice
@@ -119,6 +123,51 @@ def test_vertex_fill_is_the_per_index_formula(n_words, salt):
                                           for j in range(n_words)]
 
 
+def _packed(words) -> bytes:
+    return struct.pack(f"<{len(words)}I", *words)
+
+
+@pytest.mark.parametrize("n_words, salt", [
+    (0, 0), (1, 0), (64, 1), (3072, 17), (3072, (1 << 32) - 1), (5, (1 << 32) + 3)])
+def test_vertex_frame_is_the_packed_fill(n_words, salt):
+    assert vertex_frame(n_words, salt) == _packed(vertex_fill(n_words, salt))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_words=st.integers(0, 4096), salt=st.integers(0, (1 << 64) - 1))
+def test_vertex_frame_is_the_packed_fill_for_any_size_and_salt(n_words, salt):
+    assert vertex_frame(n_words, salt) == _packed(vertex_fill(n_words, salt))
+
+
+def _matmul_by_loops(n, a, b):
+    out = [0] * (n * n)
+    for r in range(n):
+        for c in range(n):
+            acc = 0
+            for k in range(n):
+                acc += a[r * n + k] * b[k * n + c]
+            out[r * n + c] = acc & MASK32
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32])
+def test_matmul_oracle_equals_the_triple_loop(n):
+    rng = random.Random(n)
+    a = [rng.getrandbits(32) for _ in range(n * n)]
+    b = [rng.getrandbits(32) for _ in range(n * n)]
+    assert matmul_oracle(n, a, b) == _matmul_by_loops(n, a, b)
+
+
+@pytest.mark.parametrize("n_words", [0, 1, 3, 64, 3072, FB_WORDS])
+def test_framebuffer_oracle_doubles_each_word_and_pads_the_frame(n_words):
+    rng = random.Random(n_words)
+    # every word with its top bit set would carry into its neighbour if
+    # the shift were not masked
+    words = [rng.getrandbits(32) | (1 << 31) * (j % 2) for j in range(n_words)]
+    want = [(2 * v) & MASK32 for v in words] + [0] * (FB_WORDS - n_words)
+    assert framebuffer_oracle(_packed(words)) == _packed(want)
+
+
 def test_library_hot_loop_is_one_crossing_and_no_copies():
     spec = WorkloadSpec(kind="vertex-array", size=8, iters=5, driver="library")
     report = run_workload(spec, BenchConfig())
@@ -211,6 +260,24 @@ def test_every_device_step_of_a_schedule_is_billed(stepped):
     assert cycles[worlds[0].device] == scheduled[-1].ledger["device_cycles"] > 0
     for world in worlds:
         assert cycles[world.device] == world.ledger.device_cycles
+
+
+@pytest.mark.parametrize("cycles", [0, -1])
+def test_switch_time_refuses_fewer_than_one_cycle(cycles):
+    with pytest.raises(InvalError, match="at least 1"):
+        measure_switch(BenchConfig(), cycles=cycles)
+
+
+def test_switch_time_passes_a_zero_pool_to_the_driver():
+    with pytest.raises(InvalError, match="pool needs at least"):
+        measure_switch(BenchConfig(), pool_pages=0, cycles=1)
+
+
+@pytest.mark.parametrize("argv", [["--cycles", "0"], ["--cycles", "-1"],
+                                  ["--pool-pages", "0"]])
+def test_cli_switch_time_reports_bad_arguments_as_errors(argv, capsys):
+    assert main(["switch-time", *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_switch_time_is_constant():

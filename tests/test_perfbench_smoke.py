@@ -55,6 +55,20 @@ def test_profile_step_prints_a_profile_of_one_step():
     assert any("(step)" in line for line in lines[2:])
 
 
+def test_profile_step_prints_a_profile_of_one_verify():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "profile_step.py"),
+         "--workload", "stream", "--driver", "legacy", "--steps", "1",
+         "--phase", "verify"],
+        cwd=root, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0].startswith("stream legacy: 1 verifies, ")
+    assert "own ms/verify" in lines[1]
+    assert any("(finalize)" in line for line in lines[2:])
+    assert any("(framebuffer_oracle)" in line for line in lines[2:])
+
+
 def test_profile_step_stops_quietly_when_its_reader_goes():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.Popen(

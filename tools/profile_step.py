@@ -1,12 +1,15 @@
-"""Profile the benchmark's steady steps on one driver stack.
+"""Profile the benchmark's steady steps, or its verify, on one driver stack.
 
     PYTHONPATH=src python tools/profile_step.py --workload {matmul,stream,tenants} \
-        --driver {library,legacy} --steps N
+        --driver {library,legacy} --steps N [--phase {step,verify}]
 
 Builds the stack that ``perfbench/run.py`` measures (``perfbench/harness.py``,
-imported as is), runs the launch step, times N steady steps without the
-profiler, then runs N more under cProfile.  It prints the per-step
-milliseconds of both and the functions with the most own time.  cProfile
+imported as is) and runs the launch step.  With ``--phase step`` (the
+default) it times N steady steps without the profiler, then runs N more
+under cProfile; with ``--phase verify`` it does the same with N calls of
+``Stack.finalize()``, the read-back and host-oracle check that
+``verify_s`` times.  It prints the milliseconds per call of both runs
+and the functions with the most own time.  cProfile
 adds a cost to every Python call, so the profiled figures overstate call-heavy
 code: use them to find where the time goes, and ``perfbench/run.py`` to
 measure a change.
@@ -26,6 +29,7 @@ from devmux.bench import BenchConfig  # noqa: E402
 from harness import Stack  # noqa: E402
 
 TOP = 15
+PLURAL = {"step": "steps", "verify": "verifies"}
 
 
 def parse_args(argv):
@@ -34,6 +38,7 @@ def parse_args(argv):
                         choices=("matmul", "stream", "tenants"))
     parser.add_argument("--driver", required=True, choices=("library", "legacy"))
     parser.add_argument("--steps", type=int, required=True)
+    parser.add_argument("--phase", choices=("step", "verify"), default="step")
     args = parser.parse_args(argv)
     if args.steps < 1:
         parser.error("--steps must be at least 1")
@@ -44,30 +49,32 @@ def main(argv=None):
     args = parse_args(argv)
     stack = Stack(args.workload, args.driver, BenchConfig())
     stack.step()  # the launch: first bind and uploads
+    run = stack.step if args.phase == "step" else stack.finalize
     start = time.perf_counter()
     for _ in range(args.steps):
-        stack.step()
+        run()
     plain_ms = (time.perf_counter() - start) * 1e3 / args.steps
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
     for _ in range(args.steps):
-        stack.step()
+        run()
     profiler.disable()
     profiled_ms = (time.perf_counter() - start) * 1e3 / args.steps
 
     stats = pstats.Stats(profiler).stats
     total = sum(tt for _, _, tt, _, _ in stats.values())
-    print(f"{args.workload} {args.driver}: {args.steps} steps, "
-          f"{plain_ms:.3f} ms per step, {profiled_ms:.3f} ms profiled")
-    print(f"{'own ms/step':>11} {'share':>6} {'calls/step':>10} "
-          f"{'cum ms/step':>11}  function")
+    per = args.phase
+    print(f"{args.workload} {args.driver}: {args.steps} {PLURAL[per]}, "
+          f"{plain_ms:.3f} ms per {per}, {profiled_ms:.3f} ms profiled")
+    print(f"{'own ms/' + per:>13} {'share':>6} {'calls/' + per:>12} "
+          f"{'cum ms/' + per:>13}  function")
     top = sorted(stats.items(), key=lambda item: -item[1][2])[:TOP]
     for (path, line, name), (_, calls, tt, ct, _) in top:
         where = f"{os.path.basename(path)}:{line}" if line else path
-        print(f"{tt * 1e3 / args.steps:11.3f} {tt / total:6.1%} "
-              f"{calls / args.steps:10.1f} {ct * 1e3 / args.steps:11.3f}  "
+        print(f"{tt * 1e3 / args.steps:13.3f} {tt / total:6.1%} "
+              f"{calls / args.steps:12.1f} {ct * 1e3 / args.steps:13.3f}  "
               f"{where}({name})")
 
 
