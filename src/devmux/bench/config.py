@@ -2,11 +2,14 @@
 
 Config files are flat ``key = value`` lines (``#`` comments allowed); keys
 match the BenchConfig field names.  Integer fields accept 0x-prefixed hex.
+No value may be negative, and a cost must be finite.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
+import math
 from dataclasses import dataclass
 
 from devmux import devcore, legacydrv, libdrv, platform, simdev
@@ -36,25 +39,38 @@ class BenchConfig:
     def from_file(cls, path: str) -> "BenchConfig":
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         values = {}
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise InvalError(f"{path}:{lineno}: expected key = value")
-                key, _, text = line.partition("=")
-                key = key.strip()
-                text = text.strip()
-                if key not in types:
-                    raise InvalError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    if types[key] in ("int", int):
-                        values[key] = int(text, 0)
-                    else:
-                        values[key] = float(text)
-                except ValueError as exc:
-                    raise InvalError(f"{path}:{lineno}: bad value for {key}: {exc}")
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise InvalError(f"{path}: cannot read: {exc.strerror}")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise InvalError(f"{path}:{lineno}: not UTF-8 text")
+        for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise InvalError(f"{path}:{lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key not in types:
+                raise InvalError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                if types[key] in ("int", int):
+                    values[key] = int(value, 0)
+                else:
+                    values[key] = float(value)
+            except ValueError as exc:
+                raise InvalError(f"{path}:{lineno}: bad value for {key}: {exc}")
+            # nan and inf parse as floats; no field takes a negative value
+            if not 0 <= values[key] < math.inf:
+                raise InvalError(f"{path}:{lineno}: {key} must be a finite "
+                                 f"number >= 0, got {value}")
         return cls(**values)
 
 

@@ -80,8 +80,8 @@ class DeviceCore:
     def __init__(self, platform, device: SimDevice, *,
                  device_memory: bool = True,
                  segment_bytes: int = SEGMENT_BYTES_DEFAULT):
-        if segment_bytes % PAGE_SIZE:
-            raise InvalError("segment size must be page-aligned")
+        if segment_bytes <= 0 or segment_bytes % PAGE_SIZE:
+            raise InvalError("segment size must be a positive multiple of the page size")
         self.platform = platform
         self.device = device
         self.device_memory = device_memory

@@ -80,20 +80,20 @@ reads the opcode word alone, so the fault fires at the same instruction and
 address as a word-by-word fetch.  The words of an instruction that lie
 past the window's end are read one at a time, word k from ring offset
 (RB_HEAD + 4k) mod the ring size, as a word-by-word fetch reads them.
-``step`` slices an instruction out of the window itself when RB_HEAD lies
-in it, the opcode is known, the whole instruction lies inside it and the
-batch holds all of it; ``_fetch`` takes every other case.
+``_fetch`` is the only fetch path: ``step`` hands it RB_HEAD, RB_TAIL and
+the ring size for every instruction.
 
-Operand runs that lie in device-local memory decode inline, in ``step``: a
-word-aligned COMPUTE or COPY run that ends inside the device-local window
-and inside the MC segment and VRAM is read and written at MC_SEG_BASE +
-address without building a span list, and a read that misses the
-write-back cache's address envelope unpacks straight from VRAM.  Every
-other run, and every run that faults, goes through ``_read_run`` or
-``_write_run`` and so ``_decode_run``, which raises the fault, so the
-words, the faults and the IOMMU's translations are the same either way.
-The fetch window, FENCE, scanout and the status page always decode
-through ``_decode_run``.
+COMPUTE and COPY operands go through two helpers that ``step`` defines
+once a call, ``read(da, count)`` and ``write(da, words)``.  A word-aligned
+run that ends inside the device-local window and inside the MC segment
+and VRAM is read and written at MC_SEG_BASE + address without building a
+span list; a read that misses the write-back cache's address envelope
+unpacks straight from VRAM, and a write drops an overlapping fetch window
+and queues its words in the cache.  Every other run, and every run that
+faults, goes through ``_read_run`` or ``_write_run`` and so
+``_decode_run``, which raises the fault, so the words, the faults and the
+IOMMU's translations are the same either way.  The fetch window, FENCE,
+scanout and the status page always decode through ``_decode_run``.
 """
 
 from __future__ import annotations
@@ -779,30 +779,27 @@ class SimDevice:
                 and first <= window[5] and window[4] <= last):
             self._window = None
 
-    def _fetch(self, regs):
-        """Decode the instruction at RB_HEAD; returns its words.
+    def _fetch(self, head: int, tail: int, ring: int):
+        """Decode the instruction at ``head``; returns its words.
 
-        A head or tail at or past the ring end is a command fault.  The
-        words come from the fetch window, which is read afresh when
-        RB_HEAD lies outside it; if that read faults, there is no window
-        and the opcode word is read alone.  Word k of the instruction past
-        the window's end is read alone from ring offset (RB_HEAD + 4k) mod
-        the ring size, so the first word that faults is the one a
-        word-by-word fetch faults on.
+        ``ring`` is the ring size in bytes.  The words come from the fetch
+        window, which is read afresh when ``head`` lies outside it; if that
+        read faults, there is no window and the opcode word is read alone.
+        A head or tail at or past the ring end is a command fault, checked
+        only on that rebuild: a window exists only once both checks passed,
+        and nothing within a ``step()`` call changes RB_TAIL or RB_SIZE.
+        Word k of the instruction past the window's end is read alone from
+        ring offset (``head`` + 4k) mod the ring size, so the first word
+        that faults is the one a word-by-word fetch faults on.
         """
-        ring = regs[REG_RB_SIZE] * WORD
-        head = regs[REG_RB_HEAD]
-        tail = regs[REG_RB_TAIL]
-        if tail >= ring:
-            raise CmdFault(f"RB_TAIL 0x{tail:x} at or past the ring end")
-        if head >= ring:
-            raise CmdFault(f"RB_HEAD 0x{head:x} at or past the ring end")
-        avail = (tail - head) % ring  # not 0: the CP is not idle
-        base = regs[REG_RB_BASE]
         window = self._window
         if window is None or not window[0] <= head < window[1]:
-            da = base + head
-            n_bytes = min(avail, ring - head, PAGE_SIZE - da % PAGE_SIZE)
+            if tail >= ring:
+                raise CmdFault(f"RB_TAIL 0x{tail:x} at or past the ring end")
+            if head >= ring:
+                raise CmdFault(f"RB_HEAD 0x{head:x} at or past the ring end")
+            da = self.regs[REG_RB_BASE] + head
+            n_bytes = min((tail - head) % ring, ring - head, PAGE_SIZE - da % PAGE_SIZE)
             try:
                 (span,) = self._decode_run(da, (n_bytes + WORD - 1) // WORD, False)
             except HardwareFault:
@@ -813,17 +810,18 @@ class SimDevice:
                                          self.cache.read(space, addr, count),
                                          space, addr, addr + (count - 1) * WORD)
         if window is None:
-            fetched, i = self._read_run(base + head, 1), 0
+            fetched, i = self._read_run(self.regs[REG_RB_BASE] + head, 1), 0
         else:
             fetched, i = window[2], (head - window[0]) // WORD
         opcode = fetched[i]
         length = INSTR_WORDS.get(opcode)
         if length is None:
             raise CmdFault(f"unknown opcode 0x{opcode:x}")
-        if avail < length * WORD:
+        if (tail - head) % ring < length * WORD:  # not 0: the CP is not idle
             raise CmdFault("truncated instruction at end of batch")
         words = fetched[i:i + length]
         if len(words) < length:  # rare: the window ends inside it
+            base = self.regs[REG_RB_BASE]
             for k in range(len(words), length):
                 words += self._read_run(base + (head + k * WORD) % ring, 1)
         return words
@@ -857,6 +855,32 @@ class SimDevice:
         put_run = cache.put_run
         read_run = self._read_run
         write_run = self._write_run
+
+        # operand runs: a word-aligned run that ends inside the device-local
+        # window, the MC segment and VRAM decodes here (see the module
+        # docstring); every other run, and every fault, goes through
+        # _read_run/_write_run
+        def read(da, count):
+            n_bytes = count * WORD
+            loc = seg_base + da
+            if da % WORD or da + n_bytes > vram_window_end or loc + n_bytes > local_end:
+                return read_run(da, count)
+            if loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= loc + n_bytes:
+                return _words(count).unpack_from(vram, loc)
+            return cache.read(_SPACE_VRAM, loc, count)
+
+        def write(da, words):
+            n_bytes = len(words) * WORD
+            loc = seg_base + da
+            if da % WORD or da + n_bytes > vram_window_end or loc + n_bytes > local_end:
+                write_run(da, words)
+                return
+            window = self._window  # _drop_window_over, inline
+            if (window is not None and window[3] == _SPACE_VRAM
+                    and loc <= window[5] and window[4] <= loc + n_bytes - WORD):
+                self._window = None
+            put_run(_SPACE_VRAM, loc, words)
+
         used = 0
         while used < budget:
             if self._inflight is not None:
@@ -865,22 +889,11 @@ class SimDevice:
                 head = regs[REG_RB_HEAD]
                 if head == tail or not ready:
                     break
-                # an instruction wholly inside this call's window is sliced
-                # out of it; _fetch takes every other case
-                words = None
-                window = self._window
-                if window is not None and window[0] <= head < window[1]:
-                    i = (head - window[0]) // WORD
-                    length = INSTR_WORDS.get(window[2][i])
-                    if (length is not None and head + length * WORD <= window[1]
-                            and length * WORD <= (tail - head) % ring):
-                        words = window[2][i:i + length]
-                if words is None:
-                    try:
-                        words = self._fetch(regs)
-                    except HardwareFault as fault:
-                        self._fault(fault)
-                        continue
+                try:
+                    words = self._fetch(head, tail, ring)
+                except HardwareFault as fault:
+                    self._fault(fault)
+                    continue
                 opcode = words[0]
                 if opcode == OP_COMPUTE:
                     cost = 1 + words[5]
@@ -894,53 +907,26 @@ class SimDevice:
                 break
             used += cost
             self._inflight = None
-            # device-local operand runs decode inline (see the module
-            # docstring); every other run, and every fault, goes through
-            # _read_run/_write_run
             try:
-                out = None
                 if opcode == OP_COMPUTE:
                     sub, dst, src1, src2, count = words[1:]
                     if sub > CO_DOT:  # CO_ADD, CO_MUL, CO_DOT are 0, 1, 2
                         raise CmdFault(f"unknown COMPUTE sub-op 0x{sub:x}")
                     if count:
-                        n_bytes = count * WORD
-                        loc = seg_base + src1
-                        if (src1 % WORD or src1 + n_bytes > vram_window_end
-                                or loc + n_bytes > local_end):
-                            a = read_run(src1, count)
-                        elif loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= loc + n_bytes:
-                            a = _words(count).unpack_from(vram, loc)
-                        else:
-                            a = cache.read(_SPACE_VRAM, loc, count)
-                        loc = seg_base + src2
-                        if (src2 % WORD or src2 + n_bytes > vram_window_end
-                                or loc + n_bytes > local_end):
-                            b = read_run(src2, count)
-                        elif loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= loc + n_bytes:
-                            b = _words(count).unpack_from(vram, loc)
-                        else:
-                            b = cache.read(_SPACE_VRAM, loc, count)
+                        a = read(src1, count)
+                        b = read(src2, count)
                         if sub == CO_DOT:
-                            out = [sum(map(mul, a, b)) & MASK32]
+                            write(dst, [sum(map(mul, a, b)) & MASK32])
                         elif sub == CO_ADD:
-                            out = [(x + y) & MASK32 for x, y in zip(a, b)]
+                            write(dst, [(x + y) & MASK32 for x, y in zip(a, b)])
                         else:
-                            out = [(x * y) & MASK32 for x, y in zip(a, b)]
+                            write(dst, [(x * y) & MASK32 for x, y in zip(a, b)])
                     elif sub == CO_DOT:
-                        out = [0]
+                        write(dst, [0])
                 elif opcode == OP_COPY:
                     dst, src, count = words[1:]
                     if count:
-                        n_bytes = count * WORD
-                        loc = seg_base + src
-                        if (src % WORD or src + n_bytes > vram_window_end
-                                or loc + n_bytes > local_end):
-                            out = read_run(src, count)
-                        elif loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= loc + n_bytes:
-                            out = _words(count).unpack_from(vram, loc)
-                        else:
-                            out = cache.read(_SPACE_VRAM, loc, count)
+                        write(dst, read(src, count))
                 elif opcode == OP_FENCE:
                     # the status page decodes before the drain, so a fault
                     # changes nothing
@@ -958,20 +944,6 @@ class SimDevice:
                     if reg not in SCRATCH_REGISTERS:
                         raise CmdFault(f"SET_REG may only target scratch registers, got 0x{reg:x}")
                     regs[reg] = value
-                if out is not None:
-                    n_bytes = len(out) * WORD
-                    loc = seg_base + dst
-                    if (dst % WORD or dst + n_bytes > vram_window_end
-                            or loc + n_bytes > local_end):
-                        write_run(dst, out)
-                    else:
-                        # _drop_window_over, inline
-                        window = self._window
-                        if (window is not None and window[3] == _SPACE_VRAM
-                                and loc <= window[5]
-                                and window[4] <= loc + n_bytes - WORD):
-                            self._window = None
-                        put_run(_SPACE_VRAM, loc, out)
             except HardwareFault as fault:
                 self._fault(fault)
             else:

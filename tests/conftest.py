@@ -48,10 +48,10 @@ class UnflushedRootIommu(IommuUnit):
 
 
 class DecodeRunDevice(SimDevice):
-    """A device whose command processor fetches every instruction with
-    ``_fetch`` and decodes every operand run with ``_decode_run``, through
-    ``_read_run`` and ``_write_run``: the reference for the inline fetch and
-    device-local operand decode of ``SimDevice.step``."""
+    """A device whose command processor decodes every operand run with
+    ``_decode_run``, through ``_read_run`` and ``_write_run``: the reference
+    for the device-local operand decode of ``SimDevice.step``.  It fetches
+    through the same ``_fetch`` as ``step``."""
 
     def step(self, budget: int) -> ExecReport:
         self._window = None
@@ -65,7 +65,8 @@ class DecodeRunDevice(SimDevice):
                 break
             else:
                 try:
-                    words = self._fetch(regs)
+                    words = self._fetch(regs[REG_RB_HEAD], regs[REG_RB_TAIL],
+                                        regs[REG_RB_SIZE] * WORD)
                 except HardwareFault as fault:
                     self._fault(fault)
                     continue

@@ -345,3 +345,28 @@ def test_cli_rejects_unknown_choices():
         main(["run", "--workload", "raytrace"])
     with pytest.raises(SystemExit):
         main(["nonsense"])
+
+
+@pytest.mark.parametrize("body, line", [
+    (None, None),                          # no such file
+    (b"pool_pages = 32\ncrossing_cost = \xff1\n", 2),
+    (b"vram_bytes = -1\n", 1),
+    (b"# sized by hand\nsysmem_pages = -1\n", 2),
+    (b"segment_bytes = 0\n", None),        # refused by DeviceCore
+    (b"crossing_cost = nan\n", 1),
+    (b"byte_cost = inf\n", 1),
+    (b"cycle_cost = -0.5\n", 1),
+], ids=["missing", "not-utf8", "negative-vram", "negative-sysmem",
+        "zero-segment", "nan-cost", "inf-cost", "negative-cost"])
+def test_cli_reports_a_bad_config_as_an_error(tmp_path, capsys, body, line):
+    path = tmp_path / "bad.conf"
+    if body is not None:
+        path.write_bytes(body)
+    assert main(["run", "--size", "2", "--iters", "1",
+                 "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    if line is not None:
+        assert f"{path}:{line}: " in captured.err

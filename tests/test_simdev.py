@@ -965,6 +965,47 @@ def test_a_write_from_the_vram_window_past_its_end_faults_whole(
     assert run(window_end - 2 * WORD) == run(window_end)
 
 
+@pytest.mark.parametrize("make", [
+    lambda da: Copy(DATA_AT + 0x100, da, 4),
+    lambda da: Compute(CO_ADD, DATA_AT + 0x100, da, DATA_AT, 4),
+    lambda da: Compute(CO_ADD, DATA_AT + 0x100, DATA_AT, da, 4),
+    lambda da: Copy(da, DATA_AT, 4),
+], ids=["copy-src", "compute-src1", "compute-src2", "copy-dst"])
+def test_an_operand_one_word_past_the_vram_window_end_faults_whole(make, monkeypatch):
+    # only the window rule refuses a run that ends one word past a window
+    # end inside the modelled VRAM and segment
+    monkeypatch.setattr(simdev, "VRAM_WINDOW_END", SMALL_WINDOW_END)
+
+    def run(da):
+        platform, device = aliased_device()
+        device.mmio_write(REG_RB_BASE, APERTURE_BASE)
+        poke_words(device, DATA_AT, [1, 2, 3, 4])
+        poke_words(device, SMALL_WINDOW_END - 3 * WORD, [5, 6, 7])
+        queue(platform, device, simdev.encode_batch([make(da), Fence(1)]))
+        device.step(100)
+        assert read_status(device) == (0, 1, FLAG_MC_FAULT)
+        assert not device.cache.pending
+        return device.device_digest()
+
+    # three words inside the window and one past it leave the same state
+    # as an operand outside every window
+    assert run(SMALL_WINDOW_END - 3 * WORD) == run(SMALL_WINDOW_END)
+
+
+@pytest.mark.parametrize("src", [DATA_AT + 0x100 - 3 * WORD, DATA_AT + 0x100],
+                         ids=["ends-on-it", "starts-on-it"])
+def test_a_read_that_meets_the_only_pending_word_at_its_edge_sees_it(solo, src):
+    # one pending word is the whole write-back envelope: lo == hi
+    _, device = solo
+    poke_words(device, DATA_AT, [7])
+    push_batch(device, [Copy(DATA_AT + 0x100, DATA_AT, 1),
+                        Copy(DATA_AT + 0x200, src, 4), Fence(1)])
+    device.step(100)
+    assert read_status(device)[0] == 1
+    assert 7 in vram_words(device, DATA_AT + 0x200, 4)
+    assert vram_words(device, DATA_AT + 0x200, 4) == vram_words(device, src, 4)
+
+
 # 128-word rings across a device page end, one in VRAM and one in the
 # aperture, and 64 words of small values at DATA_AT: copied into the ring
 # they decode as short instructions
@@ -1063,8 +1104,8 @@ def test_step_budget_does_not_change_what_runs(program, data):
 @given(_ring_program(), _fetch_data, st.sampled_from((1, 7, FETCH_BUDGET)))
 def test_ring_programs_run_as_on_the_reference_interpreter(program, data, budget):
     """Self-modifying rings, a status page inside the ring and instructions
-    across page and ring ends run as when every instruction goes through
-    ``_fetch`` and every operand through ``_decode_run``."""
+    across page and ring ends run as when every operand goes through
+    ``_decode_run``; both devices fetch through ``_fetch``."""
     run = _run_ring(SimDevice, program, data, budget)
     ref = _run_ring(DecodeRunDevice, program, data, budget)
     _assert_same_ring_state(program[1], run, ref)
