@@ -7,8 +7,9 @@ A workload is a Program with a fixed life cycle:
     start()     one-time uploads and mode setting (library: needs the bind)
     iterate()   run one full iteration, blocking until the device is done
     advance()   submit-or-poll step for cooperative scheduling (library only)
-    finalize()  read results back, verify against a host oracle, and return
-                result digests
+    finalize()  read results back, compare their bytes with the host
+                oracle's (matmul's is built at the first call and kept), and
+                return result digests, hashing each result once
 
 ``Matmul`` and ``Graphics`` (vertex-array or display-list, by spec kind)
 talk to the driver only through a small per-stack adapter: open, alloc,
@@ -58,10 +59,6 @@ MAX_COMPUTES_PER_SUBMIT = MAX_BATCH_WORDS // INSTR_WORDS[OP_COMPUTE]
 
 def _pack(words) -> bytes:
     return struct.pack(f"<{len(words)}I", *words)
-
-
-def _unpack(data: bytes) -> list:
-    return list(struct.unpack(f"<{len(data) // 4}I", data))
 
 
 # --- host oracles ---------------------------------------------------------
@@ -283,6 +280,8 @@ class Program:
 class Matmul(Program):
     """C = A x B with one DOT per output word; B is uploaded transposed."""
 
+    _expected = None  # (packed product, its result digest), built on first use
+
     def prepare(self):
         n = self.spec.size
         stack = self.stack
@@ -301,18 +300,19 @@ class Matmul(Program):
 
     def start(self):
         n = self.spec.size
-        self.a = matmul_fill_a(n)
-        self.b = matmul_fill_b(n)
-        self.stack.write(self.a_buf, 0, _pack(self.a))
-        self.stack.write(self.bt_buf, 0, _pack(_transpose(self.b, n)))
+        self.stack.write(self.a_buf, 0, _pack(matmul_fill_a(n)))
+        self.stack.write(self.bt_buf, 0, _pack(_transpose(matmul_fill_b(n), n)))
         self.started = True
 
     def finalize(self) -> dict:
         n = self.spec.size
         data = self.stack.read(self.c_buf, 0, n * n * WORD)
-        if _unpack(data) != matmul_oracle(n, self.a, self.b):
+        if self._expected is None:
+            want = _pack(matmul_oracle(n, matmul_fill_a(n), matmul_fill_b(n)))
+            self._expected = want, f"{fnv1a64(want):016x}"
+        if data != self._expected[0]:
             raise VerifyFail(f"matmul n={n}: device result differs from host oracle")
-        return {"result": f"{fnv1a64(data):016x}"}
+        return {"result": self._expected[1]}
 
 
 class Graphics(Program):
@@ -355,8 +355,7 @@ class Graphics(Program):
         shot = self.world.device.scanout()
         if shot.faulted:
             raise VerifyFail("scanout faulted")
-        want = framebuffer_oracle(vertex_frame(self.n_words, self.last_salt))
-        if shot.digest != fnv1a64(want):
+        if shot.frame != framebuffer_oracle(vertex_frame(self.n_words, self.last_salt)):
             raise VerifyFail("framebuffer differs from host oracle")
         return {"result": f"{shot.digest:016x}"}
 

@@ -584,10 +584,11 @@ class ExecReport:
 
 
 class ScanoutResult:
-    __slots__ = ("digest", "faulted")
+    __slots__ = ("frame", "digest", "faulted")  # frame: zeros if it faulted
 
-    def __init__(self, digest, faulted):
-        self.digest = digest
+    def __init__(self, frame: bytes, faulted: bool):
+        self.frame = frame
+        self.digest = fnv1a64(frame)
         self.faulted = faulted
 
 
@@ -961,12 +962,12 @@ class SimDevice:
         n = width * height
         try:
             spans = self._decode_run(self.regs[REG_FB_BASE], n, False)
-            pixels = b"".join(self._backings[space][addr:addr + count * WORD]
-                              for space, addr, count in spans)
+            frame = b"".join(self._backings[space][addr:addr + count * WORD]
+                             for space, addr, count in spans)
         except HardwareFault as fault:
             self._record_event(fault.flag)
-            return ScanoutResult(fnv1a64(bytes(n * WORD)), True)
-        return ScanoutResult(fnv1a64(pixels), False)
+            return ScanoutResult(bytes(n * WORD), True)
+        return ScanoutResult(frame, False)
 
     # -- state digest --------------------------------------------------------
 

@@ -13,11 +13,12 @@ from devmux.bench.cli import main
 from devmux.bench.config import DRIVERS, BenchConfig, WorkloadSpec
 from devmux.bench.report import ITERATION_COLUMNS, RunReport
 from devmux.bench.schedule import measure_switch, run_schedule
-from devmux.bench.workloads import (FB_WORDS, framebuffer_oracle, matmul_oracle,
-                                    run_workload, speedup, vertex_fill, vertex_frame)
-from devmux.bench.world import World
-from devmux.errors import InvalError
-from devmux.simdev import MASK32, SimDevice
+from devmux.bench.workloads import (FB_WORDS, framebuffer_oracle, make_program,
+                                    matmul_oracle, run_workload, speedup,
+                                    vertex_fill, vertex_frame)
+from devmux.bench.world import World, build_world
+from devmux.errors import InvalError, VerifyFail
+from devmux.simdev import MASK32, WORD, SimDevice
 
 
 def test_config_file_parsing(tmp_path):
@@ -166,6 +167,41 @@ def test_framebuffer_oracle_doubles_each_word_and_pads_the_frame(n_words):
     words = [rng.getrandbits(32) | (1 << 31) * (j % 2) for j in range(n_words)]
     want = [(2 * v) & MASK32 for v in words] + [0] * (FB_WORDS - n_words)
     assert framebuffer_oracle(_packed(words)) == _packed(want)
+
+
+def _after_one_iteration(spec):
+    world = build_world(BenchConfig(), spec.driver, spec.iommu)
+    program = make_program(world, spec)
+    program.prepare()
+    if program.needs_bind:
+        world.core.bind_device_lib(program.lib_id)
+    program.start()
+    program.iterate()
+    return program
+
+
+# A result word is overwritten through the stack's own write path: word 5
+# of the product, or of the frame, where the vertex-array pass wrote.  A
+# warm program has verified once before, so its expected value is built.
+@pytest.mark.parametrize("verified_first", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize("kind,size,buffer", [("matmul", 4, "c_buf"),
+                                              ("vertex-array", 1, "fb")])
+def test_verify_fails_while_a_result_word_is_wrong(kind, size, buffer, driver,
+                                                   verified_first):
+    spec = WorkloadSpec(kind=kind, size=size, iters=1, driver=driver)
+    want = run_workload(spec, BenchConfig()).digests
+    program = _after_one_iteration(spec)
+    if verified_first:
+        assert program.finalize() == want
+    buf, at = getattr(program, buffer), 5 * WORD
+    right = program.stack.read(buf, at, WORD)
+    program.stack.write(buf, at, bytes([right[0] ^ 1]) + right[1:])
+    for _ in range(2):  # a failed verify leaves the expected value as it was
+        with pytest.raises(VerifyFail):
+            program.finalize()
+    program.stack.write(buf, at, right)
+    assert program.finalize() == want
 
 
 def test_library_hot_loop_is_one_crossing_and_no_copies():

@@ -8,6 +8,7 @@ verifies it; nothing under ``perfbench/`` is changed.  The profiler in
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -63,10 +64,12 @@ def test_profile_step_prints_a_profile_of_one_verify():
          "--phase", "verify"],
         cwd=root, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    assert lines[0].startswith("stream legacy: 1 verifies, ")
-    assert "own ms/verify" in lines[1]
-    assert any("(finalize)" in line for line in lines[2:])
-    assert any("(framebuffer_oracle)" in line for line in lines[2:])
+    assert re.fullmatch(r"stream legacy: first verify, \d+\.\d{3} ms \(cold\)",
+                        lines[0])
+    assert lines[1].startswith("stream legacy: 1 verifies, ")
+    assert "own ms/verify" in lines[2]
+    assert any("(finalize)" in line for line in lines[3:])
+    assert any("(framebuffer_oracle)" in line for line in lines[3:])
 
 
 def test_profile_step_stops_quietly_when_its_reader_goes():

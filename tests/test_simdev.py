@@ -1280,8 +1280,29 @@ def test_scanout_outside_segment_faults_without_reading(solo):
     device.mmio_write(REG_FB_BASE, 0x10_0000 - PAGE_SIZE)  # frame spans past
     shot = device.scanout()
     assert shot.faulted
-    assert shot.digest == fnv1a64(bytes(64 * 48 * WORD))
+    assert shot.frame == bytes(64 * 48 * WORD)
+    assert shot.digest == fnv1a64(shot.frame)
     assert device.pending_flags & FLAG_MC_FAULT
+
+
+# a 32 x 32 frame (one page) at DATA_AT in VRAM, or at the middle of
+# aperture page 0 of an aliased_device, so that its second half is on page 1
+@pytest.mark.parametrize("fb_base", [DATA_AT, APERTURE_BASE + PAGE_SIZE // 2],
+                         ids=["vram", "aperture-across-a-page"])
+def test_scanout_frame_is_the_bytes_its_digest_hashes(fb_base):
+    platform, device = aliased_device()
+    _enable_mode(device, 32, 32)
+    device.mmio_write(REG_FB_BASE, fb_base)
+    pattern = [(i * 2654435761 + 7) & MASK32 for i in range(32 * 32)]
+    want = pack(pattern)
+    half = PAGE_SIZE // 2
+    for off in range(0, len(want), half):  # one page's part at a time
+        data, addr = alias_loc(platform, device, fb_base + off)
+        data[addr:addr + half] = want[off:off + half]
+    shot = device.scanout()
+    assert not shot.faulted
+    assert shot.frame == want
+    assert shot.digest == fnv1a64(shot.frame)
 
 
 # --- digests and determinism -------------------------------------------------

@@ -9,7 +9,9 @@ default) it times N steady steps without the profiler, then runs N more
 under cProfile; with ``--phase verify`` it does the same with N calls of
 ``Stack.finalize()``, the read-back and host-oracle check that
 ``verify_s`` times.  It prints the milliseconds per call of both runs
-and the functions with the most own time.  cProfile
+and the functions with the most own time.  A verify phase first times one
+cold verify, on a line of its own: that call also builds the expected
+values a program keeps, a cost the median ``verify_s`` hides.  cProfile
 adds a cost to every Python call, so the profiled figures overstate call-heavy
 code: use them to find where the time goes, and ``perfbench/run.py`` to
 measure a change.
@@ -50,6 +52,11 @@ def main(argv=None):
     stack = Stack(args.workload, args.driver, BenchConfig())
     stack.step()  # the launch: first bind and uploads
     run = stack.step if args.phase == "step" else stack.finalize
+    if args.phase == "verify":
+        start = time.perf_counter()
+        run()
+        print(f"{args.workload} {args.driver}: first verify, "
+              f"{(time.perf_counter() - start) * 1e3:.3f} ms (cold)")
     start = time.perf_counter()
     for _ in range(args.steps):
         run()
