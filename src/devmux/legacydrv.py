@@ -266,8 +266,7 @@ class LegacyDriver:
             if self.pool.poll() >= seq:
                 return
             if self.platform.ledger.run(self.device, WAIT_ROUND_CYCLES) == 0:
-                if self.pool.poll() >= seq:
-                    return
+                self.pool.poll()  # raises the device's fault, if any
                 raise InvalError(f"fence {seq} can never complete (device idle)")
 
     def legacy_fence_status(self, client: int, seq: int) -> bool:

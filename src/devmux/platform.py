@@ -143,9 +143,12 @@ class Platform:
         """Map ``n_pages`` fresh zeroed pages; returns their vaddrs.
 
         Bills the crossing before trying to allocate: the trip into the
-        kernel happens whether or not memory is available.
+        kernel happens whether or not memory is available.  A count that is
+        not an int of at least 1 is InvalError and changes nothing else.
         """
         self.ledger.crossings += 1
+        if type(n_pages) is not int or n_pages < 1:
+            raise InvalError(f"cannot map {n_pages!r} pages")
         try:
             va = self._next_vaddr.get(owner, VADDR_BASE)
         except TypeError:  # before any frame is taken

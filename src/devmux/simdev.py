@@ -93,7 +93,8 @@ and queues its words in the cache.  Every other run, and every run that
 faults, goes through ``_read_run`` or ``_write_run`` and so
 ``_decode_run``, which raises the fault, so the words, the faults and the
 IOMMU's translations are the same either way.  The fetch window, FENCE,
-scanout and the status page always decode through ``_decode_run``.
+scanout and the status page always decode through ``_decode_run``, and
+``_sync_status_page`` alone writes the status page, once per event or FENCE.
 """
 
 from __future__ import annotations
@@ -724,29 +725,24 @@ class SimDevice:
             self.cache.put_run(space, addr, words[k:k + count])
             k += count
 
-    def _write_run_direct(self, da: int, words):
-        """Write-through path (status page): bypasses and invalidates the cache."""
-        spans = self._decode_run(da, len(words), True)
-        drop = self.cache.drop
-        k = 0
-        for space, addr, count in spans:
-            self._drop_window_over(space, addr, addr + (count - 1) * WORD)
-            drop(space, addr, count)
-            _words(count).pack_into(self._backings[space], addr,
-                                    *words[k:k + count])
-            k += count
-
     # -- interrupt status -------------------------------------------------
 
     def _sync_status_page(self):
-        # best effort: a page that is unset or faults is written when next set
-        ih = self.regs[REG_IH_PAGE_ADDR]
-        if ih == 0:
+        """The status page's only writer: packs the words into the backing,
+        dropping the fetch window and the cache's pending words over them.
+        Best effort: an unset page, or one that faults, is written when next set."""
+        if self.regs[REG_IH_PAGE_ADDR] == 0:
             return
         try:
-            self._write_run_direct(ih, self._status)
+            spans = self._decode_run(self.regs[REG_IH_PAGE_ADDR], 4, True)
         except HardwareFault:
-            pass
+            return
+        k = 0
+        for space, addr, count in spans:
+            self._drop_window_over(space, addr, addr + (count - 1) * WORD)
+            self.cache.drop(space, addr, count)
+            _words(count).pack_into(self._backings[space], addr, *self._status[k:k + count])
+            k += count
 
     def _record_event(self, flag: int):
         status = self._status
@@ -929,17 +925,17 @@ class SimDevice:
                     if count:
                         write(dst, read(src, count))
                 elif opcode == OP_FENCE:
-                    # the status page decodes before the drain, so a fault
-                    # changes nothing
+                    # decode the page before the drain: a fault changes nothing
                     ih = regs[REG_IH_PAGE_ADDR]
                     if ih == 0:
                         raise CmdFault("FENCE with no status page configured")
                     self._decode_run(ih, 4, True)
                     cache.drain()
                     self._status[:2] = words[1:3]
-                    self._write_run_direct(ih, self._status)
                     if words[3] & FENCE_IRQ and regs[REG_IRQ_ENABLE]:
                         self._record_event(FLAG_FENCE)
+                    else:
+                        self._sync_status_page()
                 elif opcode == OP_SET_REG:
                     reg, value = words[1:]
                     if reg not in SCRATCH_REGISTERS:

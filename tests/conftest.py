@@ -111,9 +111,10 @@ class DecodeRunDevice(SimDevice):
                     self._decode_run(ih, 4, True)
                     self.cache.drain()
                     self._status[:2] = words[1:3]
-                    self._write_run_direct(ih, self._status)
                     if words[3] & FENCE_IRQ and regs[REG_IRQ_ENABLE]:
                         self._record_event(FLAG_FENCE)
+                    else:
+                        self._sync_status_page()
                 elif opcode == OP_SET_REG:
                     reg, value = words[1:]
                     if reg not in SCRATCH_REGISTERS:

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import make_device, make_platform, unpack
 from devmux.bench.workloads import MAX_COMPUTES_PER_SUBMIT
-from devmux.errors import (BadHandle, InvalError, NotFoundError, OutOfPool,
-                           OutOfRange, PermError)
+from devmux.errors import (BadHandle, DeviceFault, InvalError, NotFoundError,
+                           OutOfPool, OutOfRange, PermError)
 from devmux.legacydrv import LEGACY_API, LegacyDriver
 from devmux.pool import MAX_BATCH_WORDS, RING_OFF, RING_WORDS, SLAB_FIRST_PAGE
 from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, REG_DISP_ENABLE, REG_DISP_PLL,
@@ -114,6 +114,27 @@ def test_submit_validates_every_word(legacy):
     assert ledger.bytes_copied - copied == total_words * WORD
     assert ledger.crossings - crossings == 1
     driver.legacy_wait(client, seq)
+
+
+def test_waiting_for_a_seq_never_submitted_is_refused_in_one_crossing(legacy):
+    platform, _, driver, client = legacy
+    seq = driver.legacy_submit(client, [Nop()])
+    driver.legacy_wait(client, seq)
+    crossings = platform.ledger.crossings
+    with pytest.raises(InvalError):
+        driver.legacy_wait(client, seq + 1)
+    assert platform.ledger.crossings - crossings == 1
+
+
+def test_waiting_on_a_batch_whose_opcode_faults_raises_the_device_fault(legacy):
+    platform, _, driver, client = legacy
+    tail = driver.pool.tail
+    seq = driver.legacy_submit(client, [Nop()])
+    driver.pool.write(RING_OFF + tail * WORD, struct.pack("<I", 0xDEAD))
+    crossings = platform.ledger.crossings
+    with pytest.raises(DeviceFault):
+        driver.legacy_wait(client, seq)
+    assert platform.ledger.crossings - crossings == 1
 
 
 def test_2x2_matmul_known_answer(legacy):

@@ -3,7 +3,7 @@
 import pytest
 
 from devmux.errors import InvalError, OutOfMemory, PermError
-from devmux.platform import (COST_CROSSING, CostLedger, Platform,
+from devmux.platform import (COST_CROSSING, VADDR_BASE, CostLedger, Platform,
                              SystemMemory)
 
 
@@ -107,6 +107,23 @@ def test_an_owner_that_cannot_be_hashed_is_refused_before_any_frame_is_taken():
         platform.alloc_pages(["a"], 2)
     assert platform.sysmem.owner == [None] * 8
     assert len(platform.alloc_pages("a", 8)) == 8
+
+
+@pytest.mark.parametrize("n_pages", [0, -3, 2.0, "1"],
+                         ids=["zero", "negative", "float", "str"])
+def test_a_page_count_that_is_not_a_positive_int_is_refused_after_billing(n_pages):
+    platform = Platform(64, CostLedger())
+    platform.alloc_pages("b", 1)
+    owners = list(platform.sysmem.owner)
+    page_map = dict(platform.page_map)
+    before = platform.ledger.crossings
+    with pytest.raises(InvalError):
+        platform.alloc_pages("a", n_pages)
+    assert platform.ledger.crossings == before + 1
+    assert platform.sysmem.owner == owners
+    assert platform.page_map == page_map
+    assert platform.alloc_pages("a", 1) == [VADDR_BASE]  # no vaddr was used up
+    assert len(platform.alloc_pages("b", 62)) == 62
 
 
 def _page_state(platform):

@@ -16,15 +16,15 @@ from conftest import (DATA_AT, RING_AT, RING_WORDS, STATUS_AT,
 from devmux import simdev
 from devmux.errors import IommuFault, InvalError, RegFault
 from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
-                           FAULT_FLAGS, FLAG_CMD_FAULT, FLAG_FENCE,
+                           FAULT_FLAGS, FENCE_IRQ, FLAG_CMD_FAULT, FLAG_FENCE,
                            FLAG_IOMMU_FAULT, FLAG_MC_FAULT, M_REGISTERS,
                            MASK32, OP_SET_REG, PAGE_SIZE, REG_CP_RESET,
                            REG_DISP_ENABLE, REG_DISP_TIMING_H,
                            REG_DISP_TIMING_V, REG_FB_BASE, REG_IH_PAGE_ADDR,
-                           REG_IOMMU_ENABLE, REG_IOMMU_ROOT, REG_MC_SEG_BASE,
-                           REG_MC_SEG_LIMIT, REG_RB_BASE, REG_RB_HEAD,
-                           REG_RB_SIZE, REG_RB_TAIL, REG_SCRATCH0, S_REGISTERS,
-                           SCRATCH_REGISTERS, VRAM_WINDOW_END,
+                           REG_IOMMU_ENABLE, REG_IOMMU_ROOT, REG_IRQ_ENABLE,
+                           REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_BASE,
+                           REG_RB_HEAD, REG_RB_SIZE, REG_RB_TAIL, REG_SCRATCH0,
+                           S_REGISTERS, SCRATCH_REGISTERS, VRAM_WINDOW_END,
                            WORD, Compute, Copy, Fence, IommuUnit, Nop,
                            PageTable, SetReg, SimDevice, WriteBackCache,
                            fnv1a64)
@@ -111,14 +111,17 @@ def test_step_zero_budget_is_a_no_op(solo):
     assert device.mmio_read(REG_RB_HEAD) == 0
 
 
-def test_fence_writes_seq_and_raises_irq(solo):
+@pytest.mark.parametrize("irq_enable", [0, 1], ids=["masked", "enabled"])
+@pytest.mark.parametrize("fence_flags", [0, FENCE_IRQ], ids=["quiet", "irq"])
+def test_fence_writes_seq_and_raises_irq(solo, fence_flags, irq_enable):
     _, device = solo
-    push_batch(device, [Fence(7)])
+    device.mmio_write(REG_IRQ_ENABLE, irq_enable)
+    push_batch(device, [Fence(7, fence_flags)])
     device.step(10)
-    seq, irq, flags = read_status(device)
-    assert seq == 7
-    assert irq == 1
-    assert flags & FLAG_FENCE
+    if fence_flags and irq_enable:
+        assert read_status(device) == (7, 1, FLAG_FENCE)
+    else:  # the seq still retires, with no interrupt
+        assert read_status(device) == (7, 0, 0)
 
 
 def test_long_compute_spans_step_budgets(solo):
