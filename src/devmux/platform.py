@@ -1,7 +1,8 @@
 """Host-side substrate: system memory, address spaces, and the cost model.
 
 Nothing here is device-specific.  System memory is a flat array of 4 KiB
-frames with per-frame ownership and pin counts; each owner's process-virtual
+frames, a fixed-length writable buffer, zero until written (``zeroed``),
+with per-frame ownership and pin counts; each owner's process-virtual
 page addresses (the numbers a user library sees before any device
 translation) are handed out bump-style from ``VADDR_BASE`` and never reused;
 the CostLedger accumulates the abstract costs every higher layer reports.
@@ -10,7 +11,7 @@ the CostLedger accumulates the abstract costs every higher layer reports.
 from __future__ import annotations
 
 from devmux.errors import InvalError, OutOfMemory, PermError
-from devmux.simdev import PAGE_SIZE
+from devmux.simdev import PAGE_SIZE, zeroed
 
 # simulated cost weights (time units per event)
 COST_CROSSING = 1000.0
@@ -79,7 +80,7 @@ class SystemMemory:
 
     def __init__(self, frames: int):
         self.frames = frames
-        self.data = bytearray(frames * PAGE_SIZE)
+        self.data = zeroed(frames * PAGE_SIZE)
         self.owner = [None] * frames
         self.pins = [0] * frames
 

@@ -99,13 +99,14 @@ scanout and the status page always decode through ``_decode_run``, and
 
 from __future__ import annotations
 
+import mmap
 import struct
 from collections import deque
 from functools import lru_cache
 from operator import mul
 
 from devmux.errors import (CmdFault, HardwareFault, IommuFault, InvalError,
-                           McFault, RegFault)
+                           McFault, OutOfMemory, RegFault)
 
 WORD = 4
 PAGE_SIZE = 4096
@@ -210,6 +211,23 @@ def fnv1a64(data) -> int:
     for b in bytes(data):
         h = ((h ^ b) * prime) & mask
     return h
+
+
+def zeroed(n: int):
+    """``n`` bytes of fixed-length writable memory, zero until written.
+
+    An anonymous mapping: the kernel hands out a zero page when one is
+    first written, so memory no workload uses costs neither set-up time nor
+    resident memory.  It is private, so reading an untouched page (a
+    ``device_digest`` reads all of VRAM) makes nothing resident either.  A
+    size no address space can hold is OutOfMemory.
+    """
+    if n == 0:
+        return bytearray()  # a zero-length mapping is EINVAL
+    try:
+        return mmap.mmap(-1, n, flags=mmap.MAP_PRIVATE)
+    except (OSError, OverflowError) as exc:
+        raise OutOfMemory(f"cannot reserve {n} bytes of memory: {exc}") from None
 
 
 # -- instruction encoding ------------------------------------------------
@@ -418,7 +436,7 @@ class WriteBackCache:
 
     def __init__(self, capacity: int, backings):
         self.capacity = capacity
-        self.backings = backings  # one bytearray per space
+        self.backings = backings  # one zeroed() buffer per space
         self._runs = deque()  # [space, byte addr, words], oldest first
         self.size = 0  # pending words
         self.lo = [_NO_ADDR] * _SPACES
@@ -596,13 +614,14 @@ class ScanoutResult:
 # -- the device -------------------------------------------------------------
 
 class SimDevice:
-    """The accelerator.  ``sysmem`` is anything with a ``data`` bytearray
-    covering frame*4096+offset addressing (the DMA target), read once here.
+    """The accelerator.  ``sysmem`` is anything with a ``data`` attribute,
+    a fixed-length writable buffer, zero until written, covering
+    frame*4096+offset addressing (the DMA target), read once here.
     The command processor runs only while FW_CTRL reads READY."""
 
     def __init__(self, sysmem, *, vram_size: int = VRAM_SIZE_DEFAULT):
         self.regs = {off: 0 for off in ALL_REGISTERS}
-        self.vram = bytearray(vram_size)
+        self.vram = zeroed(vram_size)
         self.translation_tables = {}
         self.iommu = IommuUnit(self.translation_tables)
         self.active_iommu = self.iommu

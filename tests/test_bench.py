@@ -1,8 +1,12 @@
 """Benchmark harness: config files, reports, runs, scheduling, containment."""
 
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import pytest
@@ -74,6 +78,42 @@ def test_report_serialization():
     assert lines[-1].startswith("4,2,")
     assert report.render("csv") == report.to_csv()
     assert report.render() == report.to_json()
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STATM = "/proc/self/statm"
+
+# builds one default world per driver, 2 x (16 MiB VRAM + 16 MiB system
+# memory), hashes each device's state (every VRAM byte) and prints how many
+# bytes that made resident
+_WORLD_RSS = textwrap.dedent("""\
+    import hashlib, os  # hashlib loads OpenSSL: before the baseline
+    from devmux.bench.config import BenchConfig
+    from devmux.bench.world import World
+
+    def resident():
+        with open(%r) as f:
+            return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    before = resident()
+    worlds = [World(BenchConfig(), d, "builtin") for d in ("library", "legacy")]
+    for world in worlds:
+        world.device.device_digest()
+    print(resident() - before)
+""" % STATM)
+
+
+@pytest.mark.skipif(not os.path.exists(STATM), reason=f"no {STATM}")
+def test_default_worlds_make_only_the_memory_they_write_resident():
+    """Device and system memory are zero until written and resident only
+    where written: reading an untouched page takes none either.  Memory
+    zero-filled up front made all 64 MiB resident."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _WORLD_RSS], cwd=ROOT, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) < 8 << 20
 
 
 def test_results_agree_across_every_deployment():
@@ -392,8 +432,12 @@ def test_cli_rejects_unknown_choices():
     (b"crossing_cost = nan\n", 1),
     (b"byte_cost = inf\n", 1),
     (b"cycle_cost = -0.5\n", 1),
+    # more than any address space holds: refused at once, nothing allocated
+    (b"vram_bytes = 0x1000000000000000\n", None),
+    (b"sysmem_pages = 0x1000000000000\n", None),
 ], ids=["missing", "not-utf8", "negative-vram", "negative-sysmem",
-        "zero-segment", "nan-cost", "inf-cost", "negative-cost"])
+        "zero-segment", "nan-cost", "inf-cost", "negative-cost",
+        "huge-vram", "huge-sysmem"])
 def test_cli_reports_a_bad_config_as_an_error(tmp_path, capsys, body, line):
     path = tmp_path / "bad.conf"
     if body is not None:

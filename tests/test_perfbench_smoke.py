@@ -72,6 +72,23 @@ def test_profile_step_prints_a_profile_of_one_verify():
     assert any("(framebuffer_oracle)" in line for line in lines[3:])
 
 
+def test_profile_step_prints_a_profile_of_one_setup():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "profile_step.py"),
+         "--workload", "tenants", "--driver", "library", "--steps", "1",
+         "--phase", "setup"],
+        cwd=root, capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert re.fullmatch(r"tenants library: first setup, \d+\.\d{3} ms \(cold\)",
+                        lines[0])
+    assert lines[1].startswith("tenants library: 1 setups, ")
+    assert "own ms/setup" in lines[2]
+    assert any("(iommu_map_page)" in line for line in lines[3:])
+    # a set-up phase builds stacks and runs none
+    assert not any("(step)" in line for line in lines[3:])
+
+
 def test_profile_step_stops_quietly_when_its_reader_goes():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.Popen(

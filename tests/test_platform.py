@@ -38,6 +38,14 @@ def test_sysmem_alloc_free_and_zeroing():
     assert mem.read(again[0], 0, 16) == bytes(16)  # freed pages are scrubbed
 
 
+def test_a_write_past_the_last_frame_is_refused_and_memory_keeps_its_size():
+    sysmem = SystemMemory(2)
+    with pytest.raises(IndexError):
+        sysmem.write(1, 4096 - 4, bytes(range(8)))
+    assert len(sysmem.data) == 2 * 4096
+    assert sysmem.read(1, 0, 4096) == bytes(4096)
+
+
 def test_sysmem_foreign_free_and_pin_rules():
     mem = SystemMemory(8)
     frames = mem.alloc_frames(1, "a")
@@ -151,4 +159,4 @@ def test_a_refused_free_changes_nothing_and_a_retry_frees_every_page(pick, error
     platform.free_pages("a", vaddrs)
     assert platform.page_map == {}
     assert platform.sysmem.owner == [None] * 8
-    assert platform.sysmem.data == bytes(8 * 4096)
+    assert bytes(platform.sysmem.data) == bytes(8 * 4096)

@@ -14,7 +14,7 @@ from conftest import (DATA_AT, RING_AT, RING_WORDS, STATUS_AT,
                       make_platform, pack, poke_words, push_batch,
                       read_status, unpack, vram_words)
 from devmux import simdev
-from devmux.errors import IommuFault, InvalError, RegFault
+from devmux.errors import IommuFault, InvalError, OutOfMemory, RegFault
 from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
                            FAULT_FLAGS, FENCE_IRQ, FLAG_CMD_FAULT, FLAG_FENCE,
                            FLAG_IOMMU_FAULT, FLAG_MC_FAULT, M_REGISTERS,
@@ -27,7 +27,46 @@ from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
                            S_REGISTERS, SCRATCH_REGISTERS, VRAM_WINDOW_END,
                            WORD, Compute, Copy, Fence, IommuUnit, Nop,
                            PageTable, SetReg, SimDevice, WriteBackCache,
-                           fnv1a64)
+                           fnv1a64, zeroed)
+
+
+# --- device and system memory ------------------------------------------------
+
+@pytest.mark.parametrize("n", (2 * WORD, PAGE_SIZE, 3 * PAGE_SIZE + 2 * WORD))
+def test_zeroed_memory_reads_as_zeros_until_written(n):
+    mem = zeroed(n)
+    assert len(mem) == n
+    assert bytes(mem) == bytes(n)
+    mem[0:WORD] = pack([0x01020304])
+    struct.pack_into("<I", mem, n - WORD, 0xA5A5A5A5)
+    assert struct.unpack_from("<I", mem, 0) == (0x01020304,)
+    assert bytes(mem[n - WORD:]) == pack([0xA5A5A5A5])
+    assert bytes(mem[WORD:n - WORD]) == bytes(n - 2 * WORD)
+
+
+@pytest.mark.parametrize("at, payload", [
+    (slice(0, 8), bytes(4)),                             # too short
+    (slice(0, 8), bytes(12)),                            # too long
+    (slice(PAGE_SIZE - 4, PAGE_SIZE + 4), bytes(8)),     # runs off the end
+], ids=["short", "long", "past-end"])
+def test_a_slice_write_of_the_wrong_length_is_refused(at, payload):
+    mem = zeroed(PAGE_SIZE)
+    with pytest.raises(IndexError):
+        mem[at] = payload
+    assert len(mem) == PAGE_SIZE
+    assert bytes(mem) == bytes(PAGE_SIZE)
+
+
+def test_zero_bytes_of_memory_is_an_empty_buffer():
+    mem = zeroed(0)
+    assert len(mem) == 0
+    assert bytes(mem) == b""
+
+
+@pytest.mark.parametrize("n", (1 << 60, 1 << 64))
+def test_more_memory_than_any_address_space_is_out_of_memory(n):
+    with pytest.raises(OutOfMemory):
+        zeroed(n)
 
 
 # --- register file ----------------------------------------------------------
@@ -806,7 +845,7 @@ def test_a_status_write_through_inside_a_pending_result_splits_it(solo):
     device.mmio_write(simdev.REG_CACHE_FLUSH, 1)
     while ref.pending:
         ref.write_back(next(iter(ref.pending)))
-    assert device.vram == ref.backings[0]
+    assert bytes(device.vram) == bytes(ref.backings[0])
 
 
 # --- instruction fetch --------------------------------------------------------
@@ -1088,8 +1127,8 @@ def _assert_same_ring_state(status, run_a, run_b):
     assert (device_words(platform_a, a, status, 4)
             == device_words(platform_b, b, status, 4))
     assert list(a.cache.pending.items()) == list(b.cache.pending.items())
-    assert a.vram == b.vram
-    assert platform_a.sysmem.data == platform_b.sysmem.data
+    assert bytes(a.vram) == bytes(b.vram)
+    assert bytes(platform_a.sysmem.data) == bytes(platform_b.sysmem.data)
     assert a.device_digest() == b.device_digest()
 
 
@@ -1238,8 +1277,8 @@ def test_inline_device_local_runs_equal_decoding_every_run(program):
                 assert (device.cache.lo, device.cache.hi) == (ref.cache.lo, ref.cache.hi)
                 assert device._window == ref._window
                 assert list(device.iommu.tlb.items()) == list(ref.iommu.tlb.items())
-                assert device.vram == ref.vram
-                assert platform.sysmem.data == ref_platform.sysmem.data
+                assert bytes(device.vram) == bytes(ref.vram)
+                assert bytes(platform.sysmem.data) == bytes(ref_platform.sysmem.data)
 
 
 # --- scanout -----------------------------------------------------------------

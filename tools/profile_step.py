@@ -1,20 +1,26 @@
-"""Profile the benchmark's steady steps, or its verify, on one driver stack.
+"""Profile the benchmark's steady steps, its verify or its set-up, on one
+driver stack.
 
     PYTHONPATH=src python tools/profile_step.py --workload {matmul,stream,tenants} \
-        --driver {library,legacy} --steps N [--phase {step,verify}]
+        --driver {library,legacy} --steps N [--phase {step,verify,setup}]
 
 Builds the stack that ``perfbench/run.py`` measures (``perfbench/harness.py``,
 imported as is) and runs the launch step.  With ``--phase step`` (the
 default) it times N steady steps without the profiler, then runs N more
 under cProfile; with ``--phase verify`` it does the same with N calls of
 ``Stack.finalize()``, the read-back and host-oracle check that
-``verify_s`` times.  It prints the milliseconds per call of both runs
-and the functions with the most own time.  A verify phase first times one
-cold verify, on a line of its own: that call also builds the expected
-values a program keeps, a cost the median ``verify_s`` hides.  cProfile
-adds a cost to every Python call, so the profiled figures overstate call-heavy
-code: use them to find where the time goes, and ``perfbench/run.py`` to
-measure a change.
+``verify_s`` times; with ``--phase setup`` it does the same with N
+constructions of a ``Stack``, the work that ``setup_s`` times, and builds
+no stack beforehand.  It prints the milliseconds per call of both runs
+and the functions with the most own time.  A verify or set-up phase first
+times one cold call, on a line of its own.  A first verify also builds the
+expected values a program keeps, a cost the median ``verify_s`` hides.  A
+first set-up is the only one in the process that takes fresh pages from
+the system, later ones reuse what the earlier ones freed; each set-up that
+``setup_s`` samples runs in a process of its own, so it is a cold one.
+cProfile adds a cost to every Python call, so the profiled figures overstate
+call-heavy code: use them to find where the time goes, and
+``perfbench/run.py`` to measure a change.
 """
 
 import argparse
@@ -31,7 +37,7 @@ from devmux.bench import BenchConfig  # noqa: E402
 from harness import Stack  # noqa: E402
 
 TOP = 15
-PLURAL = {"step": "steps", "verify": "verifies"}
+PLURAL = {"step": "steps", "verify": "verifies", "setup": "setups"}
 
 
 def parse_args(argv):
@@ -40,7 +46,8 @@ def parse_args(argv):
                         choices=("matmul", "stream", "tenants"))
     parser.add_argument("--driver", required=True, choices=("library", "legacy"))
     parser.add_argument("--steps", type=int, required=True)
-    parser.add_argument("--phase", choices=("step", "verify"), default="step")
+    parser.add_argument("--phase", choices=("step", "verify", "setup"),
+                        default="step")
     args = parser.parse_args(argv)
     if args.steps < 1:
         parser.error("--steps must be at least 1")
@@ -49,13 +56,17 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    stack = Stack(args.workload, args.driver, BenchConfig())
-    stack.step()  # the launch: first bind and uploads
-    run = stack.step if args.phase == "step" else stack.finalize
-    if args.phase == "verify":
+    if args.phase == "setup":
+        def run():
+            Stack(args.workload, args.driver, BenchConfig())
+    else:
+        stack = Stack(args.workload, args.driver, BenchConfig())
+        stack.step()  # the launch: first bind and uploads
+        run = stack.step if args.phase == "step" else stack.finalize
+    if args.phase != "step":
         start = time.perf_counter()
         run()
-        print(f"{args.workload} {args.driver}: first verify, "
+        print(f"{args.workload} {args.driver}: first {args.phase}, "
               f"{(time.perf_counter() - start) * 1e3:.3f} ms (cold)")
     start = time.perf_counter()
     for _ in range(args.steps):
