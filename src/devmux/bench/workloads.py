@@ -7,9 +7,8 @@ A workload is a Program with a fixed life cycle:
     start()     one-time uploads and mode setting (library: needs the bind)
     iterate()   run one full iteration, blocking until the device is done
     advance()   submit-or-poll step for cooperative scheduling (library only)
-    finalize()  read results back, compare their bytes with the host
-                oracle's (matmul's is built at the first call and kept), and
-                return result digests, hashing each result once
+    finalize()  read results back, compare their bytes with the expected
+                value, and return that value's digest
 
 ``Matmul`` and ``Graphics`` (vertex-array or display-list, by spec kind)
 talk to the driver only through a small per-stack adapter: open, alloc,
@@ -29,6 +28,11 @@ vertex-array frames are uploaded as the packed bytes of ``vertex_frame``,
 ``framebuffer_oracle`` doubles a packed frame in one shift.
 ``vertex_fill`` stays the readable per-index reference that
 ``vertex_frame`` must pack to.
+
+An expected result and its digest are built once per shape (matmul size,
+or frame size and salt) and shared by every program and both stacks: a
+result that equals the expected bytes has the expected digest, so no
+result is hashed.  The memos are small, as salts grow without limit.
 """
 
 from __future__ import annotations
@@ -123,6 +127,22 @@ def framebuffer_oracle(vertices: bytes) -> bytes:
     low31 = int.from_bytes(b"\xff\xff\xff\x7f" * n, "little")
     doubled = (int.from_bytes(vertices, "little") & low31) << 1
     return doubled.to_bytes(n * WORD, "little") + bytes((FB_WORDS - n) * WORD)
+
+
+def _digested(packed: bytes) -> tuple:
+    return packed, f"{fnv1a64(packed):016x}"
+
+
+@lru_cache(maxsize=4)
+def _expected_product(n: int) -> tuple:
+    """Matmul's packed product for size ``n`` and its result digest."""
+    return _digested(_pack(matmul_oracle(n, matmul_fill_a(n), matmul_fill_b(n))))
+
+
+@lru_cache(maxsize=4)
+def _expected_frame(n_words: int, salt: int) -> tuple:
+    """The packed frame a vertex frame of ``salt`` scans out, and its digest."""
+    return _digested(framebuffer_oracle(vertex_frame(n_words, salt)))
 
 
 def _transpose(mat: list, n: int) -> list:
@@ -280,8 +300,6 @@ class Program:
 class Matmul(Program):
     """C = A x B with one DOT per output word; B is uploaded transposed."""
 
-    _expected = None  # (packed product, its result digest), built on first use
-
     def prepare(self):
         n = self.spec.size
         stack = self.stack
@@ -307,12 +325,10 @@ class Matmul(Program):
     def finalize(self) -> dict:
         n = self.spec.size
         data = self.stack.read(self.c_buf, 0, n * n * WORD)
-        if self._expected is None:
-            want = _pack(matmul_oracle(n, matmul_fill_a(n), matmul_fill_b(n)))
-            self._expected = want, f"{fnv1a64(want):016x}"
-        if data != self._expected[0]:
+        want, digest = _expected_product(n)
+        if data != want:
             raise VerifyFail(f"matmul n={n}: device result differs from host oracle")
-        return {"result": self._expected[1]}
+        return {"result": digest}
 
 
 class Graphics(Program):
@@ -355,9 +371,10 @@ class Graphics(Program):
         shot = self.world.device.scanout()
         if shot.faulted:
             raise VerifyFail("scanout faulted")
-        if shot.frame != framebuffer_oracle(vertex_frame(self.n_words, self.last_salt)):
+        want, digest = _expected_frame(self.n_words, self.last_salt)
+        if shot.frame != want:
             raise VerifyFail("framebuffer differs from host oracle")
-        return {"result": f"{shot.digest:016x}"}
+        return {"result": digest}
 
 
 _PROGRAMS = {"matmul": Matmul, "vertex-array": Graphics, "display-list": Graphics}

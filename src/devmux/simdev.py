@@ -603,12 +603,16 @@ class ExecReport:
 
 
 class ScanoutResult:
-    __slots__ = ("frame", "digest", "faulted")  # frame: zeros if it faulted
+    __slots__ = ("frame", "faulted")  # frame: zeros if it faulted
 
     def __init__(self, frame: bytes, faulted: bool):
         self.frame = frame
-        self.digest = fnv1a64(frame)
         self.faulted = faulted
+
+    @property
+    def digest(self) -> int:
+        """``fnv1a64`` of the frame, taken only when asked for."""
+        return fnv1a64(self.frame)
 
 
 # -- the device -------------------------------------------------------------

@@ -12,6 +12,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from devmux import simdev
+from devmux.bench import workloads
 from devmux.bench.attacks import CASES, run_attacks
 from devmux.bench.cli import main
 from devmux.bench.config import DRIVERS, BenchConfig, WorkloadSpec
@@ -220,13 +222,29 @@ def _after_one_iteration(spec):
     return program
 
 
-# A result word is overwritten through the stack's own write path: word 5
-# of the product, or of the frame, where the vertex-array pass wrote.  A
-# warm program has verified once before, so its expected value is built.
+def _forget_expected_values():
+    workloads._expected_product.cache_clear()
+    workloads._expected_frame.cache_clear()
+
+
+def _flip_word_5(program, buffer: str) -> bytes:
+    """Flip a bit of word 5 of a result buffer through the stack's own write
+    path (the vertex-array pass writes there too); returns the right bytes."""
+    buf, at = getattr(program, buffer), 5 * WORD
+    right = program.stack.read(buf, at, WORD)
+    program.stack.write(buf, at, bytes([right[0] ^ 1]) + right[1:])
+    return right
+
+
+RESULTS = [("matmul", 4, "c_buf", "matmul_oracle"),
+           ("vertex-array", 1, "fb", "framebuffer_oracle")]
+
+
+# A cold program verifies with no expected value built; a warm one has
+# verified once before, so its expected value is built.
 @pytest.mark.parametrize("verified_first", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("driver", DRIVERS)
-@pytest.mark.parametrize("kind,size,buffer", [("matmul", 4, "c_buf"),
-                                              ("vertex-array", 1, "fb")])
+@pytest.mark.parametrize("kind,size,buffer", [r[:3] for r in RESULTS])
 def test_verify_fails_while_a_result_word_is_wrong(kind, size, buffer, driver,
                                                    verified_first):
     spec = WorkloadSpec(kind=kind, size=size, iters=1, driver=driver)
@@ -234,14 +252,77 @@ def test_verify_fails_while_a_result_word_is_wrong(kind, size, buffer, driver,
     program = _after_one_iteration(spec)
     if verified_first:
         assert program.finalize() == want
-    buf, at = getattr(program, buffer), 5 * WORD
-    right = program.stack.read(buf, at, WORD)
-    program.stack.write(buf, at, bytes([right[0] ^ 1]) + right[1:])
+    else:
+        _forget_expected_values()
+    right = _flip_word_5(program, buffer)
     for _ in range(2):  # a failed verify leaves the expected value as it was
         with pytest.raises(VerifyFail):
             program.finalize()
-    program.stack.write(buf, at, right)
+    program.stack.write(getattr(program, buffer), 5 * WORD, right)
     assert program.finalize() == want
+
+
+def _counting(monkeypatch, module, name: str) -> Counter:
+    calls = Counter()
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind,size,buffer,oracle", RESULTS)
+def test_both_stacks_share_one_expected_value_and_one_hash(monkeypatch, kind,
+                                                           size, buffer, oracle):
+    _forget_expected_values()
+    built = _counting(monkeypatch, workloads, oracle)
+    hashed = _counting(monkeypatch, workloads, "fnv1a64")
+    programs = [_after_one_iteration(WorkloadSpec(kind=kind, size=size, iters=1,
+                                                  driver=driver))
+                for driver in DRIVERS]
+    digests = [program.finalize() for program in programs]
+    assert digests[0] == digests[1]
+    assert built[oracle] == 1 and hashed["fnv1a64"] == 1
+    for program in programs:  # warm verifies build and hash nothing more
+        assert program.finalize() == digests[0]
+    assert built[oracle] == 1 and hashed["fnv1a64"] == 1
+
+
+def test_scanout_hashes_nothing_and_each_salt_is_hashed_once(monkeypatch):
+    program = _after_one_iteration(WorkloadSpec(kind="vertex-array", size=1,
+                                                iters=2, driver="library"))
+    device_hashes = _counting(monkeypatch, simdev, "fnv1a64")
+    shot = program.world.device.scanout()
+    assert device_hashes["fnv1a64"] == 0
+    _forget_expected_values()
+    hashed = _counting(monkeypatch, workloads, "fnv1a64")
+    at_salt_1 = program.finalize()
+    program.iterate()
+    at_salt_2 = program.finalize()
+    assert program.finalize() == at_salt_2 != at_salt_1
+    assert hashed["fnv1a64"] == 2
+    # the digest is still the frame's own
+    assert at_salt_1 == {"result": f"{shot.digest:016x}"}
+
+
+@pytest.mark.parametrize("kind,size,buffer", [r[:3] for r in RESULTS])
+def test_a_shared_expected_value_cannot_hide_a_wrong_result(kind, size, buffer):
+    specs = {driver: WorkloadSpec(kind=kind, size=size, iters=1, driver=driver)
+             for driver in DRIVERS}
+    want = run_workload(specs["library"], BenchConfig()).digests
+    assert run_workload(specs["legacy"], BenchConfig()).digests == want
+    programs = {driver: _after_one_iteration(spec) for driver, spec in specs.items()}
+    assert programs["library"].finalize() == want  # the expected value is built
+    right = _flip_word_5(programs["legacy"], buffer)
+    with pytest.raises(VerifyFail):
+        programs["legacy"].finalize()
+    assert programs["library"].finalize() == want
+    programs["legacy"].stack.write(getattr(programs["legacy"], buffer), 5 * WORD,
+                                   right)
+    for program in programs.values():
+        assert program.finalize() == want
 
 
 def test_library_hot_loop_is_one_crossing_and_no_copies():

@@ -14,7 +14,11 @@ constructions of a ``Stack``, the work that ``setup_s`` times, and builds
 no stack beforehand.  It prints the milliseconds per call of both runs
 and the functions with the most own time.  A verify or set-up phase first
 times one cold call, on a line of its own.  A first verify also builds the
-expected values a program keeps, a cost the median ``verify_s`` hides.  A
+expected values and their digests, which are kept per shape (and per salt
+for a frame) and shared by both stacks; the warm verifies that follow, at
+an unchanged salt, skip the oracle and the hash.  On ``stream``, where
+every step moves the salt on, the cold line is what a verify right after
+a step costs, and the warm figure is the read-back and compare alone.  A
 first set-up is the only one in the process that takes fresh pages from
 the system, later ones reuse what the earlier ones freed; each set-up that
 ``setup_s`` samples runs in a process of its own, so it is a cold one.
