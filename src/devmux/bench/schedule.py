@@ -31,6 +31,8 @@ def run_schedule(specs: list, epoch: int, config: BenchConfig = None) -> list:
         raise InvalError("empty schedule")
     if any(s.driver != "library" for s in specs):
         raise InvalError("only library-driver workloads can be scheduled")
+    if len({s.iommu for s in specs}) > 1:
+        raise InvalError("scheduled workloads share one device: give them one iommu")
     if epoch <= 0:
         raise InvalError("epoch must be positive")
     config = config or BenchConfig()

@@ -34,7 +34,6 @@ class World:
         if driver == "library":
             self.core = DeviceCore(self.platform, self.device,
                                    segment_bytes=config.segment_bytes)
-            self.core.device_init()
         else:
             self.legacy = LegacyDriver(self.platform, self.device,
                                        pool_pages=config.legacy_pool_pages)

@@ -13,9 +13,11 @@ Client-visible entry points (the whole attack surface):
                 access_register, set_mode
     scheduler   bind_device_lib, revoke_device_lib
 
-Builds for devices without dedicated memory drop the two device-memory
-calls, leaving seven entry points, and give every client an empty segment,
-so any device-local access is a memory-controller fault.
+Constructing the core brings the device up, so a core is ready to serve
+clients as soon as it exists.  Its build follows the device: a device
+without dedicated memory gets a core without the two device-memory calls,
+leaving seven entry points, and every client gets an empty segment, so any
+device-local access is a memory-controller fault.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from dataclasses import dataclass
 
 from devmux import simdev
 from devmux.alloc import FirstFitAllocator
-from devmux.errors import (BusyError, DoubleInit, ExistsError, InvalError,
-                           NotBoundError, NotFoundError, NotInitialized,
-                           NotSupportedError, OutOfSegment, OutOfVram,
-                           PermError)
+from devmux.errors import (BusyError, ExistsError, InvalError, NotBoundError,
+                           NotFoundError, NotSupportedError, OutOfSegment,
+                           OutOfVram, PermError)
 from devmux.platform import RUN_TO_IDLE
 from devmux.simdev import (APERTURE_BASE, APERTURE_END, DISPLAY_MODES,
                            M_REGISTERS, PAGE_SIZE, REG_CACHE_FLUSH,
@@ -75,30 +76,35 @@ class LibContext:
 
 
 class DeviceCore:
-    """Owns one device on behalf of many mutually distrusting clients."""
+    """Owns one device on behalf of many mutually distrusting clients.
+
+    Construction is the device's power-on, billed as one core call:
+    firmware load and verify, interrupts, translation, a clean CP.  The
+    device-memory calls and segments exist exactly when the device has
+    dedicated memory."""
 
     def __init__(self, platform, device: SimDevice, *,
-                 device_memory: bool = True,
                  segment_bytes: int = SEGMENT_BYTES_DEFAULT):
         if segment_bytes <= 0 or segment_bytes % PAGE_SIZE:
             raise InvalError("segment size must be a positive multiple of the page size")
         self.platform = platform
         self.device = device
-        self.device_memory = device_memory
+        self.device_memory = len(device.vram) > 0
         self.segment_bytes = segment_bytes
         self.contexts = {}
         self.bound = None
-        self._initialized = False
         self._next_id = 1
-        self._free_segments = []
         self.info = InfoPage(version=1, vram_total=len(device.vram),
-                             segment_size=segment_bytes if device_memory else 0,
+                             segment_size=segment_bytes if self.device_memory else 0,
                              displays=DISPLAY_MODES)
         # audit counters; the flush ones exist to prove revocation hygiene
         self.tlb_flush_count = 0
         self.cache_flush_count = 0
         self.snapshot_count = 0
         self.restore_count = 0
+        simdev.bring_up(device)
+        self._free_segments = list(range(len(device.vram) // segment_bytes))
+        self._charge_call()
 
     # -- surface inventory -------------------------------------------------
 
@@ -129,18 +135,6 @@ class DeviceCore:
         self.device.mmio_write(REG_CACHE_FLUSH, 1)
         self.cache_flush_count += 1
 
-    # -- one-time setup ------------------------------------------------------
-
-    def device_init(self):
-        """Power-on: firmware load and verify, interrupts, translation, CP."""
-        self._charge_call()
-        if self._initialized:
-            raise DoubleInit("device already initialized")
-        simdev.bring_up(self.device)
-        n = len(self.device.vram) // self.segment_bytes
-        self._free_segments = list(range(n))
-        self._initialized = True
-
     # -- lib calls -----------------------------------------------------------
 
     def init_device_lib(self, app):
@@ -149,8 +143,6 @@ class DeviceCore:
             hash(app)  # the owner keys the platform's page map
         except TypeError:
             raise InvalError(f"owner {app!r} cannot be hashed") from None
-        if not self._initialized:
-            raise NotInitialized("device_init has not run")
         if not self.device_memory:
             base = limit = 0  # an empty segment: device-local access faults
         elif self._free_segments:

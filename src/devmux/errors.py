@@ -53,14 +53,6 @@ class OutOfMemory(DevmuxError):
 
 # -- isolation core ----------------------------------------------------
 
-class DoubleInit(DevmuxError):
-    code = "DOUBLE_INIT"
-
-
-class NotInitialized(DevmuxError):
-    code = "ENOTINIT"
-
-
 class OutOfVram(DevmuxError):
     code = "OUT_OF_VRAM"
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from devmux import simdev
 from devmux.alloc import FirstFitAllocator
-from devmux.errors import (BadHandle, InvalError, NotFoundError, OutOfVram,
-                           PermError)
+from devmux.errors import BadHandle, InvalError, NotFoundError, PermError
 from devmux.platform import RUN_TO_IDLE
 from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_REGISTERS,
                          Buffer, PagePool, payload)
@@ -71,12 +70,9 @@ class LegacyDriver:
         for reg, value in RING_REGISTERS:
             device.mmio_write(reg, value)
 
-        self._vram_alloc = FirstFitAllocator(len(device.vram))
-        self.pool = PagePool(
-            platform.sysmem, frames,
-            alloc_vram=self._alloc_vram,
-            free_vram=lambda addr, size: self._vram_alloc.free(addr, size),
-            copy=self._copy)
+        vram = FirstFitAllocator(len(device.vram))
+        self.pool = PagePool(platform.sysmem, frames, alloc_vram=vram.alloc,
+                             free_vram=vram.free, copy=self._copy)
         self.buffers = self.pool.buffers
         self.clients = {}
         self._next_client = 1
@@ -105,22 +101,20 @@ class LegacyDriver:
     def _copy(self, dst: int, src: int, n_words: int):
         self._push_ring(Copy(dst, src, n_words).encode(), drain=True)
 
-    def _alloc_vram(self, size: int) -> int:
-        addr = self._vram_alloc.alloc(size)
-        if addr is None:
-            raise OutOfVram(f"no device memory for {size} bytes")
-        return addr
-
     def _client(self, client: int) -> int:
         if not isinstance(client, int) or client not in self.clients:
             raise BadHandle(f"no client {client}")
         return client
 
     def _release(self, buf: Buffer):
+        """Free ``buf``.  Its pool space and VRAM go to the next client that
+        allocates, so they are cleared first."""
         if buf is self._scanout:  # never show the space's next owner
             self.device.mmio_write(REG_DISP_ENABLE, 0)
             self._scanout = None
+        self.pool.clear(buf)
         self.pool.release(buf)
+        del self.buffers[buf.handle]
 
     def _buffer(self, client: int, buffer_id: int) -> Buffer:
         buf = self.buffers.get(_word(buffer_id, "buffer id"))
@@ -142,8 +136,8 @@ class LegacyDriver:
     def legacy_close(self, client: int):
         self._charge()
         self._client(client)
-        for buffer_id in [b.handle for b in self.buffers.values() if b.owner == client]:
-            self._release(self.buffers.pop(buffer_id))
+        for buf in [b for b in self.buffers.values() if b.owner == client]:
+            self._release(buf)
         del self.clients[client]
 
     def legacy_alloc(self, client: int, size: int, placement: str) -> int:
@@ -155,7 +149,6 @@ class LegacyDriver:
         self._charge()
         self._client(client)
         self._release(self._buffer(client, buffer_id))
-        del self.buffers[buffer_id]
 
     def legacy_write(self, client: int, buffer_id: int, offset: int, data: bytes):
         data = payload(data)

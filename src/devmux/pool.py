@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import struct
 
 from devmux.alloc import FirstFitAllocator
-from devmux.errors import DeviceFault, InvalError, OutOfPool, OutOfRange
+from devmux.errors import (DeviceFault, InvalError, OutOfPool, OutOfRange,
+                           OutOfVram)
 from devmux.simdev import (APERTURE_BASE, FAULT_FLAGS, INSTR_WORDS, OP_FENCE,
                            PAGE_SIZE, REG_IH_PAGE_ADDR, REG_RB_BASE,
                            REG_RB_SIZE, WORD, Fence, _words)
@@ -78,8 +79,9 @@ class Buffer:
 class PagePool:
     """One stack's pool pages, its buffers and their placements.
 
-    ``alloc_vram(size) -> addr`` and ``free_vram(addr, size)`` manage device
-    memory; ``copy(dst, src, n_words)`` runs one device COPY to completion.
+    ``alloc_vram(size) -> addr`` (None when device memory is exhausted) and
+    ``free_vram(addr, size)`` manage device memory; ``copy(dst, src,
+    n_words)`` runs one device COPY to completion.
     ``tail`` is the ring position, in words, after the last queued batch.
     """
 
@@ -163,7 +165,10 @@ class PagePool:
     def allocate(self, handle: int, size: int, placement: str, owner=None) -> Buffer:
         """A record for ``handle`` with fresh backing, not yet registered."""
         if placement == VRAM:
-            return Buffer(handle, placement, size, self._alloc_vram(size), owner=owner)
+            addr = self._alloc_vram(size)
+            if addr is None:
+                raise OutOfVram(f"no device memory for {size} bytes")
+            return Buffer(handle, placement, size, addr, owner=owner)
         if placement == GTT:
             gtt_off = self._gtt.alloc(size)
             if gtt_off is None:
@@ -181,6 +186,14 @@ class PagePool:
             self._free_vram(buf.device_addr, buf.size)
         elif buf.placement == GTT:
             self._gtt.free(buf.pool_off - GTT_OFF, buf.size)
+
+    def clear(self, buf: Buffer):
+        """Zero every byte of ``buf`` a client could have written; VRAM in
+        whole words, which its allocation covers, through the staging page."""
+        if buf.placement == GTT:
+            self.write(buf.pool_off, bytes(buf.size))
+        elif buf.placement == VRAM:
+            self._vram_write(buf.device_addr, bytes(-(-buf.size // WORD) * WORD))
 
     def write_buffer(self, buf: Buffer, offset: int, data: bytes):
         buf.check_range(offset, len(data))

@@ -181,9 +181,8 @@ def solo():
 
 @pytest.fixture
 def lib_world():
-    """(platform, device, initialized core) with small segments."""
+    """(platform, device, brought-up core) with small segments."""
     platform = make_platform(frames=1024)
     device = make_device(platform, vram=4 << 20)
     core = DeviceCore(platform, device, segment_bytes=1 << 20)
-    core.device_init()
     return platform, device, core

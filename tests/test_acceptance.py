@@ -53,9 +53,9 @@ def test_c02_api_surface():
 
     # the no-device-memory build, translation on the device's built-in unit
     platform2 = make_platform()
-    device2 = make_device(platform2)
+    device2 = make_device(platform2, vram=0)
     assert device2.active_iommu is device2.iommu
-    lean = DeviceCore(platform2, device2, device_memory=False)
+    lean = DeviceCore(platform2, device2)
     assert len(lean.api_surface()) == 7
     assert "alloc_device_memory" not in lean.api_surface()
     assert "release_device_memory" not in lean.api_surface()
@@ -133,7 +133,6 @@ def test_c08_snapshot_round_trip_and_flush():
     platform = make_platform(frames=2048)
     device = make_device(platform, vram=4 << 20)
     core = DeviceCore(platform, device, segment_bytes=1 << 20)
-    core.device_init()
     libs = [LibraryDriver(core, f"app{i}", pool_pages=8) for i in range(3)]
     tracked = SCRATCH_REGISTERS + (REG_FB_BASE,)
     shadow = {lib.lib_id: dict.fromkeys(tracked, 0) for lib in libs}
@@ -230,7 +229,6 @@ def test_c10_launch_overhead():
     platform = make_platform(frames=600)
     device = make_device(platform, vram=4 << 20)
     core = DeviceCore(platform, device, segment_bytes=1 << 20)
-    core.device_init()
     before = platform.ledger.crossings
     LibraryDriver(core, "app", pool_pages=256)
     assert platform.ledger.crossings - before == 256 + 1

@@ -24,7 +24,9 @@ from devmux.bench.workloads import (FB_WORDS, framebuffer_oracle, make_program,
                                     vertex_fill, vertex_frame)
 from devmux.bench.world import World, build_world
 from devmux.errors import InvalError, VerifyFail
-from devmux.simdev import MASK32, WORD, SimDevice
+from devmux.libdrv import LibraryDriver
+from devmux.pool import GTT
+from devmux.simdev import MASK32, WORD, Copy, SimDevice
 
 
 def test_config_file_parsing(tmp_path):
@@ -116,6 +118,18 @@ def test_default_worlds_make_only_the_memory_they_write_resident():
     out = subprocess.run([sys.executable, "-c", _WORLD_RSS], cwd=ROOT, env=env,
                          capture_output=True, text=True, check=True).stdout
     assert int(out) < 8 << 20
+
+
+def test_a_world_without_device_memory_hosts_a_library_on_the_lean_core():
+    world = build_world(BenchConfig(vram_bytes=0), "library", "builtin")
+    assert len(world.core.api_surface()) == 7
+    lib = LibraryDriver(world.core, "app", pool_pages=16)
+    world.core.bind_device_lib(lib.lib_id)
+    src, dst = lib.create_buffer(64, GTT), lib.create_buffer(64, GTT)
+    lib.write_buffer(src, 0, bytes(range(64)))
+    s, d = (lib.buffers[h].device_addr for h in (src, dst))
+    lib.wait_fence(lib.submit([Copy(d, s, 16)]))
+    assert lib.read_buffer(dst, 0, 64) == bytes(range(64))
 
 
 def test_results_agree_across_every_deployment():
@@ -377,6 +391,11 @@ def test_schedule_rejects_degenerate_inputs():
         run_schedule([WorkloadSpec(driver="legacy")], 100, config)
     with pytest.raises(InvalError):
         run_schedule([WorkloadSpec()], 0, config)
+    # every spec runs on one device, so on one translation unit: mixed
+    # iommus would all run on the first spec's
+    with pytest.raises(InvalError, match="iommu"):
+        run_schedule([WorkloadSpec(iommu="builtin"), WorkloadSpec(iommu="system")],
+                     100, config)
 
 
 @pytest.fixture
@@ -495,6 +514,16 @@ def test_cli_accepts_a_config_file(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     # a dearer crossing shows up in the simulated time of every iteration
     assert data["per_iteration"][1]["simulated_time"] > 2000.0
+
+
+def test_cli_reports_missing_device_memory_as_an_error(tmp_path, capsys):
+    path = tmp_path / "integrated.conf"
+    path.write_text("vram_bytes = 0\n")
+    assert main(["run", "--workload", "matmul", "--size", "2", "--iters", "1",
+                 "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: device has no dedicated memory\n"
+    assert captured.out == ""
 
 
 def test_cli_rejects_unknown_choices():

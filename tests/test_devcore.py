@@ -6,18 +6,18 @@ import pytest
 
 from conftest import make_device, make_platform
 from devmux.devcore import ACL_WRITE, LIB_CALLS, SCHEDULER_CALLS, DeviceCore
-from devmux.errors import (BusyError, DeviceFault, DoubleInit, ExistsError,
-                           InvalError, IommuFault, NotBoundError,
-                           NotFoundError, NotInitialized, NotSupportedError,
-                           OutOfSegment, OutOfVram, PermError)
+from devmux.errors import (BusyError, DeviceFault, ExistsError, InvalError,
+                           IommuFault, NotBoundError, NotFoundError,
+                           NotSupportedError, OutOfSegment, OutOfVram,
+                           PermError)
 from devmux.libdrv import LibraryDriver
 from devmux.pool import GTT, VRAM
 from devmux.simdev import (APERTURE_BASE, CO_ADD, DISPLAY_MODES, FLAG_MC_FAULT,
-                           PAGE_SIZE, REG_DISP_ENABLE, REG_DISP_PLL,
-                           REG_DISP_TIMING_H, REG_DISP_TIMING_V,
-                           REG_MC_SEG_BASE, REG_RB_BASE, REG_RB_HEAD,
-                           REG_RB_SIZE, REG_RB_TAIL, REG_SCRATCH0, M_REGISTERS,
-                           Compute, Copy, Nop)
+                           FW_CTRL_READY, PAGE_SIZE, REG_DISP_ENABLE,
+                           REG_DISP_PLL, REG_DISP_TIMING_H, REG_DISP_TIMING_V,
+                           REG_FW_CTRL, REG_MC_SEG_BASE, REG_RB_BASE,
+                           REG_RB_HEAD, REG_RB_SIZE, REG_RB_TAIL, REG_SCRATCH0,
+                           M_REGISTERS, Compute, Copy, Nop)
 
 
 def test_api_surface_lists_nine_calls(lib_world):
@@ -30,12 +30,11 @@ def test_api_surface_lists_nine_calls(lib_world):
 
 def test_no_device_memory_build_exports_seven():
     platform = make_platform()
-    core = DeviceCore(platform, make_device(platform), device_memory=False)
+    core = DeviceCore(platform, make_device(platform, vram=0))
     surface = core.api_surface()
     assert len(surface) == 7
     assert "alloc_device_memory" not in surface
     assert "release_device_memory" not in surface
-    core.device_init()
     lib_id, _ = core.init_device_lib("a")
     with pytest.raises(NotSupportedError):
         core.alloc_device_memory(lib_id, 4096)
@@ -46,8 +45,7 @@ def test_no_device_memory_build_exports_seven():
 def test_no_device_memory_build_hosts_libraries_with_an_empty_segment():
     platform = make_platform(frames=512)
     device = make_device(platform, vram=0)
-    core = DeviceCore(platform, device, device_memory=False)
-    core.device_init()
+    core = DeviceCore(platform, device)
     libs = [LibraryDriver(core, f"app{i}", pool_pages=16) for i in range(6)]
     assert len(core.api_surface()) == 7
     lib = libs[0]
@@ -65,19 +63,28 @@ def test_no_device_memory_build_hosts_libraries_with_an_empty_segment():
         lib.create_buffer(64, VRAM)
 
 
-def test_device_init_loads_firmware_once(lib_world):
-    _, device, core = lib_world
-    from devmux import simdev
-    assert device.mmio_read(simdev.REG_FW_CTRL) & simdev.FW_CTRL_READY
-    with pytest.raises(DoubleInit):
-        core.device_init()
-
-
-def test_lib_init_requires_device_init():
+def test_construction_loads_firmware_and_bills_one_core_call():
     platform = make_platform()
-    core = DeviceCore(platform, make_device(platform))
-    with pytest.raises(NotInitialized):
-        core.init_device_lib("early")
+    device = make_device(platform)
+    before = platform.ledger.snapshot()
+    core = DeviceCore(platform, device, segment_bytes=1 << 20)
+    assert device.mmio_read(REG_FW_CTRL) & FW_CTRL_READY
+    delta = platform.ledger.delta_since(before)
+    fields = platform.ledger.FIELDS
+    assert {f: delta[f] for f in fields} == {**dict.fromkeys(fields, 0),
+                                             "core_calls": 1}
+    assert len(core.api_surface()) == 9
+    assert core.init_device_lib("a")[0] == 1  # ready to serve at once
+
+
+def test_refused_construction_leaves_the_device_off_and_bills_nothing():
+    platform = make_platform()
+    device = make_device(platform)
+    before = platform.ledger.snapshot()
+    with pytest.raises(InvalError):
+        DeviceCore(platform, device, segment_bytes=100)
+    assert device.mmio_read(REG_FW_CTRL) == 0
+    assert platform.ledger.snapshot() == before
 
 
 def test_info_page_roundtrip(lib_world):

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_device, make_platform, unpack
 from devmux.bench.workloads import MAX_COMPUTES_PER_SUBMIT
 from devmux.errors import (BadHandle, DeviceFault, InvalError, NotFoundError,
-                           OutOfPool, OutOfRange, PermError)
+                           OutOfPool, OutOfRange, OutOfVram, PermError)
 from devmux.legacydrv import LEGACY_API, LegacyDriver
 from devmux.pool import MAX_BATCH_WORDS, RING_OFF, RING_WORDS, SLAB_FIRST_PAGE
 from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, REG_DISP_ENABLE, REG_DISP_PLL,
@@ -262,6 +262,33 @@ def test_releasing_the_scanned_out_buffer_turns_the_display_off(legacy, release)
         device.scanout()
 
 
+@pytest.mark.parametrize("placement, cycles", [("VRAM", 21), ("GTT", 0)])
+@pytest.mark.parametrize("size", [64, 63])
+@pytest.mark.parametrize("release", ["free", "close"])
+def test_the_next_client_reads_zeros_where_a_freed_buffer_was(
+        legacy, placement, cycles, size, release):
+    platform, _, driver, client = legacy
+    mine = driver.legacy_alloc(client, size, placement)
+    addr = driver.buffers[mine].device_addr
+    written = size if placement == "GTT" else size - size % WORD
+    driver.legacy_write(client, mine, 0, (b"SECRET-A" * 8)[:written])
+    before = platform.ledger.snapshot()
+    if release == "free":
+        driver.legacy_free(client, mine)
+    else:
+        driver.legacy_close(client)
+    delta = platform.ledger.delta_since(before)
+    # clearing costs device cycles for VRAM and nothing for GTT: no
+    # crossing, copied byte or validated word beyond the call's own one
+    assert {f: delta[f] for f in platform.ledger.FIELDS} == {
+        "crossings": 1, "bytes_copied": 0, "instructions_validated": 0,
+        "device_cycles": cycles, "core_calls": 0}
+    other = driver.legacy_open("other")
+    theirs = driver.legacy_alloc(other, 64, placement)
+    assert driver.buffers[theirs].device_addr == addr  # the space came back
+    assert driver.legacy_read(other, theirs, 0, 64) == bytes(64)
+
+
 @pytest.mark.parametrize("call, error, crossings", [
     (lambda d, c, b: d.legacy_alloc(c, "64", "GTT"), InvalError, 1),
     (lambda d, c, b: d.legacy_read(c, b, "0", 4), InvalError, 1),
@@ -311,6 +338,17 @@ def test_close_releases_clients_and_buffers(legacy):
     # the closed client's VRAM came back to the allocator
     whole = driver.legacy_alloc(fresh, len(device.vram), "VRAM")
     assert driver.buffers[whole].device_addr == 0
+
+
+def test_exhausted_vram_is_refused_in_one_crossing(legacy):
+    platform, device, driver, client = legacy
+    driver.legacy_alloc(client, len(device.vram), "VRAM")
+    buffers = dict(driver.buffers)
+    before = platform.ledger.crossings
+    with pytest.raises(OutOfVram):
+        driver.legacy_alloc(client, 64, "VRAM")
+    assert platform.ledger.crossings - before == 1
+    assert driver.buffers == buffers
 
 
 def test_a_closed_clients_gtt_space_comes_back_whole(legacy):

@@ -52,7 +52,6 @@ def _four_segment_core(frames):
     platform = make_platform(frames=frames)
     core = DeviceCore(platform, make_device(platform, vram=4 << 20),
                       segment_bytes=1 << 20)
-    core.device_init()
     return platform, core
 
 
@@ -114,7 +113,6 @@ def test_gtt_ranges_stay_disjoint_and_freed_space_comes_back_whole(ops):
     n mod the live count."""
     platform = make_platform(frames=64)
     core = DeviceCore(platform, make_device(platform), segment_bytes=1 << 20)
-    core.device_init()
     lib = LibraryDriver(core, "app", pool_pages=POOL)
     live = []
     for create, n in ops:
@@ -337,7 +335,6 @@ def _two_libraries():
     platform = make_platform(frames=1024)
     device = make_device(platform, vram=4 << 20)
     core = DeviceCore(platform, device, segment_bytes=1 << 20)
-    core.device_init()
     return (device, core, LibraryDriver(core, "a", pool_pages=POOL),
             LibraryDriver(core, "b", pool_pages=POOL))
 
@@ -481,7 +478,6 @@ def _accumulating_lib(n):
     platform = make_platform(frames=1024)
     core = DeviceCore(platform, make_device(platform, vram=4 << 20),
                       segment_bytes=1 << 20)
-    core.device_init()
     lib = LibraryDriver(core, "app", pool_pages=POOL)
     core.bind_device_lib(lib.lib_id)
     vec, acc = lib.create_buffer(n * WORD, VRAM), lib.create_buffer((n + 1) * WORD, VRAM)
