@@ -416,13 +416,11 @@ def run_workload(spec: WorkloadSpec, config: BenchConfig = None) -> RunReport:
                      ledger=world.ledger.snapshot(), digests=digests)
 
 
-def speedup(spec_kind: str, size: int, iters: int, config: BenchConfig = None,
-            iommu: str = "builtin") -> float:
+def speedup(spec_kind: str, size: int, iters: int, config: BenchConfig = None) -> float:
     """Steady-state legacy/library time ratio for one workload shape."""
     times = {}
     for driver in ("library", "legacy"):
-        spec = WorkloadSpec(kind=spec_kind, size=size, iters=iters,
-                            driver=driver, iommu=iommu)
+        spec = WorkloadSpec(kind=spec_kind, size=size, iters=iters, driver=driver)
         times[driver] = run_workload(spec, config).steady_mean
     return times["legacy"] / times["library"]
 

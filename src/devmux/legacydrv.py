@@ -108,7 +108,9 @@ class LegacyDriver:
 
     def _release(self, buf: Buffer):
         """Free ``buf``.  Its pool space and VRAM go to the next client that
-        allocates, so they are cleared first."""
+        allocates, so a queued batch that targets them runs first and they
+        are cleared after it."""
+        self._drain()
         if buf is self._scanout:  # never show the space's next owner
             self.device.mmio_write(REG_DISP_ENABLE, 0)
             self._scanout = None

@@ -411,22 +411,13 @@ class WriteBackCache:
     Writing a word that is already pending updates it in place and keeps
     its place in the queue.
 
-    The queue is kept as runs: ``_runs`` holds ``[space, addr, words]``
+    ``put_run`` takes a run of consecutive words and does what one put per
+    word, in run order, does: the queue, the evicted words and the backing
+    end up the same.  ``_runs`` holds the queue as ``[space, addr, words]``
     entries, oldest first, whose words are consecutive both in byte address
     and in queue order, and no word is in two entries.  ``pending`` shows
     the same queue word by word, as a fresh ``(space, byte addr) -> word``
     dict, oldest first.
-
-    ``put_run`` takes a run of consecutive words and leaves the queue, the
-    evicted words and the backing as one put per word, in run order, would.
-    Words of the run that are not pending are new: before a stretch of new
-    words goes in at the tail (extending the tail entry when it continues
-    that entry's addresses in the same space), the oldest words are trimmed
-    from the front until the stretch fits, with one write-back per trimmed
-    piece.  The words of the run that are already pending split it into
-    such stretches.  Each one is updated in place when the run reaches it,
-    unless the trim for the stretch before it evicted it: then it is new
-    again and goes back in at the tail.
 
     ``lo[space]`` and ``hi[space]`` bound the byte addresses put in each
     space since the last drain (the envelope).  ``put_run`` widens it before
@@ -460,64 +451,36 @@ class WriteBackCache:
         if last > hi:
             self.hi[space] = last
         if lo <= last and addr <= hi:
-            self._put_split(space, addr, words)
-        elif self.size + n > self.capacity:
-            self._append(space, addr, words)
+            # the run may meet pending words: one put per word
+            for i, word in enumerate(words):
+                self._put_word(space, addr + i * WORD, word)
         else:
-            # no pending word in the run and room for all of it; the same
-            # as _push, kept inline for one-word writes
-            runs = self._runs
-            self.size += n
-            if runs:
-                tail = runs[-1]
-                if tail[0] == space and tail[1] + len(tail[2]) * WORD == addr:
-                    tail[2] += words
-                    return
-            runs.append([space, addr, list(words)])
+            self._append(space, addr, words)
 
-    def _put_split(self, space: int, addr: int, words):
-        """``put_run`` for a run that may hold pending words."""
-        end = addr + len(words) * WORD
-        hits = []  # (run index, entry, queue position) of each pending word
-        pos = 0
-        for entry in self._runs:
-            s, a, run = entry
-            stop = a + len(run) * WORD
-            if s == space and a < end and addr < stop:
-                for b in range(max(a, addr), min(stop, end), WORD):
-                    hits.append(((b - addr) // WORD, entry, pos + (b - a) // WORD))
-            pos += len(run)
-        hits.sort()
-        start_size = self.size
-        queued = 0
-        start = 0
-        for i, entry, p in hits:
-            if i > start:
-                self._append(space, addr + start * WORD, words[start:i])
-                queued += i - start
-                start = i
-            # still pending unless the trims so far evicted it; then it is
-            # new again and goes in with the next stretch
-            if start_size + queued - self.size <= p:
-                entry[2][(addr + i * WORD - entry[1]) // WORD] = words[i]
-                start = i + 1
-        if start < len(words):
-            self._append(space, addr + start * WORD, words[start:])
+    def _put_word(self, space: int, addr: int, word: int):
+        """Update the word at ``addr`` in place if it is pending, else
+        queue it as a new one."""
+        for s, a, run in self._runs:
+            if s == space and a <= addr < a + len(run) * WORD:
+                run[(addr - a) // WORD] = word
+                return
+        self._append(space, addr, [word])
 
     def _append(self, space: int, addr: int, words):
-        """Queue words none of which is pending, in pieces of at most
-        ``capacity`` words, trimming the oldest words before each."""
+        """Queue words none of which is pending at the tail, trimming the
+        oldest words first to make room; a run longer than the cache goes
+        in ``capacity`` words at a time."""
+        n = len(words)
         capacity = self.capacity
-        for k in range(0, len(words), capacity):
-            piece = words[k:k + capacity]
-            over = self.size + len(piece) - capacity
-            if over > 0:
-                self._trim(over)
-            self._push(space, addr + k * WORD, piece)
-
-    def _push(self, space: int, addr: int, words):
+        if n > capacity:
+            for k in range(0, n, capacity):
+                self._append(space, addr + k * WORD, words[k:k + capacity])
+            return
+        over = self.size + n - capacity
+        if over > 0:
+            self._trim(over)
         runs = self._runs
-        self.size += len(words)
+        self.size += n
         if runs:
             tail = runs[-1]
             if tail[0] == space and tail[1] + len(tail[2]) * WORD == addr:
@@ -1010,9 +973,9 @@ class SimDevice:
 
 # -- bring-up ---------------------------------------------------------------
 
-def install_firmware(device: SimDevice, image=FIRMWARE_IMAGE):
+def install_firmware(device: SimDevice):
     device.mmio_write(REG_FW_ADDR, 0)
-    for word in image:
+    for word in FIRMWARE_IMAGE:
         device.mmio_write(REG_FW_DATA, word)
     device.mmio_write(REG_FW_CTRL, FW_CTRL_VERIFY)
     return device.mmio_read(REG_FW_CTRL) == FW_CTRL_READY

@@ -3,6 +3,7 @@
 import struct
 
 import pytest
+from hypothesis import Phase, settings
 
 from devmux import simdev
 from devmux.devcore import DeviceCore
@@ -15,6 +16,11 @@ from devmux.simdev import (CO_ADD, CO_DOT, FENCE_IRQ, FLAG_FENCE,
                            REG_MC_SEG_LIMIT, REG_RB_BASE, REG_RB_HEAD,
                            REG_RB_SIZE, REG_RB_TAIL, SCRATCH_REGISTERS, WORD,
                            ExecReport, IommuUnit, SimDevice, encode_batch)
+
+# opt in with `pytest --hypothesis-profile=mutation`: a failing example is
+# reported as found, not shrunk, so a run under a mutant stops in seconds
+settings.register_profile("mutation", phases=(Phase.explicit, Phase.reuse,
+                                              Phase.generate))
 
 # fixed VRAM layout for standalone (no-driver) device tests
 STATUS_AT = 0x2000

@@ -289,6 +289,29 @@ def test_the_next_client_reads_zeros_where_a_freed_buffer_was(
     assert driver.legacy_read(other, theirs, 0, 64) == bytes(64)
 
 
+@pytest.mark.parametrize("into_freed", [True, False])
+def test_a_queued_copy_does_not_reach_a_freed_buffers_next_owner(legacy, into_freed):
+    _, device, driver, a = legacy
+    vram = driver.legacy_alloc(a, 64, "VRAM")
+    gtt = driver.legacy_alloc(a, 64, "GTT")
+    driver.legacy_write(a, vram, 0, b"A" * 64)
+    driver.legacy_write(a, gtt, 0, b"G" * 64)
+    where = driver.buffers[gtt].pool_off
+    copy = (Copy((gtt, 0), (vram, 0), 16) if into_freed
+            else Copy((vram, 0), (gtt, 0), 16))
+    seq = driver.legacy_submit(a, [copy])
+    assert not device.cp_idle           # the last chunk is left queued
+    driver.legacy_free(a, gtt)
+    b = driver.legacy_open("b")
+    theirs = driver.legacy_alloc(b, 64, "GTT")
+    assert driver.buffers[theirs].pool_off == where  # the space came back
+    driver.legacy_write(b, theirs, 0, b"SECRET-B" * 8)
+    driver.legacy_wait(a, seq)
+    # the copy ran before the free, on the buffer as A left it
+    assert driver.legacy_read(b, theirs, 0, 64) == b"SECRET-B" * 8
+    assert driver.legacy_read(a, vram, 0, 64) == (b"A" if into_freed else b"G") * 64
+
+
 @pytest.mark.parametrize("call, error, crossings", [
     (lambda d, c, b: d.legacy_alloc(c, "64", "GTT"), InvalError, 1),
     (lambda d, c, b: d.legacy_read(c, b, "0", 4), InvalError, 1),

@@ -690,6 +690,33 @@ def test_a_word_evicted_by_its_own_run_goes_back_in_at_the_tail():
     assert backing_words(backings[0], 5) == [100, 1, 2, 103, 104]
 
 
+def test_a_pending_word_updates_only_in_its_own_space():
+    cache = WriteBackCache(4, cache_backings())
+    cache.put_run(1, 4, [9])
+    cache.put_run(0, 0, [1])            # VRAM word 0 is pending too
+    cache.put_run(1, 0, [2, 3])         # system words 0 (new) and 1 (pending)
+    assert list(cache.pending.items()) == [((1, 4), 3), ((0, 0), 1),
+                                           ((1, 0), 2)]
+    cache.put_run(0, 32, [5])           # a fourth word fits: nothing evicted
+    assert list(cache.pending.items()) == [((1, 4), 3), ((0, 0), 1),
+                                           ((1, 0), 2), ((0, 32), 5)]
+
+
+def test_a_run_longer_than_the_cache_over_pending_words_is_one_put_per_word():
+    backings = cache_backings()
+    cache = WriteBackCache(4, backings)
+    ref = FifoReference(4, cache_backings())
+    runs = [(0, 8, [1, 2]), (1, 0, [3]),
+            (0, 0, list(range(10, 20))),    # words 0..9, over words 2 and 3
+            (0, 36, [7, 8])]                # starts at the envelope's top
+    for space, addr, words in runs:
+        cache.put_run(space, addr, words)
+        for i, word in enumerate(words):
+            ref.put((space, addr + i * WORD), word)
+        assert list(cache.pending.items()) == list(ref.pending.items())
+        assert backings == ref.backings
+
+
 def test_compute_longer_than_the_cache_reads_back_before_its_fence():
     count = CACHE_WORDS + 100
     src, fill, dst = DATA_AT, DATA_AT + count * WORD, DATA_AT + 2 * count * WORD
