@@ -95,6 +95,10 @@ faults, goes through ``_read_run`` or ``_write_run`` and so
 IOMMU's translations are the same either way.  The fetch window, FENCE,
 scanout and the status page always decode through ``_decode_run``, and
 ``_sync_status_page`` alone writes the status page, once per event or FENCE.
+
+ADD adds all lanes of its run at once: it reads each operand run as one
+little-endian integer of 32-bit lanes and adds them so that no lane carries
+into the next (SIMD within a register), so every word is (x + y) mod 2**32.
 """
 
 from __future__ import annotations
@@ -400,6 +404,14 @@ _NO_ADDR = 1 << 64  # above every byte address: the empty envelope's lo
 def _words(n: int) -> struct.Struct:
     """The layout of ``n`` little-endian words, built once per count."""
     return struct.Struct(f"<{n}I")
+
+
+@lru_cache(maxsize=4)  # counts come from untrusted batches: keep few
+def _add_masks(n: int) -> tuple:
+    """(low, top) for a SWAR add of ``n`` words read as one little-endian
+    int: ``low`` holds 0x7FFFFFFF and ``top`` 0x80000000 in every lane."""
+    top = int.from_bytes(b"\0\0\0\x80" * n, "little")
+    return top - (top >> 31), top
 
 
 class WriteBackCache:
@@ -901,7 +913,15 @@ class SimDevice:
                         if sub == CO_DOT:
                             write(dst, [sum(map(mul, a, b)) & MASK32])
                         elif sub == CO_ADD:
-                            write(dst, [(x + y) & MASK32 for x, y in zip(a, b)])
+                            # every lane at once: the low 31 bits add without
+                            # reaching the next lane, and the top bit is the
+                            # operands' top bits XOR the carry into it
+                            low, top = _add_masks(count)
+                            layout = _words(count)
+                            x = int.from_bytes(layout.pack(*a), "little")
+                            y = int.from_bytes(layout.pack(*b), "little")
+                            z = ((x & low) + (y & low)) ^ ((x ^ y) & top)
+                            write(dst, layout.unpack(z.to_bytes(count * WORD, "little")))
                         else:
                             write(dst, [(x * y) & MASK32 for x, y in zip(a, b)])
                     elif sub == CO_DOT:

@@ -635,6 +635,66 @@ def test_reads_after_a_drain_see_backing_and_new_pending_words(solo):
     assert vram_words(device, out, 20) == [2, 4, 6, 8] + [0] * 12 + [4, 8, 12, 16]
 
 
+# ADD adds every lane of its run in one integer operation: each word must
+# still be its own (x + y) mod 2**32, whatever the words beside it carry.
+
+ADD_PATTERNS = ((0xFFFFFFFF, 1), (0x80000000, 0x80000000), (0x7FFFFFFF, 1),
+                (0xFFFFFFFF, 0xFFFFFFFF), (0, 0))
+# every ordered pair of patterns side by side, then again up to 96 words
+ADD_LANES = list(itertools.islice(itertools.cycle(
+    [p for pair in itertools.product(ADD_PATTERNS, repeat=2) for p in pair]), 96))
+ADD_STRADDLE = APERTURE_BASE + PAGE_SIZE - 41 * WORD  # 41 words on page 0
+ADD_PLACES = {  # (dst, src1, src2)
+    "vram": (DATA_AT + 0x1400, DATA_AT + 0x1000, DATA_AT + 0x1200),
+    "aperture": (APERTURE_BASE + 0x500, APERTURE_BASE + 0x100, APERTURE_BASE + 0x300),
+    # in place across the page end, over a device-local src2
+    "straddle": (ADD_STRADDLE, ADD_STRADDLE, DATA_AT + 0x1000),
+}
+
+
+def poke_device_words(platform, device, da, words):
+    for i, word in enumerate(words):
+        backing, addr = alias_loc(platform, device, da + i * WORD)
+        backing[addr:addr + WORD] = pack([word])
+
+
+@pytest.mark.parametrize("place", ADD_PLACES)
+@pytest.mark.parametrize("count", [1, 2, 96])
+def test_add_carries_stay_inside_each_lane(place, count):
+    platform, device = aliased_device()
+    dst, src1, src2 = ADD_PLACES[place]
+    xs = [x for x, _ in ADD_LANES]
+    ys = [y for _, y in ADD_LANES]
+    poke_device_words(platform, device, src1, xs)
+    poke_device_words(platform, device, src2, ys)
+    push_batch(device, [Compute(CO_ADD, dst + k, src1 + k, src2 + k, count)
+                        for k in range(0, len(xs) * WORD, count * WORD)]
+               + [Fence(1)])
+    device.step(10_000)
+    assert read_status(device)[0] == 1
+    assert read_status(device)[2] & FAULT_FLAGS == 0
+    assert device_words(platform, device, dst, len(xs)) == [
+        (x + y) & MASK32 for x, y in zip(xs, ys)]
+
+
+def test_add_keeps_masks_for_few_run_lengths(solo):
+    _, device = solo
+    a, b, dst = DATA_AT, DATA_AT + 0x2000, DATA_AT + 0x4000
+    counts = range(CACHE_WORDS, CACHE_WORDS + 8)
+    xs = [(0x9E3779B9 * i) & MASK32 for i in range(counts[-1])]
+    ys = [(0x7F4A7C15 * i) & MASK32 for i in range(counts[-1])]
+    poke_words(device, a, xs)
+    poke_words(device, b, ys)
+    for seq, count in enumerate(counts, 1):
+        push_batch(device, [Compute(CO_ADD, dst, a, b, count), Fence(seq)])
+        device.step(2 * count)
+        assert read_status(device)[0] == seq
+        assert vram_words(device, dst, count) == [
+            (x + y) & MASK32 for x, y in zip(xs[:count], ys[:count])]
+    # a batch picks its run lengths: the memo may not grow with them
+    assert simdev._add_masks.cache_info().currsize <= 4
+
+
 # A standalone cache over one small backing per space, at equal physical
 # byte addresses, and the plain per-word FIFO it must equal: one put per
 # word, each eviction written back at once.
@@ -795,6 +855,7 @@ def test_cache_runs_equal_one_put_per_word(program):
             while ref.pending:
                 ref.write_back(next(iter(ref.pending)))
         assert list(cache.pending.items()) == list(ref.pending.items())
+        assert cache.size == len(ref.pending)
         assert cache.backings == ref.backings
         for space, addr in cache.pending:
             assert cache.lo[space] <= addr <= cache.hi[space]
