@@ -99,6 +99,26 @@ scanout and the status page always decode through ``_decode_run``, and
 ADD adds all lanes of its run at once: it reads each operand run as one
 little-endian integer of 32-bit lanes and adds them so that no lane carries
 into the next (SIMD within a register), so every word is (x + y) mod 2**32.
+
+DOT runs: a DOT that ``step`` fetches afresh from the fetch window (not one
+in flight) runs together with the whole DOT instructions that follow it in
+the window, as one instruction: ``step`` computes every product, queues the
+results with one ``put_run``, bills the summed cycles and moves RB_HEAD
+once.  The run takes a DOT only while all of these hold, and it is taken
+only when at least two DOTs do; every other DOT runs on its own:
+
+1. it is a COMPUTE DOT of count 1 or more (a DOT of count 0 writes a zero);
+2. its target is the word after the previous DOT's, so the results are one
+   run of words, and one ``put_run`` of them is one put per word in order;
+3. its cycles fit the budget left, so the first DOT that does not fit is
+   left to become in flight as before;
+4. both operand runs and the target word are word-aligned device-local
+   runs, as ``read`` and ``write`` test, so nothing in the run faults or
+   translates;
+5. neither operand run overlaps the targets of the run's earlier DOTs,
+   whose results are not queued yet;
+6. its target misses the fetch window's words, since a write there drops
+   the window and changes what is fetched next.
 """
 
 from __future__ import annotations
@@ -855,14 +875,19 @@ class SimDevice:
         # window, the MC segment and VRAM decodes here (see the module
         # docstring); every other run, and every fault, goes through
         # _read_run/_write_run
-        def read(da, count):
+        def read_local(da, count):
+            """The ``count`` words at ``da`` if they are such a run, else None."""
             n_bytes = count * WORD
             loc = seg_base + da
             if da % WORD or da + n_bytes > vram_window_end or loc + n_bytes > local_end:
-                return read_run(da, count)
+                return None
             if loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= loc + n_bytes:
                 return _words(count).unpack_from(vram, loc)
             return cache.read(_SPACE_VRAM, loc, count)
+
+        def read(da, count):
+            words = read_local(da, count)
+            return read_run(da, count) if words is None else words
 
         def write(da, words):
             n_bytes = len(words) * WORD
@@ -875,6 +900,47 @@ class SimDevice:
                     and loc <= window[5] and window[4] <= loc + n_bytes - WORD):
                 self._window = None
             put_run(_SPACE_VRAM, loc, words)
+
+        def dot_run(head, first, left):
+            """Run the DOT at ``head``, whose target is ``first``, and the
+            DOTs after it in the fetch window as one instruction, if at least
+            two in a row meet the DOT-run conditions (see the module
+            docstring); the cycles they cost, or 0."""
+            window = self._window
+            if window is None:
+                return 0
+            fetched = window[2]
+            i = (head - window[0]) // WORD
+            end = i + min(window[1] - head, (tail - head) % ring) // WORD
+            fetch_lo, fetch_hi = window[4:] if window[3] == _SPACE_VRAM else (0, -1)
+            dst_end = min(vram_window_end, local_end - seg_base) - WORD
+            results = []
+            cycles = 0
+            dst = first
+            while i + 6 <= end:
+                opcode, sub, d, s1, s2, count = fetched[i:i + 6]
+                spent = cycles + 1 + count
+                n_bytes = count * WORD
+                if (opcode != OP_COMPUTE or sub != CO_DOT or not count or d != dst
+                        or spent > left or d % WORD or d > dst_end
+                        or fetch_lo <= seg_base + d <= fetch_hi
+                        # the earlier targets, [first, dst), are not queued yet
+                        or results and (s1 < dst and first < s1 + n_bytes
+                                        or s2 < dst and first < s2 + n_bytes)):
+                    break
+                a = read_local(s1, count)
+                b = read_local(s2, count)
+                if a is None or b is None:
+                    break
+                results.append(sum(map(mul, a, b)) & MASK32)
+                cycles = spent
+                dst += WORD
+                i += 6
+            if len(results) < 2:
+                return 0
+            put_run(_SPACE_VRAM, seg_base + first, results)
+            regs[REG_RB_HEAD] = (head + len(results) * 6 * WORD) % ring
+            return cycles
 
         used = 0
         while used < budget:
@@ -891,6 +957,11 @@ class SimDevice:
                     continue
                 opcode = words[0]
                 if opcode == OP_COMPUTE:
+                    if words[1] == CO_DOT:
+                        cycles = dot_run(head, words[2], budget - used)
+                        if cycles:
+                            used += cycles
+                            continue
                     cost = 1 + words[5]
                 elif opcode == OP_COPY:
                     cost = 1 + words[3]

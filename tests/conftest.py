@@ -57,7 +57,8 @@ class DecodeRunDevice(SimDevice):
     """A device whose command processor decodes every operand run with
     ``_decode_run``, through ``_read_run`` and ``_write_run``: the reference
     for the device-local operand decode of ``SimDevice.step``.  It fetches
-    through the same ``_fetch`` as ``step``."""
+    through the same ``_fetch`` as ``step``.  It runs one instruction at a
+    time, so it is also the reference for ``step``'s DOT runs."""
 
     def step(self, budget: int) -> ExecReport:
         self._window = None

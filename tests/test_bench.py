@@ -25,8 +25,8 @@ from devmux.bench.workloads import (FB_WORDS, framebuffer_oracle, make_program,
 from devmux.bench.world import World, build_world
 from devmux.errors import InvalError, VerifyFail
 from devmux.libdrv import LibraryDriver
-from devmux.pool import GTT
-from devmux.simdev import MASK32, WORD, Copy, SimDevice
+from devmux.pool import GTT, VRAM
+from devmux.simdev import CO_ADD, MASK32, WORD, Compute, Copy, SimDevice
 
 
 def test_config_file_parsing(tmp_path):
@@ -130,6 +130,47 @@ def test_a_world_without_device_memory_hosts_a_library_on_the_lean_core():
     s, d = (lib.buffers[h].device_addr for h in (src, dst))
     lib.wait_fence(lib.submit([Copy(d, s, 16)]))
     assert lib.read_buffer(dst, 0, 64) == bytes(range(64))
+
+
+# lanes whose sum carries into bit 31 or out of it, in both orders: a wrong
+# top bit in any 32-bit lane of an ADD shows in its own word
+CARRY_LANES = [(0xFFFFFFFF, 1), (0x80000000, 0x80000000), (0x7FFFFFFF, 1),
+               (1, 0xFFFFFFFF), (1, 0x7FFFFFFF)] * 4
+
+
+def _add_on_library(placement, xs, ys):
+    world = build_world(BenchConfig(), "library", "builtin")
+    lib = LibraryDriver(world.core, "adder", pool_pages=16)
+    world.core.bind_device_lib(lib.lib_id)
+    x, y, z = (lib.create_buffer(len(xs) * WORD, placement) for _ in range(3))
+    lib.write_buffer(x, 0, struct.pack(f"<{len(xs)}I", *xs))
+    lib.write_buffer(y, 0, struct.pack(f"<{len(ys)}I", *ys))
+    x, y, z_addr = (lib.buffers[h].device_addr for h in (x, y, z))
+    lib.wait_fence(lib.submit([Compute(CO_ADD, z_addr, x, y, len(xs))]))
+    return lib.read_buffer(z, 0, len(xs) * WORD)
+
+
+def _add_on_legacy(placement, xs, ys):
+    drv = build_world(BenchConfig(), "legacy", "builtin").legacy
+    client = drv.legacy_open("adder")
+    x, y, z = (drv.legacy_alloc(client, len(xs) * WORD, placement) for _ in range(3))
+    drv.legacy_write(client, x, 0, struct.pack(f"<{len(xs)}I", *xs))
+    drv.legacy_write(client, y, 0, struct.pack(f"<{len(ys)}I", *ys))
+    drv.legacy_wait(client, drv.legacy_submit(
+        client, [Compute(CO_ADD, (z, 0), (x, 0), (y, 0), len(xs))]))
+    return drv.legacy_read(client, z, 0, len(xs) * WORD)
+
+
+@pytest.mark.parametrize("placement", [VRAM, GTT])
+@pytest.mark.parametrize("add", [_add_on_library, _add_on_legacy],
+                         ids=["library", "legacy"])
+def test_an_add_of_two_buffers_carries_inside_each_lane_on_both_stacks(add, placement):
+    """The workloads add a buffer to itself; here two distinct buffers are
+    added through each stack's submit path and read back."""
+    xs = [x for x, _ in CARRY_LANES]
+    ys = [y for _, y in CARRY_LANES]
+    got = struct.unpack(f"<{len(xs)}I", add(placement, xs, ys))
+    assert list(got) == [(x + y) & MASK32 for x, y in CARRY_LANES]
 
 
 def test_results_agree_across_every_deployment():

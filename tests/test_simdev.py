@@ -1243,6 +1243,218 @@ def test_ring_programs_run_as_on_the_reference_interpreter(program, data, budget
     assert list(run[1].iommu.tlb.items()) == list(ref[1].iommu.tlb.items())
 
 
+# --- DOT runs ------------------------------------------------------------------
+#
+# A DOT fetched afresh runs together with the DOTs after it in the fetch
+# window; the result must be what running them one at a time gives.  The
+# rings hold 256 words across a page end, in VRAM and in the aperture, and
+# the device-local window ends at DOT_WINDOW_END, inside the modelled VRAM.
+
+DOT_RING_WORDS = 256
+DOT_RINGS = (RING_AT + PAGE_SIZE - 128 * WORD, APERTURE_BASE + PAGE_SIZE - 128 * WORD)
+DOT_WINDOW_END = DATA_AT + 0x4000
+DOT_BUDGETS = (1024, 13, 7, 5, 1)  # Hypothesis draws the first most often
+
+
+@st.composite
+def _dot_runs(draw):
+    """1-3 runs of 1-10 DOTs with consecutive targets, where about one DOT
+    in four carries a hazard that must end a run: a count of 0, an operand
+    on the run's earlier targets, on the ring's words, in the aperture or
+    past the device-local window's end, or a target out of line.  A third
+    of the runs target the ring's words, a later DOT's among them, and a
+    FENCE may follow a run."""
+    ring = draw(st.sampled_from(DOT_RINGS))
+    start = draw(st.integers(0, DOT_RING_WORDS - 1))
+    instrs = []
+    at = start  # ring word index of the next instruction
+
+    def in_ring(ahead):
+        return ring + (at + ahead) % DOT_RING_WORDS * WORD
+
+    def data(count):
+        return DATA_AT + draw(st.integers(0, FETCH_DATA_WORDS - count)) * WORD
+
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 10))
+        if draw(st.integers(0, 2)):  # on the operand data, or past it
+            first = DATA_AT + draw(st.integers(0, 2 * FETCH_DATA_WORDS)) * WORD
+        else:  # on this run's own words, or past them
+            first = in_ring(draw(st.integers(0, 6 * n + 4)))
+        dst = first
+        for j in range(n):
+            count = draw(st.integers(1, 8))
+            srcs = [data(count), data(count)]
+            if draw(st.integers(0, 3)) == 0:
+                hazard = draw(st.sampled_from(("count-0", "earlier", "ring", "aperture",
+                                               "past-end", "out-of-line")))
+                k = draw(st.integers(0, 1))
+                if hazard == "count-0":
+                    count = 0
+                elif hazard == "earlier":
+                    srcs[k] = first + draw(st.integers(-count, j)) * WORD
+                elif hazard == "ring":
+                    srcs[k] = in_ring(draw(st.integers(0, 6 * (n - j))))
+                elif hazard == "aperture":
+                    srcs[k] = APERTURE_BASE + draw(
+                        st.integers(0, 2 * PAGE_SIZE // WORD - count)) * WORD
+                elif hazard == "past-end":
+                    srcs[k] = DOT_WINDOW_END - draw(st.integers(0, count)) * WORD
+                else:
+                    dst += draw(st.sampled_from((-WORD, WORD, 2 * WORD)))
+            instrs.append(Compute(CO_DOT, dst, srcs[0], srcs[1], count))
+            at += 6
+            dst += WORD
+        if draw(st.booleans()):
+            instrs.append(Fence(draw(st.integers(0, 8)), draw(st.integers(0, 1))))
+            at += 4
+    return ring, STATUS_AT, start, simdev.encode_batch(instrs)
+
+
+_dot_data = st.lists(st.integers(0, MASK32), min_size=FETCH_DATA_WORDS,
+                     max_size=FETCH_DATA_WORDS)
+
+
+def _run_dots(cls, program, data, budget, cycles=FETCH_BUDGET):
+    """Queue ``program`` on an aliased ``cls`` device and run it
+    ``budget`` cycles a call until it is idle or has spent ``cycles``; also
+    the cycles of each call.  Only a call that leaves the device idle
+    spends less than it is given, so any budget spends the same cycles."""
+    ring, _, start, words = program
+    platform, device = aliased_device(vram=128 << 10, cls=cls)
+    device.mmio_write(REG_RB_BASE, ring)
+    device.mmio_write(REG_RB_SIZE, DOT_RING_WORDS)
+    device.mmio_write(REG_RB_HEAD, start * WORD)
+    device.mmio_write(REG_RB_TAIL, start * WORD)
+    poke_words(device, DATA_AT, data)
+    queue(platform, device, words)
+    used = []
+    left = cycles
+    while not device.cp_idle and left:
+        used.append(device.step(min(budget, left)).cycles_used)
+        left -= used[-1]
+    return platform, device, used
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dot_runs(), _dot_data, st.sampled_from(DOT_BUDGETS))
+def test_dot_runs_run_as_on_the_reference_interpreter(program, data, budget):
+    with mock.patch.object(simdev, "VRAM_WINDOW_END", DOT_WINDOW_END):
+        *run, used = _run_dots(SimDevice, program, data, budget)
+        *ref, ref_used = _run_dots(DecodeRunDevice, program, data, budget)
+        *one, _ = _run_dots(SimDevice, program, data, 1)
+    assert used == ref_used
+    _assert_same_ring_state(program[1], run, ref)
+    assert run[1]._window == ref[1]._window
+    assert run[1].cache.size == ref[1].cache.size
+    assert list(run[1].iommu.tlb.items()) == list(ref[1].iommu.tlb.items())
+    _assert_same_ring_state(program[1], run, one)
+    assert run[1].cache.size == one[1].cache.size
+
+
+def _dot_case(instrs, budget=1000, data=range(1, FETCH_DATA_WORDS + 1),
+              ring=RING_AT, limit=None):
+    """Run ``instrs`` from the start of a 256-word ring on a device and on
+    the reference interpreter, one ``budget`` call, and check that both end
+    in the same state; the device."""
+    program = (ring, STATUS_AT, 0, simdev.encode_batch(instrs))
+    runs = []
+    for cls in (SimDevice, DecodeRunDevice):
+        with mock.patch.object(simdev, "VRAM_WINDOW_END", DOT_WINDOW_END):
+            platform, device = aliased_device(vram=128 << 10, cls=cls)
+            if limit is not None:
+                device.mmio_write(REG_MC_SEG_LIMIT, limit)
+            device.mmio_write(REG_RB_BASE, ring)
+            device.mmio_write(REG_RB_SIZE, DOT_RING_WORDS)
+            poke_words(device, DATA_AT, list(data))
+            queue(platform, device, program[3])
+            used = device.step(budget).cycles_used
+        runs.append((platform, device, used))
+    (platform, device, used), (ref_platform, ref, ref_used) = runs
+    assert used == ref_used
+    _assert_same_ring_state(STATUS_AT, (platform, device), (ref_platform, ref))
+    assert device._window == ref._window
+    assert device.cache.size == ref.cache.size
+    return device
+
+
+def _dots(n, dst, src1=DATA_AT, src2=DATA_AT + 0x40, count=4):
+    return [Compute(CO_DOT, dst + j * WORD, src1, src2, count) for j in range(n)]
+
+
+DOT_OUT = DATA_AT + 0x200
+DOT_LIMIT = DATA_AT + 0x1000  # a segment limit below the window's end
+
+
+def test_a_dot_run_stops_at_an_instruction_that_is_no_dot():
+    # a MUL, an ADD and a count-0 DOT, each on the next target in line
+    device = _dot_case(_dots(2, DOT_OUT) + [
+        Compute(CO_MUL, DOT_OUT + 2 * WORD, DATA_AT, DATA_AT + 0x40, 2),
+        *_dots(2, DOT_OUT + 4 * WORD),
+        Compute(CO_ADD, DOT_OUT + 6 * WORD, DATA_AT, DATA_AT + 0x40, 2),
+        *_dots(2, DOT_OUT + 8 * WORD),
+        Compute(CO_DOT, DOT_OUT + 10 * WORD, DATA_AT, DATA_AT + 0x40, 0),
+        Fence(1)])
+    assert read_status(device)[0] == 1
+
+
+def test_a_dot_run_stops_at_a_target_out_of_line():
+    device = _dot_case(_dots(2, DOT_OUT) + _dots(2, DOT_OUT + 3 * WORD) + [Fence(1)])
+    dot = sum(x * y for x, y in zip(range(1, 5), range(17, 21)))
+    assert vram_words(device, DOT_OUT, 5) == [dot, dot, 0, dot, dot]
+
+
+def test_a_dot_run_stops_at_the_first_dot_the_budget_cannot_pay_for():
+    # 9 cycles each: the second of the three stays in flight after 13
+    device = _dot_case(_dots(3, DOT_OUT, count=8), budget=13)
+    assert device.mmio_read(REG_RB_HEAD) == 6 * WORD
+    assert device._inflight[2] == 5
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _dots(2, DOT_OUT) + _dots(1, DOT_OUT + 2 * WORD, src2=APERTURE_BASE),
+    lambda: _dots(2, DOT_OUT) + _dots(1, DOT_OUT + 2 * WORD, src1=DOT_WINDOW_END - 2 * WORD),
+    lambda: _dots(2, DOT_OUT) + _dots(1, DOT_OUT + 2 * WORD, src2=DATA_AT + 2),
+    lambda: _dots(3, DOT_WINDOW_END - 2 * WORD),
+    lambda: _dots(3, DOT_LIMIT - 2 * WORD),
+], ids=["aperture-src", "src-past-window-end", "unaligned-src",
+        "dst-past-window-end", "dst-past-segment"])
+def test_a_dot_run_stops_at_an_operand_that_is_not_device_local(make):
+    _dot_case(make() + _dots(2, DATA_AT + 0x300) + [Fence(1)], limit=DOT_LIMIT)
+
+
+@pytest.mark.parametrize("src", [DOT_OUT + WORD, DOT_OUT - 3 * WORD],
+                         ids=["on-an-earlier-target", "ends-on-the-first-target"])
+def test_a_dot_run_stops_at_an_operand_on_its_earlier_targets(src):
+    device = _dot_case(_dots(2, DOT_OUT) + _dots(2, DOT_OUT + 2 * WORD, src1=src)
+                       + [Fence(1)])
+    assert read_status(device)[0] == 1
+
+
+def test_a_dot_run_stops_at_a_target_on_the_fetch_window():
+    # the first DOT writes over the opcode word of the third, the second
+    # over its sub-op: both become NOPs
+    third = RING_AT + 12 * WORD
+    device = _dot_case(_dots(2, third, src1=DATA_AT + 0x80) + _dots(4, DOT_OUT)
+                       + [Fence(1)], data=[0] * 32 + list(range(32)))
+    assert device.cache.read(0, third, 2) == [0, 0]  # pending: the fault drained nothing
+    assert read_status(device)[2] & FAULT_FLAGS == FLAG_CMD_FAULT
+
+
+def test_a_run_of_64_dots_in_one_window_is_one_fetch(solo):
+    _, device = solo
+    xs = [(0x9E3779B9 * i) & MASK32 for i in range(64)]
+    poke_words(device, DATA_AT, xs)
+    push_batch(device, [Compute(CO_DOT, DOT_OUT + j * WORD, DATA_AT + j * WORD,
+                                DATA_AT + 0x40, 8) for j in range(64)])
+    with mock.patch.object(device, "_fetch", wraps=device._fetch) as fetch:
+        assert device.step(10_000).cycles_used == 64 * 9
+    assert fetch.call_count == 1
+    assert device.cp_idle
+    assert [word for _, word in device.cache.pending.items()] == [
+        sum(x * y for x, y in zip(xs[j:j + 8], xs[16:24])) & MASK32 for j in range(64)]
+
+
 # --- inline device-local operand decode -------------------------------------
 
 DIFF_VRAM_WORDS = 2048   # the largest device memory drawn
