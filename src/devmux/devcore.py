@@ -160,7 +160,7 @@ class DeviceCore:
     def iommu_map_page(self, lib_id: int, vaddr: int, iaddr: int):
         self._charge_call()
         self._charge_crossing()
-        _ints(lib_id, vaddr, iaddr)
+        lib_id, vaddr, iaddr = _ints(lib_id, vaddr, iaddr)
         ctx = self._ctx(lib_id)
         if iaddr % PAGE_SIZE or not APERTURE_BASE <= iaddr < APERTURE_END:
             raise InvalError(f"bad aperture address 0x{iaddr:x}")
@@ -177,7 +177,7 @@ class DeviceCore:
     def iommu_unmap_page(self, lib_id: int, vaddr: int):
         self._charge_call()
         self._charge_crossing()
-        _ints(lib_id, vaddr)
+        lib_id, vaddr = _ints(lib_id, vaddr)
         ctx = self._ctx(lib_id)
         entry = ctx.vaddr_map.get(vaddr)
         if entry is None:
@@ -192,7 +192,7 @@ class DeviceCore:
 
     def alloc_device_memory(self, lib_id: int, size: int) -> int:
         self._charge_call()
-        _ints(lib_id, size)
+        lib_id, size = _ints(lib_id, size)
         if not self.device_memory:
             raise NotSupportedError("device has no dedicated memory")
         ctx = self._ctx(lib_id)
@@ -205,7 +205,7 @@ class DeviceCore:
 
     def release_device_memory(self, lib_id: int, addr: int, size: int):
         self._charge_call()
-        _ints(lib_id, addr, size)
+        lib_id, addr, size = _ints(lib_id, addr, size)
         if not self.device_memory:
             raise NotSupportedError("device has no dedicated memory")
         ctx = self._ctx(lib_id)
@@ -216,7 +216,7 @@ class DeviceCore:
                         is_write: bool) -> int:
         self._charge_call()
         self._charge_crossing()
-        _ints(lib_id, reg, value)
+        lib_id, reg, value = _ints(lib_id, reg, value)
         if type(is_write) is not bool:  # a truthy "no" must not write
             raise InvalError(f"is_write {is_write!r} is not a bool")
         self._ctx(lib_id)
@@ -232,7 +232,7 @@ class DeviceCore:
 
     def set_mode(self, lib_id: int, display: int, mode):
         self._charge_call()
-        _ints(lib_id)
+        (lib_id,) = _ints(lib_id)
         self._ctx(lib_id)
         if self.bound != lib_id:
             raise NotBoundError(f"lib {lib_id} not bound")
@@ -242,7 +242,7 @@ class DeviceCore:
 
     def bind_device_lib(self, lib_id: int):
         self._charge_call()
-        _ints(lib_id)
+        (lib_id,) = _ints(lib_id)
         ctx = self._ctx(lib_id)
         if self.bound is not None:
             raise BusyError(f"lib {self.bound} is bound")
@@ -257,7 +257,7 @@ class DeviceCore:
 
     def revoke_device_lib(self, lib_id: int):
         self._charge_call()
-        _ints(lib_id)
+        (lib_id,) = _ints(lib_id)
         ctx = self._ctx(lib_id)
         if self.bound != lib_id:
             raise NotBoundError(f"lib {lib_id} not bound")
@@ -271,10 +271,19 @@ class DeviceCore:
         self.bound = None
 
 
-def _ints(*values):
-    """Refuse, before any state changes, a call whose scalar arguments are
-    not all ints: a float or str would fail later, in a dict lookup, in
-    arithmetic or in formatting an error message."""
+def _ints(*values) -> tuple:
+    """The scalar arguments of a call as plain ints, which the call checks
+    and uses in their place.  A call with an argument that is not an int is
+    refused before any state changes: a float or str would fail later, in a
+    dict lookup, in arithmetic or in formatting an error message.  An int
+    subclass is copied, since it can override its operators to pass a check
+    as one number and act as another."""
+    for value in values:
+        if type(value) is not int:
+            break
+    else:
+        return values  # all plain ints, the common case
     for value in values:
         if not isinstance(value, int):
             raise InvalError(f"argument {value!r} is not an int")
+    return tuple(map(int.__index__, values))

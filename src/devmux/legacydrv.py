@@ -160,7 +160,8 @@ class LegacyDriver:
                                _word(offset, "offset"), data)
 
     def legacy_read(self, client: int, buffer_id: int, offset: int, n: int) -> bytes:
-        self._charge(_word(n, "size"))
+        n = _word(n, "size")
+        self._charge(n)
         self._client(client)
         return self.pool.read_buffer(self._buffer(client, buffer_id),
                                      _word(offset, "offset"), n)
@@ -175,23 +176,25 @@ class LegacyDriver:
         rest of this submit only: nothing changes ``self.buffers`` before
         the batch is queued, so a later operand naming the same buffer
         skips the lookup and the ownership and visibility checks.  The pair's shape, the
-        alignment and the bounds are checked for every operand.  Only a
-        plain ``int`` id is remembered or looked up: a subclass can compare
-        equal to an id it is not."""
+        alignment and the bounds are checked for every operand.  Both
+        numbers are copied in as plain ints, as ``_word`` does, and only
+        the copies are checked and used."""
         seen = {}
 
         def resolve(ref, n_bytes: int) -> int:
-            if not (type(ref) is tuple and len(ref) == 2
-                    and isinstance(ref[0], int) and isinstance(ref[1], int)):
+            if not (type(ref) is tuple and len(ref) == 2):
                 raise InvalError(f"operand {ref!r} is not a (buffer id, byte offset) pair")
             buffer_id, offset = ref
-            buf = seen.get(buffer_id) if type(buffer_id) is int else None
+            if type(buffer_id) is not int or type(offset) is not int:
+                if not (isinstance(buffer_id, int) and isinstance(offset, int)):
+                    raise InvalError(f"operand {ref!r} is not a (buffer id, byte offset) pair")
+                buffer_id, offset = int.__index__(buffer_id), int.__index__(offset)
+            buf = seen.get(buffer_id)
             if buf is None:
                 buf = self._buffer(client, buffer_id)
                 if buf.device_addr is None:
                     raise InvalError(f"buffer {buffer_id} is not device-visible")
-                if type(buffer_id) is int:
-                    seen[buffer_id] = buf
+                seen[buffer_id] = buf
             if offset % WORD:
                 raise InvalError("operand offsets must be word-aligned")
             if offset < 0 or offset + n_bytes > buf.size:
@@ -216,8 +219,8 @@ class LegacyDriver:
         for instr in batch:
             kind = type(instr)
             if kind is Compute:
-                sub = instr.sub
-                if not isinstance(sub, int) or sub not in (CO_ADD, CO_MUL, CO_DOT):
+                sub = _word(instr.sub, "compute sub-op")
+                if sub not in (CO_ADD, CO_MUL, CO_DOT):
                     raise InvalError(f"unknown compute sub-op {sub!r}")
                 count = _word(instr.count, "count")
                 n_bytes = count * WORD
@@ -255,7 +258,7 @@ class LegacyDriver:
     def legacy_wait(self, client: int, seq: int):
         """Syscall-based completion wait: one crossing per poll round."""
         self._client(client)
-        _word(seq, "fence seq")
+        seq = _word(seq, "fence seq")
         while True:
             self._charge()
             if self.pool.poll() >= seq:
@@ -294,7 +297,15 @@ class LegacyDriver:
 def _word(value, what: str) -> int:
     """A number from an application: an instruction field, a size, an
     offset, a buffer id or a fence sequence number.  Each one is an
-    unsigned quantity, so anything but a non-negative int is refused."""
-    if not isinstance(value, int) or value < 0:
-        raise InvalError(f"{what} must be a non-negative int, got {value!r}")
-    return value
+    unsigned quantity, so anything but a non-negative int is refused.
+
+    The kernel copies the number in once, as a plain int, and checks and
+    uses only the copy: an int subclass can override its operators to pass
+    a check as one number and be encoded as another, the Python form of a
+    kernel double fetch."""
+    if type(value) is int:
+        if value >= 0:
+            return value
+    elif isinstance(value, int):
+        return _word(int.__index__(value), what)
+    raise InvalError(f"{what} must be a non-negative int, got {value!r}")

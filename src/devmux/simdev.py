@@ -104,9 +104,12 @@ DOT runs: a DOT that ``step`` fetches afresh from the fetch window (not one
 in flight) runs together with the whole DOT instructions that follow it in
 the window, as one instruction: ``step`` computes every product, queues the
 results with one ``put_run``, bills the summed cycles and moves RB_HEAD
-once, reading each distinct operand run (address and count) once and
-keeping up to DOT_MEMO_WORDS words.  A run takes a DOT only while all
-these hold, and happens only with two DOTs or more; others run alone:
+once.  The runs of one ``step()`` call share an operand memo that reads
+each distinct operand run (address and count) once and stores at most
+DOT_MEMO_WORDS words a call.  A device-local write over its words empties
+it, and so does a FENCE, whose status page may lie on them; a fault ends
+the call's work.  A run takes a DOT only while all these hold, and happens
+only with two DOTs or more; others run alone:
 
 1. it is a COMPUTE DOT of count 1 or more (a DOT of count 0 writes a zero);
 2. its target is the word after the previous DOT's, so the results are one
@@ -219,7 +222,7 @@ FW_CTRL_READY = 2
 VRAM_SIZE_DEFAULT = 16 << 20
 TLB_ENTRIES_DEFAULT = 64
 CACHE_WORDS = 1024
-DOT_MEMO_WORDS = 4 * CACHE_WORDS  # operand words one DOT run keeps for reuse
+DOT_MEMO_WORDS = 4 * CACHE_WORDS  # operand words the DOT runs of one step() keep
 
 # what the display hardware can actually drive: one head, two fixed modes
 # (width, height, refresh); both driver stacks validate against this table
@@ -887,6 +890,9 @@ class SimDevice:
             words = read_local(da, count)
             return read_run(da, count) if words is None else words
 
+        # DOT-run operand memo, (address, count) -> words in [memo_lo, memo_hi)
+        memo, room, memo_lo, memo_hi = {}, DOT_MEMO_WORDS, _NO_ADDR, -1
+
         def write(da, words):
             n_bytes = len(words) * WORD
             loc = seg_base + da
@@ -897,6 +903,8 @@ class SimDevice:
             if (window is not None and window[3] == _SPACE_VRAM
                     and loc <= window[5] and window[4] <= loc + n_bytes - WORD):
                 self._window = None
+            if da < memo_hi and memo_lo < da + n_bytes:
+                memo.clear()
             put_run(_SPACE_VRAM, loc, words)
 
         def dot_run(head, first, left):
@@ -904,50 +912,56 @@ class SimDevice:
             DOTs after it in the fetch window as one instruction, if at least
             two in a row meet the DOT-run conditions (see the module
             docstring); the cycles they cost, or 0."""
+            nonlocal room, memo_lo, memo_hi
             window = self._window
-            if window is None:
+            if window is None or first % WORD:
                 return 0
             fetched = window[2]
             i = (head - window[0]) // WORD
-            end = i + min(window[1] - head, (tail - head) % ring) // WORD
-            fetch_lo, fetch_hi = window[4:] if window[3] == _SPACE_VRAM else (0, -1)
-            dst_end = min(vram_window_end, local_end - seg_base) - WORD
-            results = []
-            cycles = 0
-            dst = first
-            memo, room = {}, DOT_MEMO_WORDS  # (address, count) -> words
-            while i + 6 <= end:
-                opcode, sub, d, s1, s2, count = fetched[i:i + 6]
+            # DOTs of 24 bytes in the window and the batch, at 2 cycles or
+            # more each, whose consecutive targets meet conditions 4 and 6
+            n = min(window[1] - head, (tail - head) % ring, left * 12,
+                    (min(vram_window_end, local_end - seg_base) - first) * 6) // 24
+            if window[3] == _SPACE_VRAM and first <= window[5] - seg_base:
+                n = min(n, (window[4] - seg_base - first) // WORD)
+            if n < 2 or fetched[i + 5] + 3 > left:  # the first DOT, 2 cycles for a second
+                return 0
+            results, cycles, dst, stop = [], 0, first, i + 6 * n
+            for opcode, sub, d, s1, s2, count in zip(*[iter(fetched[i:stop])] * 6):
                 spent = cycles + 1 + count
                 n_bytes = count * WORD
                 if (opcode != OP_COMPUTE or sub != CO_DOT or not count or d != dst
-                        or spent > left or d % WORD or d > dst_end
-                        or fetch_lo <= seg_base + d <= fetch_hi
+                        or spent > left
                         # the earlier targets, [first, dst), are not queued yet
                         or results and (s1 < dst and first < s1 + n_bytes
                                         or s2 < dst and first < s2 + n_bytes)):
                     break
-                # nothing the run reads changes in it; inline: a call costs tenants 2-4%
+                # inline: a call costs tenants 2-4%
                 a = memo.get((s1, count))
                 if a is None:
                     a = read_local(s1, count)
                     if a is not None and count <= room:
                         memo[s1, count] = a
                         room -= count
+                        memo_lo = s1 if s1 < memo_lo else memo_lo
+                        memo_hi = s1 + n_bytes if s1 + n_bytes > memo_hi else memo_hi
                 b = memo.get((s2, count))
                 if b is None:
                     b = read_local(s2, count)
                     if b is not None and count <= room:
                         memo[s2, count] = b
                         room -= count
+                        memo_lo = s2 if s2 < memo_lo else memo_lo
+                        memo_hi = s2 + n_bytes if s2 + n_bytes > memo_hi else memo_hi
                 if a is None or b is None:
                     break
                 results.append(sum(map(mul, a, b)) & MASK32)
                 cycles = spent
                 dst += WORD
-                i += 6
             if len(results) < 2:
                 return 0
+            if first < memo_hi and memo_lo < dst:
+                memo.clear()
             put_run(_SPACE_VRAM, seg_base + first, results)
             regs[REG_RB_HEAD] = (head + len(results) * 6 * WORD) % ring
             return cycles
@@ -1023,6 +1037,7 @@ class SimDevice:
                         self._record_event(FLAG_FENCE)
                     else:
                         self._sync_status_page()
+                    memo.clear()
                 elif opcode == OP_SET_REG:
                     reg, value = words[1:]
                     if reg not in SCRATCH_REGISTERS:

@@ -15,7 +15,7 @@ from devmux.pool import GTT, VRAM
 from devmux.simdev import (APERTURE_BASE, CO_ADD, DISPLAY_MODES, FLAG_MC_FAULT,
                            FW_CTRL_READY, PAGE_SIZE, REG_DISP_ENABLE,
                            REG_DISP_PLL, REG_DISP_TIMING_H, REG_DISP_TIMING_V,
-                           REG_FW_CTRL, REG_MC_SEG_BASE, REG_RB_BASE,
+                           REG_FW_CTRL, REG_IOMMU_ROOT, REG_MC_SEG_BASE, REG_RB_BASE,
                            REG_RB_HEAD, REG_RB_SIZE, REG_RB_TAIL, REG_SCRATCH0,
                            M_REGISTERS, Compute, Copy, Nop)
 
@@ -222,6 +222,37 @@ def test_access_register_acl(lib_world):
     core.revoke_device_lib(lib)
     with pytest.raises(NotBoundError):
         core.access_register(lib, REG_SCRATCH0, 1, True)
+
+
+class _AlsoRoot(int):
+    """A register offset that compares equal to SCRATCH0 and to IOMMU_ROOT."""
+
+    def __eq__(self, other):
+        return other in (REG_SCRATCH0, REG_IOMMU_ROOT)
+
+    __hash__ = int.__hash__
+
+
+def test_a_register_that_compares_as_two_writes_only_the_one_it_was_checked_as(lib_world):
+    _, device, core = lib_world
+    attacker = core.init_device_lib("attacker")[0]
+    victim = core.init_device_lib("victim")[0]
+    core.bind_device_lib(attacker)
+    core.access_register(attacker, _AlsoRoot(REG_SCRATCH0), victim, True)
+    assert device.mmio_read(REG_SCRATCH0) == victim
+    assert device.active_iommu.root == attacker  # the victim's table stays its own
+
+
+def test_an_unknown_lib_id_is_refused(lib_world):
+    _, device, core = lib_world
+    lib = core.init_device_lib("a")[0]
+    regs = dict(device.regs)
+    for call in (lambda: core.bind_device_lib(lib + 1),
+                 lambda: core.access_register(lib + 1, REG_SCRATCH0, 1, True),
+                 lambda: core.alloc_device_memory(lib + 1, 4096)):
+        with pytest.raises(NotFoundError):
+            call()
+    assert core.bound is None and device.regs == regs
 
 
 def test_set_mode_programs_the_display(lib_world):

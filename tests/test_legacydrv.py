@@ -447,6 +447,96 @@ def test_a_buffer_found_good_once_does_not_pass_a_bad_operand(legacy, bad, error
     _refused_untouched(platform, device, driver, client, batch, error)
 
 
+# --- int subclasses: the kernel checks and uses one plain-int copy -----------
+#
+# Client A owns a 256-byte VRAM buffer and client B the one right after it.
+# Each number below overrides its operators to pass the checks as one value
+# and be encoded as another; the kernel must check and encode the same one.
+
+SECRET = b"SECRET-V" * 32
+
+
+def _neighbours(legacy):
+    """(A's buffer, B's buffer), adjacent in VRAM; B's holds SECRET."""
+    _, _, driver, client = legacy
+    other = driver.legacy_open("other")
+    mine = driver.legacy_alloc(client, 256, "VRAM")
+    theirs = driver.legacy_alloc(other, 256, "VRAM")
+    assert (driver.buffers[theirs].device_addr
+            == driver.buffers[mine].device_addr + 256)
+    driver.legacy_write(other, theirs, 0, SECRET)
+    return mine, other, theirs
+
+
+class _Off(int):
+    """Offset 0 to every check, 256 bytes on once added to an address."""
+
+    def __mod__(self, other):
+        return 0
+
+    def __add__(self, other):
+        return 0
+
+    def __lt__(self, other):
+        return False
+
+    def __radd__(self, other):
+        return other + 256
+
+
+class _Count(int):
+    """A count of 0 words to the bounds check, 128 once masked for the ring."""
+
+    def __mul__(self, other):
+        return 0
+
+    def __and__(self, other):
+        return 128
+
+
+class _LooksLikeDot(int):
+    """Sub-op ADD (0) that compares equal to CO_DOT alone."""
+
+    def __eq__(self, other):
+        return other == CO_DOT
+
+
+def test_an_offset_that_adds_differently_reads_the_callers_own_words(legacy):
+    _, _, driver, client = legacy
+    mine, other, theirs = _neighbours(legacy)
+    driver.legacy_wait(client, driver.legacy_submit(
+        client, [Copy((mine, 0), (mine, _Off(0)), 16)]))
+    assert SECRET[:8] not in driver.legacy_read(client, mine, 0, 256)
+    assert driver.legacy_read(other, theirs, 0, 256) == SECRET
+
+
+def test_a_count_that_masks_differently_writes_no_more_than_it_was_checked_for(legacy):
+    _, _, driver, client = legacy
+    mine, other, theirs = _neighbours(legacy)
+    driver.legacy_wait(client, driver.legacy_submit(
+        client, [Compute(CO_ADD, (mine, 0), (mine, 0), (mine, 0), _Count(0))]))
+    assert driver.legacy_read(other, theirs, 0, 256) == SECRET
+
+
+def test_a_sub_op_that_claims_to_be_dot_is_checked_as_what_it_encodes(legacy):
+    platform, device, driver, client = legacy
+    mine, other, theirs = _neighbours(legacy)
+    zeros = driver.legacy_alloc(client, 256, "VRAM")
+    # checked as a DOT, its target is one word; as the ADD it is, 64 words
+    _refused_untouched(platform, device, driver, client,
+                       [Compute(_LooksLikeDot(CO_ADD), (mine, 252), (zeros, 0),
+                                (zeros, 0), 64)], OutOfRange)
+    assert driver.legacy_read(other, theirs, 0, 256) == SECRET
+
+
+@pytest.mark.parametrize("sub", [CO_DOT + 1, -1, 1.0, "0"])
+def test_an_unknown_sub_op_is_refused(legacy, sub):
+    platform, device, driver, client = legacy
+    buf = driver.legacy_alloc(client, 64, "VRAM")
+    _refused_untouched(platform, device, driver, client,
+                       [Compute(sub, (buf, 0), (buf, 0), (buf, 0), 4)], InvalError)
+
+
 def test_the_whole_batch_is_checked_before_any_chunk_is_queued(legacy):
     platform, device, driver, client = legacy
     n = 32

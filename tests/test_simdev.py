@@ -1265,13 +1265,18 @@ def _dot_runs(draw):
     on the run's earlier targets, on the ring's words, in the aperture or
     past the device-local window's end, or a target out of line.  A third
     of the runs target the ring's words, a later DOT's among them, and a
-    FENCE may follow a run.  About half of the runs draw their operands
-    from a pool of 2-3 addresses, so that one operand run recurs, with
-    the same count or another, within a run and across runs."""
+    FENCE may follow a run, and so may a COPY or an ADD of ring words,
+    which writes over an operand run of the pool half the time.  About
+    half of the runs draw their operands from one pool of 2-3 addresses
+    and their counts from one of 1-2 counts, so that one operand run
+    recurs, with the same count or another, within a run and across runs."""
     ring = draw(st.sampled_from(DOT_RINGS))
     start = draw(st.integers(0, DOT_RING_WORDS - 1))
     instrs = []
     at = start  # ring word index of the next instruction
+    # each address leaves room for the largest count, 8
+    shared = draw(st.lists(st.integers(0, FETCH_DATA_WORDS - 8), min_size=2, max_size=3))
+    counts = st.sampled_from(draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)))
 
     def in_ring(ahead):
         return ring + (at + ahead) % DOT_RING_WORDS * WORD
@@ -1283,16 +1288,14 @@ def _dot_runs(draw):
 
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 10))
-        # each address leaves room for the largest count, 8
-        pool = draw(st.lists(st.integers(0, FETCH_DATA_WORDS - 8), min_size=2, max_size=3)
-                    if draw(st.booleans()) else st.just(None))
+        pool = shared if draw(st.booleans()) else None
         if draw(st.integers(0, 2)):  # on the operand data, or past it
             first = DATA_AT + draw(st.integers(0, 2 * FETCH_DATA_WORDS)) * WORD
         else:  # on this run's own words, or past them
             first = in_ring(draw(st.integers(0, 6 * n + 4)))
         dst = first
         for j in range(n):
-            count = draw(st.integers(1, 8))
+            count = draw(counts if pool else st.integers(1, 8))
             srcs = [data(count), data(count)]
             if draw(st.integers(0, 3)) == 0:
                 hazard = draw(st.sampled_from(("count-0", "earlier", "ring", "aperture",
@@ -1317,6 +1320,16 @@ def _dot_runs(draw):
         if draw(st.booleans()):
             instrs.append(Fence(draw(st.integers(0, 8)), draw(st.integers(0, 1))))
             at += 4
+        if draw(st.booleans()):  # a write of the ring's words, which are not all 0
+            count = draw(st.integers(1, 8))
+            pool = shared if draw(st.booleans()) else None
+            dst, src = data(count), in_ring(draw(st.integers(0, 8)))
+            if draw(st.booleans()):
+                instrs.append(Copy(dst, src, count))
+                at += 4
+            else:
+                instrs.append(Compute(CO_ADD, dst, src, data(count), count))
+                at += 6
     return ring, STATUS_AT, start, simdev.encode_batch(instrs)
 
 
@@ -1362,15 +1375,16 @@ def test_dot_runs_run_as_on_the_reference_interpreter(program, data, budget):
 
 
 def _dot_case(instrs, budget=1000, data=range(1, FETCH_DATA_WORDS + 1),
-              ring=RING_AT, limit=None):
+              ring=RING_AT, limit=None, status=STATUS_AT):
     """Run ``instrs`` from the start of a 256-word ring on a device and on
     the reference interpreter, one ``budget`` call, and check that both end
     in the same state; the device."""
-    program = (ring, STATUS_AT, 0, simdev.encode_batch(instrs))
+    program = (ring, status, 0, simdev.encode_batch(instrs))
     runs = []
     for cls in (SimDevice, DecodeRunDevice):
         with mock.patch.object(simdev, "VRAM_WINDOW_END", DOT_WINDOW_END):
             platform, device = aliased_device(vram=128 << 10, cls=cls)
+            device.mmio_write(REG_IH_PAGE_ADDR, status)
             if limit is not None:
                 device.mmio_write(REG_MC_SEG_LIMIT, limit)
             device.mmio_write(REG_RB_BASE, ring)
@@ -1381,7 +1395,7 @@ def _dot_case(instrs, budget=1000, data=range(1, FETCH_DATA_WORDS + 1),
         runs.append((platform, device, used))
     (platform, device, used), (ref_platform, ref, ref_used) = runs
     assert used == ref_used
-    _assert_same_ring_state(STATUS_AT, (platform, device), (ref_platform, ref))
+    _assert_same_ring_state(status, (platform, device), (ref_platform, ref))
     assert device._window == ref._window
     assert device.cache.size == ref.cache.size
     return device
@@ -1496,6 +1510,59 @@ def test_a_dot_run_reads_what_an_earlier_run_wrote_over_its_operands():
                        + _dots(2, DOT_OUT + 0x40) + [Fence(1)])
     dot = sum(x * y for x, y in zip(vram_words(device, DATA_AT, 4), range(17, 21))) & MASK32
     assert vram_words(device, DOT_OUT + 0x40, 2) == [dot, dot]
+
+
+# The DOT runs of one step() call share their operand memo, so whatever
+# writes over a memoized operand run between two runs must be read afresh.
+
+@pytest.mark.parametrize("write", [
+    Copy(DATA_AT, DATA_AT + 0x80, 4),
+    Compute(CO_ADD, DATA_AT + 0x40, DATA_AT + 0x80, DATA_AT + 0xC0, 4),
+    Compute(CO_DOT, DATA_AT + 0x48, DATA_AT + 0x80, DATA_AT + 0xC0, 4),
+], ids=["copy-over-src1", "add-over-src2", "dot-alone-inside-src2"])
+def test_a_dot_run_reads_what_a_write_between_runs_put_over_its_operands(write):
+    # the second run reads DATA_AT and DATA_AT + 0x40 as the first did
+    device = _dot_case(_dots(2, DOT_OUT) + [write] + _dots(2, DOT_OUT + 0x40) + [Fence(1)])
+    a, b = vram_words(device, DATA_AT, 4), vram_words(device, DATA_AT + 0x40, 4)
+    assert (a, b) != (list(range(1, 5)), list(range(17, 21)))  # the write changed one
+    dot = sum(x * y for x, y in zip(a, b)) & MASK32
+    assert vram_words(device, DOT_OUT + 0x40, 2) == [dot, dot]
+
+
+def test_a_dot_run_reads_a_status_page_that_a_fence_wrote_over_its_operands():
+    # the status page is DATA_AT's four words: the FENCE writes its seq there
+    device = _dot_case(_dots(2, DOT_OUT) + [Fence(7)] + _dots(2, DOT_OUT + 0x40)
+                       + [Fence(8)], status=DATA_AT)
+    assert vram_words(device, DATA_AT, 2) == [8, 0]
+    dot = sum(x * y for x, y in zip([7, 0, 1, FLAG_FENCE], range(17, 21))) & MASK32
+    assert vram_words(device, DOT_OUT + 0x40, 2) == [dot, dot]
+
+
+def test_a_dot_run_then_a_fault_with_the_status_page_on_its_operands():
+    # the fault writes the status page over the first run's operands and
+    # ends the batch, so no run of the call reads the memo after it
+    device = _dot_case(_dots(2, DOT_OUT) + [Compute(CO_DOT, DATA_AT + 2, DATA_AT, DATA_AT, 4)]
+                       + _dots(2, DOT_OUT + 0x40) + [Fence(1)], status=DATA_AT)
+    assert vram_words(device, DATA_AT, 4) == [0, 0, 1, FLAG_MC_FAULT]
+    assert vram_words(device, DOT_OUT + 0x40, 2) == [0, 0]
+
+
+def test_a_dot_run_in_a_later_call_reads_what_the_host_wrote_between_calls():
+    # the first call ends with the first run; the host then rewrites an
+    # operand run that the second call's run reads with the same count
+    devices = []
+    for cls in (SimDevice, DecodeRunDevice):
+        device = boot_solo(cls(make_platform().sysmem, vram_size=2 << 20))
+        poke_words(device, DATA_AT, range(1, 33))
+        push_batch(device, _dots(2, DOT_OUT) + _dots(2, DOT_OUT + 0x40) + [Fence(1)])
+        assert device.step(10).cycles_used == 10
+        poke_words(device, DATA_AT, [5, 6, 7, 8])
+        device.step(1000)
+        devices.append(device)
+    device, ref = devices
+    dot = sum(x * y for x, y in zip([5, 6, 7, 8], range(17, 21))) & MASK32
+    assert vram_words(device, DOT_OUT + 0x40, 2) == [dot, dot]
+    assert device.device_digest() == ref.device_digest()
 
 
 def test_a_dot_run_keeps_no_more_operand_words_than_its_bound():
