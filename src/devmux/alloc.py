@@ -21,8 +21,7 @@ class FirstFitAllocator:
         self.live = {}            # offset -> allocated size
 
     def alloc(self, size: int):
-        if size <= 0:
-            return None
+        assert size > 0  # every caller refuses an empty allocation first
         size = -(-size // self.align) * self.align
         for i, (off, avail) in enumerate(self._free):
             if avail >= size:

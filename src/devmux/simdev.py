@@ -123,6 +123,18 @@ only with two DOTs or more; others run alone:
    whose results are not queued yet;
 6. its target misses the fetch window's words, since a write there drops
    the window and changes what is fetched next.
+
+A run computes its DOTs of count LANES to LANE_MAX_COUNT in lane passes
+(SIMD within a register).  Each LANES of them that read one src1 run form
+a chunk: word k of their src2 runs is packed into one integer, a lane per
+DOT, so ``sum(map(mul, src1 words, columns))`` holds each DOT's sum in its
+lane, and a lane's low word is its DOT's result, in the DOT's own place.
+A lane is 8 + ceil(count.bit_length() / 8) bytes: a sum is below count *
+2**64, so none carries into the next lane.  DOTs that fill no chunk run
+alone.  The chunk width is fixed, as integers of many sizes would each keep
+allocator memory of their own, and LANE_MAX_COUNT bounds the LANES operand
+runs a pass holds.  The memo keeps a chunk's columns, as count * LANES
+words, only while it keeps every src2 run, so whatever empties it drops them.
 """
 
 from __future__ import annotations
@@ -223,6 +235,8 @@ VRAM_SIZE_DEFAULT = 16 << 20
 TLB_ENTRIES_DEFAULT = 64
 CACHE_WORDS = 1024
 DOT_MEMO_WORDS = 4 * CACHE_WORDS  # operand words the DOT runs of one step() keep
+LANES = 16  # DOTs of one src1 run that one lane pass of a DOT run computes
+LANE_MAX_COUNT = CACHE_WORDS  # longest operand run a lane pass takes
 
 # what the display hardware can actually drive: one head, two fixed modes
 # (width, height, refresh); both driver stacks validate against this table
@@ -425,6 +439,15 @@ _NO_ADDR = 1 << 64  # above every byte address: the empty envelope's lo
 def _words(n: int) -> struct.Struct:
     """The layout of ``n`` little-endian words, built once per count."""
     return struct.Struct(f"<{n}I")
+
+
+@lru_cache(maxsize=4)  # counts come from untrusted batches: keep few
+def _lanes(count: int) -> struct.Struct:
+    """The layout of a lane pass over DOTs of ``count`` words: it packs and
+    reads the low word of each of LANES lanes, each wide enough for a sum
+    of ``count`` products of two words, which is below count * 2**64."""
+    width = 8 + (count.bit_length() + 7) // 8
+    return struct.Struct("<" + f"I{width - WORD}x" * LANES)
 
 
 @lru_cache(maxsize=4)  # counts come from untrusted batches: keep few
@@ -927,6 +950,8 @@ class SimDevice:
             if n < 2 or fetched[i + 5] + 3 > left:  # the first DOT, 2 cycles for a second
                 return 0
             results, cycles, dst, stop = [], 0, first, i + 6 * n
+            lane_count = 0  # with lane_s1, the src1 run of the DOTs in waiting
+            waiting = ()  # (result slot, src2, src2 words) of lane DOTs
             for opcode, sub, d, s1, s2, count in zip(*[iter(fetched[i:stop])] * 6):
                 spent = cycles + 1 + count
                 n_bytes = count * WORD
@@ -936,11 +961,13 @@ class SimDevice:
                         or results and (s1 < dst and first < s1 + n_bytes
                                         or s2 < dst and first < s2 + n_bytes)):
                     break
-                # inline: a call costs tenants 2-4%
+                # inline: a call costs tenants 2-4%; a memo hit is never None
                 a = memo.get((s1, count))
                 if a is None:
                     a = read_local(s1, count)
-                    if a is not None and count <= room:
+                    if a is None:
+                        break
+                    if count <= room:
                         memo[s1, count] = a
                         room -= count
                         memo_lo = s1 if s1 < memo_lo else memo_lo
@@ -948,18 +975,44 @@ class SimDevice:
                 b = memo.get((s2, count))
                 if b is None:
                     b = read_local(s2, count)
-                    if b is not None and count <= room:
+                    if b is None:
+                        break
+                    if count <= room:
                         memo[s2, count] = b
                         room -= count
                         memo_lo = s2 if s2 < memo_lo else memo_lo
                         memo_hi = s2 + n_bytes if s2 + n_bytes > memo_hi else memo_hi
-                if a is None or b is None:
-                    break
-                results.append(sum(map(mul, a, b)) & MASK32)
+                if count >= LANES and count <= LANE_MAX_COUNT:
+                    # a lane DOT: its slot waits for a full chunk
+                    if count != lane_count or s1 != lane_s1:
+                        for at, _, x in waiting:
+                            results[at] = sum(map(mul, lane_a, x)) & MASK32
+                        lane_s1, lane_count, lane_a, waiting = s1, count, a, []
+                    waiting.append((len(results), s2, b))
+                    results.append(0)
+                    if len(waiting) == LANES:
+                        slots, addrs, runs = zip(*waiting)
+                        waiting = []
+                        layout = _lanes(count)
+                        columns = memo.get((addrs, count))
+                        if columns is None:  # word k of every run, one per lane
+                            columns = [int.from_bytes(column, "little")
+                                       for column in map(layout.pack, *runs)]
+                            if (count * LANES <= room  # and memo keeps every run
+                                    and memo.keys() >= set(zip(addrs, [count] * LANES))):
+                                memo[addrs, count] = columns
+                                room -= count * LANES
+                        lanes = sum(map(mul, a, columns)).to_bytes(layout.size, "little")
+                        for at, word in zip(slots, layout.unpack(lanes)):
+                            results[at] = word
+                else:
+                    results.append(sum(map(mul, a, b)) & MASK32)
                 cycles = spent
                 dst += WORD
             if len(results) < 2:
                 return 0
+            for at, _, x in waiting:  # fewer than LANES: one at a time
+                results[at] = sum(map(mul, lane_a, x)) & MASK32
             if first < memo_hi and memo_lo < dst:
                 memo.clear()
             put_run(_SPACE_VRAM, seg_base + first, results)

@@ -374,6 +374,20 @@ def test_exhausted_vram_is_refused_in_one_crossing(legacy):
     assert driver.buffers == buffers
 
 
+@pytest.mark.parametrize("size, placement", [(0, "GTT"), (0, "VRAM"), (0, "SYS"), (64, "HBM")],
+                         ids=["empty-gtt", "empty-vram", "empty-sys", "unknown-placement"])
+def test_a_buffer_of_no_size_or_an_unknown_placement_is_refused(legacy, size, placement):
+    platform, _, driver, client = legacy
+    vram, gtt = driver.pool._alloc_vram.__self__, driver.pool._gtt  # the two allocators
+    live, buffers = (dict(vram.live), dict(gtt.live)), dict(driver.buffers)
+    before = platform.ledger.crossings
+    with pytest.raises(InvalError):
+        driver.legacy_alloc(client, size, placement)
+    assert platform.ledger.crossings - before == 1
+    assert (vram.live, gtt.live) == live
+    assert driver.buffers == buffers
+
+
 def test_a_closed_clients_gtt_space_comes_back_whole(legacy):
     _, _, driver, client = legacy
     while True:

@@ -223,6 +223,31 @@ def test_move_preserves_contents_across_placements(bound_lib):
     assert lib.read_buffer(h, 0, 4096) == payload
 
 
+@pytest.mark.parametrize("size, placement", [(0, GTT), (0, VRAM), (-WORD, SYS), (64, "HBM")],
+                         ids=["empty-gtt", "empty-vram", "negative-sys", "unknown-placement"])
+def test_a_buffer_of_no_size_or_an_unknown_placement_is_refused(bound_lib, size, placement):
+    _, _, core, lib = bound_lib
+    segment, gtt = core.contexts[lib.lib_id].segment_alloc, lib.pool._gtt
+    live, buffers = (dict(segment.live), dict(gtt.live)), dict(lib.buffers)
+    with pytest.raises(InvalError):
+        lib.create_buffer(size, placement)
+    assert (segment.live, gtt.live) == live
+    assert lib.buffers == buffers
+
+
+def test_a_buffer_of_no_whole_words_is_not_moved_into_vram(bound_lib):
+    _, _, core, lib = bound_lib
+    h = lib.create_buffer(6, GTT)
+    lib.write_buffer(h, 0, b"devmux")
+    segment, gtt = core.contexts[lib.lib_id].segment_alloc, lib.pool._gtt
+    live = dict(segment.live), dict(gtt.live)
+    with pytest.raises(InvalError):
+        lib.move_buffer(h, VRAM)
+    assert (segment.live, gtt.live) == live
+    assert lib.buffers[h].placement == GTT
+    assert lib.read_buffer(h, 0, 6) == b"devmux"
+
+
 def test_move_to_same_placement_is_free(bound_lib):
     platform, _, _, lib = bound_lib
     h = lib.create_buffer(4096, VRAM)

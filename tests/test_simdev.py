@@ -19,7 +19,7 @@ from devmux.errors import IommuFault, InvalError, OutOfMemory, RegFault
 from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
                            DOT_MEMO_WORDS, FAULT_FLAGS, FENCE_IRQ,
                            FLAG_CMD_FAULT, FLAG_FENCE, FLAG_IOMMU_FAULT,
-                           FLAG_MC_FAULT, M_REGISTERS,
+                           FLAG_MC_FAULT, LANE_MAX_COUNT, LANES, M_REGISTERS,
                            MASK32, OP_SET_REG, PAGE_SIZE, REG_CP_RESET,
                            REG_DISP_ENABLE, REG_DISP_TIMING_H,
                            REG_DISP_TIMING_V, REG_FB_BASE, REG_IH_PAGE_ADDR,
@@ -142,6 +142,17 @@ def test_firmware_checksum_gate_rejects_corrupt_image():
         device.mmio_write(simdev.REG_FW_DATA, w)
     device.mmio_write(simdev.REG_FW_CTRL, simdev.FW_CTRL_VERIFY)
     assert device.mmio_read(simdev.REG_FW_CTRL) & simdev.FW_CTRL_READY
+
+
+def test_a_firmware_write_past_the_store_is_refused(solo):
+    _, device = solo
+    firmware = list(device.firmware)
+    device.mmio_write(simdev.REG_FW_ADDR, simdev.FW_SIZE)
+    with pytest.raises(RegFault):
+        device.mmio_write(simdev.REG_FW_DATA, 1)
+    assert device.firmware == firmware
+    assert device.mmio_read(simdev.REG_FW_ADDR) == simdev.FW_SIZE
+    assert device.mmio_read(simdev.REG_FW_CTRL) == simdev.FW_CTRL_READY
 
 
 def test_step_zero_budget_is_a_no_op(solo):
@@ -1249,34 +1260,44 @@ def test_ring_programs_run_as_on_the_reference_interpreter(program, data, budget
 #
 # A DOT fetched afresh runs together with the DOTs after it in the fetch
 # window; the result must be what running them one at a time gives.  The
-# rings hold 256 words across a page end, in VRAM and in the aperture, and
+# rings hold 1,024 words, 128 before a page end and 896 after it, in VRAM
+# and in the aperture, so that a lane stretch fits in one fetch window, and
 # the device-local window ends at DOT_WINDOW_END, inside the modelled VRAM.
 
-DOT_RING_WORDS = 256
+DOT_RING_WORDS = 1024
 DOT_RINGS = (RING_AT + PAGE_SIZE - 128 * WORD, APERTURE_BASE + PAGE_SIZE - 128 * WORD)
 DOT_WINDOW_END = DATA_AT + 0x4000
-DOT_BUDGETS = (1024, 13, 7, 5, 1)  # Hypothesis draws the first most often
+DOT_BUDGETS = (1024,) * 8 + (13, 7, 5, 1)  # two calls in three fit lane passes
 
 
 @st.composite
 def _dot_runs(draw):
-    """1-3 runs of 1-10 DOTs with consecutive targets, where about one DOT
-    in four carries a hazard that must end a run: a count of 0, an operand
-    on the run's earlier targets, on the ring's words, in the aperture or
-    past the device-local window's end, or a target out of line.  A third
-    of the runs target the ring's words, a later DOT's among them, and a
-    FENCE may follow a run, and so may a COPY or an ADD of ring words,
-    which writes over an operand run of the pool half the time.  About
-    half of the runs draw their operands from one pool of 2-3 addresses
-    and their counts from one of 1-2 counts, so that one operand run
-    recurs, with the same count or another, within a run and across runs."""
+    """1-3 runs of DOTs with consecutive targets, two or three in seven
+    programs of eight.  Half of the runs are short: 2-10 DOTs of count 1-8,
+    where about one DOT in four carries a hazard that must end a run: a
+    count of 0, an operand on the run's earlier targets, on the ring's
+    words, in the aperture or past the device-local window's end, or a
+    target out of line.  A third of the short runs target the ring's
+    words, a later DOT's among them, and about half draw their operands
+    from one pool of 2-3 addresses and their counts from one of 1-2 counts,
+    so that one operand run recurs, with the same count or another, within
+    a run and across runs.  The other half are lane stretches, which target
+    the words past the operand data: LANES + 2 to LANES + 10 DOTs, most of
+    one count from LANES to LANES + 3 that read one src1 run, with DOTs of
+    count 1 to LANES - 1 among them (one in six), a src1 run that changes
+    once in about half of them, and one hazard in a third of them; once
+    there is a stretch, half of them repeat its DOTs of count LANES or
+    more at new targets.  A FENCE may follow a run, and so may a COPY or an
+    ADD of ring words, which writes over an operand run of the pool half
+    the time."""
     ring = draw(st.sampled_from(DOT_RINGS))
     start = draw(st.integers(0, DOT_RING_WORDS - 1))
     instrs = []
     at = start  # ring word index of the next instruction
-    # each address leaves room for the largest count, 8
+    # each address leaves room for the largest short count, 8
     shared = draw(st.lists(st.integers(0, FETCH_DATA_WORDS - 8), min_size=2, max_size=3))
     counts = st.sampled_from(draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)))
+    stretch = None  # the (src1, src2, count) of each lane DOT of the last stretch
 
     def in_ring(ahead):
         return ring + (at + ahead) % DOT_RING_WORDS * WORD
@@ -1286,18 +1307,47 @@ def _dot_runs(draw):
             return DATA_AT + draw(st.sampled_from(pool)) * WORD
         return DATA_AT + draw(st.integers(0, FETCH_DATA_WORDS - count)) * WORD
 
-    for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(1, 10))
-        pool = shared if draw(st.booleans()) else None
-        if draw(st.integers(0, 2)):  # on the operand data, or past it
-            first = DATA_AT + draw(st.integers(0, 2 * FETCH_DATA_WORDS)) * WORD
-        else:  # on this run's own words, or past them
+    for _ in range(draw(st.integers(2, 3)) if draw(st.integers(0, 7)) else 1):
+        pool = None
+        if draw(st.booleans()):  # a lane stretch
+            if stretch and draw(st.booleans()):
+                lane_dots = stretch
+            else:
+                n = draw(st.integers(LANES + 2, LANES + 10))
+                count = draw(st.integers(LANES, LANES + 3))
+                src1, change = data(count), draw(st.integers(0, 2 * n))
+                lane_dots = []
+                for j in range(n):
+                    if j == change:
+                        src1 = data(count)
+                    if draw(st.integers(0, 5)):
+                        lane_dots.append((src1, data(count), count))
+                    else:
+                        short = draw(st.integers(1, LANES - 1))
+                        lane_dots.append((data(short), data(short), short))
+                stretch = [dot for dot in lane_dots if dot[2] >= LANES]
+            dots, on_ring = lane_dots, False
+            hazards = {draw(st.integers(0, 3 * len(dots)))}  # in a third of them
+        else:
+            n = draw(st.integers(2, 10))
+            pool = shared if draw(st.booleans()) else None
+            dots, on_ring = [None] * n, not draw(st.integers(0, 2))
+            hazards = {j for j in range(n) if not draw(st.integers(0, 3))}
+        n = len(dots)
+        if on_ring:  # on this run's own words, or past them
             first = in_ring(draw(st.integers(0, 6 * n + 4)))
+        elif dots[0] is None:  # on the operand data, or past it
+            first = DATA_AT + draw(st.integers(0, 2 * FETCH_DATA_WORDS)) * WORD
+        else:  # past the operand data
+            first = DATA_AT + draw(st.integers(FETCH_DATA_WORDS, 2 * FETCH_DATA_WORDS)) * WORD
         dst = first
-        for j in range(n):
-            count = draw(counts if pool else st.integers(1, 8))
-            srcs = [data(count), data(count)]
-            if draw(st.integers(0, 3)) == 0:
+        for j, dot in enumerate(dots):
+            if dot is None:
+                count = draw(counts if pool else st.integers(1, 8))
+                srcs = [data(count), data(count)]
+            else:
+                *srcs, count = dot
+            if j in hazards:
                 hazard = draw(st.sampled_from(("count-0", "earlier", "ring", "aperture",
                                                "past-end", "out-of-line")))
                 k = draw(st.integers(0, 1))
@@ -1376,9 +1426,9 @@ def test_dot_runs_run_as_on_the_reference_interpreter(program, data, budget):
 
 def _dot_case(instrs, budget=1000, data=range(1, FETCH_DATA_WORDS + 1),
               ring=RING_AT, limit=None, status=STATUS_AT):
-    """Run ``instrs`` from the start of a 256-word ring on a device and on
-    the reference interpreter, one ``budget`` call, and check that both end
-    in the same state; the device."""
+    """Run ``instrs`` from the start of a ring of DOT_RING_WORDS words on a
+    device and on the reference interpreter, one ``budget`` call, and check
+    that both end in the same state; the device."""
     program = (ring, status, 0, simdev.encode_batch(instrs))
     runs = []
     for cls in (SimDevice, DecodeRunDevice):
@@ -1607,6 +1657,131 @@ def test_a_dot_fetched_without_a_fetch_window_runs_on_its_own():
     ring = vram_words(device, RING_AT, 8)
     dot = sum(x * y for x, y in zip(ring[:4], ring[4:8])) & MASK32
     assert device.cache.read(0, 0x3000, 3) == [dot, dot, 0]  # pending: no drain
+
+
+# --- lane passes -------------------------------------------------------------
+#
+# LANES DOTs of a run that read one src1 run, of count LANES to
+# LANE_MAX_COUNT, are computed in one pass with one lane per DOT; the
+# results must be what one DOT at a time gives.
+
+LANE_OUT = DATA_AT - 0x1000  # below the operand data
+
+
+def _lane_dots(targets, src1, srcs2, count):
+    return [Compute(CO_DOT, dst, src1, src2, count) for dst, src2 in zip(targets, srcs2)]
+
+
+def _dot_words(data, src1, src2, count):
+    """The DOT of the ``count`` words at ``src1`` and ``src2`` in ``data``,
+    which starts at DATA_AT, one word at a time."""
+    a, b = ((da - DATA_AT) // WORD for da in (src1, src2))
+    return sum(x * y for x, y in zip(data[a:a + count], data[b:b + count])) & MASK32
+
+
+@pytest.mark.parametrize("count", [LANES, 255, 256, 257, LANE_MAX_COUNT])
+def test_a_lane_pass_keeps_the_largest_lane_sums_apart(count):
+    # every product is (2**32 - 1)**2, so each lane sum is as large as a
+    # count allows; the lane grows from 9 bytes to 10 at count 256
+    data = [MASK32] * (count + LANES)
+    instrs = _lane_dots([LANE_OUT + j * WORD for j in range(LANES)], DATA_AT,
+                        [DATA_AT + j * WORD for j in range(LANES)], count)
+    with mock.patch.object(simdev, "_lanes", wraps=simdev._lanes) as lanes:
+        device = _dot_case(instrs + [Fence(1)], budget=LANES * (count + 1) + 4, data=data)
+    assert lanes.call_count == 1
+    assert vram_words(device, LANE_OUT, LANES) == [count * MASK32 * MASK32 & MASK32] * LANES
+
+
+def test_a_run_of_two_chunks_and_a_remainder_reads_as_one_dot_at_a_time():
+    n, count = 2 * LANES + 3, LANES + 4
+    rng = random.Random(28)
+    data = [rng.getrandbits(32) for _ in range(count + n)]
+    srcs2 = [DATA_AT + (1 + j) * WORD for j in range(n)]
+    instrs = _lane_dots([LANE_OUT + j * WORD for j in range(n)], DATA_AT, srcs2, count)
+    with mock.patch.object(simdev, "_lanes", wraps=simdev._lanes) as lanes:
+        device = _dot_case(instrs + [Fence(1)], budget=n * (count + 1) + 4, data=data)
+    assert lanes.call_count == 2
+    assert vram_words(device, LANE_OUT, n) == [
+        _dot_words(data, DATA_AT, src2, count) for src2 in srcs2]
+
+
+def test_a_lane_pass_reads_what_a_copy_between_runs_put_over_a_partner():
+    # both runs read one src1 run and the same LANES src2 runs; the COPY
+    # between them writes over the src2 run of the fifth DOT
+    count = LANES
+    rng = random.Random(29)
+    data = [rng.getrandbits(32) for _ in range(count * (LANES + 2))]
+    srcs2 = [DATA_AT + (j + 1) * count * WORD for j in range(LANES)]
+    first = _lane_dots([LANE_OUT + j * WORD for j in range(LANES)], DATA_AT, srcs2, count)
+    again = _lane_dots([LANE_OUT + (LANES + j) * WORD for j in range(LANES)], DATA_AT,
+                       srcs2, count)
+    copy = Copy(srcs2[4] + WORD, DATA_AT + (LANES + 1) * count * WORD, 2)
+    with mock.patch.object(simdev, "_lanes", wraps=simdev._lanes) as lanes:
+        device = _dot_case(first + [copy] + again + [Fence(1)],
+                           budget=2 * LANES * (count + 1) + 3 + 4, data=data)
+    assert lanes.call_count == 2
+    data[5 * count + 1:5 * count + 3] = data[(LANES + 1) * count:(LANES + 1) * count + 2]
+    assert vram_words(device, LANE_OUT + LANES * WORD, LANES) == [
+        _dot_words(data, DATA_AT, src2, count) for src2 in srcs2]
+
+
+def test_a_lane_pass_takes_no_operand_run_longer_than_its_bound():
+    # LANES DOTs of one src1 run over distinct src2 runs, all longer than
+    # LANE_MAX_COUNT: a lane pass would hold every src2 run at once, about
+    # 2.6 MB of word objects, where one DOT at a time holds two
+    n, count = LANES, 4 * LANE_MAX_COUNT
+    rng = random.Random(31)
+    data = [rng.getrandbits(32) for _ in range(count + n)]
+    instrs = _lane_dots([LANE_OUT + j * WORD for j in range(n)], DATA_AT,
+                        [DATA_AT + (j + 1) * WORD for j in range(n)], count)
+    devices = []
+    with mock.patch.object(simdev, "_lanes", wraps=simdev._lanes) as lanes:
+        for cls in (SimDevice, DecodeRunDevice):
+            device = boot_solo(cls(make_platform().sysmem, vram_size=2 << 20))
+            poke_words(device, DATA_AT, data)
+            push_batch(device, instrs + [Fence(1)])
+            tracemalloc.start()
+            try:
+                device.step(n * (count + 1) + 4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            devices.append((device, peak))
+    assert lanes.call_count == 0
+    (device, peak), (ref, _) = devices
+    assert device.cp_idle and read_status(device)[0] == 1
+    assert device.device_digest() == ref.device_digest()
+    assert peak < (DOT_MEMO_WORDS + 2 * count) * 96  # as for the operand memo
+
+
+def test_a_matmul_shaped_product_with_lane_passes_reads_as_on_the_reference_interpreter():
+    # C = A B for 20x20 matrices, B stored transposed, in batches of 160
+    # DOTs: each row of C is a chunk and a remainder of 4, and the runs
+    # begin inside rows, where the ring's end and the batches cut them
+    n = 20
+    a, bt, c = DATA_AT, DATA_AT + n * n * WORD, DATA_AT + 2 * n * n * WORD
+    rng = random.Random(30)
+    data = [rng.getrandbits(32) for _ in range(2 * n * n)]
+    instrs = [Compute(CO_DOT, c + (n * i + j) * WORD, a + n * i * WORD, bt + n * j * WORD, n)
+              for i in range(n) for j in range(n)]
+    devices = []
+    with mock.patch.object(simdev, "_lanes", wraps=simdev._lanes) as lanes:
+        for cls in (SimDevice, DecodeRunDevice):
+            device = boot_solo(cls(make_platform().sysmem, vram_size=2 << 20))
+            poke_words(device, DATA_AT, data)
+            for k in range(0, n * n, 160):
+                push_batch(device, instrs[k:k + 160])
+                device.step(160 * (n + 1))
+                assert device.cp_idle
+            devices.append(device)
+    assert lanes.call_count >= n // 2  # a row that a cut splits may have none
+    device, ref = devices
+    rows = [data[n * i:n * i + n] for i in range(n)]
+    cols = [data[n * n + n * j:n * n + n * j + n] for j in range(n)]
+    assert [word for _, word in device.cache.pending.items()] == [
+        sum(x * y for x, y in zip(row, col)) & MASK32 for row in rows for col in cols]
+    assert list(device.cache.pending.items()) == list(ref.cache.pending.items())
+    assert device.device_digest() == ref.device_digest()
 
 
 # --- inline device-local operand decode -------------------------------------
