@@ -51,6 +51,7 @@ class CostLedger:
         self.core_calls = 0
         self.weights = (crossing_cost, byte_cost, validated_cost,
                         cycle_cost, core_call_cost)
+        self._last_row = None  # what delta_since returned last
 
     def run(self, device, budget: int) -> int:
         """Step ``device`` for up to ``budget`` cycles and bill the cycles
@@ -71,8 +72,14 @@ class CostLedger:
         return d
 
     def delta_since(self, before: dict) -> dict:
+        """Costs since ``before``, a ``snapshot()``.  A row equal to the last
+        one returned is that same dict, so steady rows share one: never
+        mutate a row."""
         now = self.snapshot()
-        return {k: now[k] - before[k] for k in now}
+        row = {k: now[k] - before[k] for k in now}
+        if row != self._last_row:
+            self._last_row = row
+        return self._last_row
 
 
 class SystemMemory:

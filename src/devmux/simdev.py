@@ -83,8 +83,8 @@ past the window's end are read one at a time, word k from ring offset
 ``_fetch`` is the only fetch path: ``step`` hands it RB_HEAD, RB_TAIL and
 the ring size for every instruction.
 
-COMPUTE and COPY operands go through two helpers that ``step`` defines
-once a call, ``read(da, count)`` and ``write(da, words)``.  A word-aligned
+COMPUTE and COPY operands go through helpers that ``step`` defines once a
+call, ``read`` (ADD: ``read_int``) and ``write(da, words)``.  A word-aligned
 run that ends inside the device-local window and inside the MC segment
 and VRAM is read and written at MC_SEG_BASE + address without building a
 span list; a read that misses the write-back cache's address envelope
@@ -96,9 +96,12 @@ IOMMU's translations are the same either way.  The fetch window, FENCE,
 scanout and the status page always decode through ``_decode_run``, and
 ``_sync_status_page`` alone writes the status page, once per event or FENCE.
 
-ADD adds all lanes of its run at once: it reads each operand run as one
-little-endian integer of 32-bit lanes and adds them so that no lane carries
-into the next (SIMD within a register), so every word is (x + y) mod 2**32.
+ADD adds all lanes of its run at once (SIMD within a register): ``read_int``
+reads each operand run as bytes, into one little-endian integer of 32-bit
+lanes, slicing each span that misses the cache's envelope straight from its
+backing, and adds so that no lane carries into the next, so every word is
+(x + y) mod 2**32.  An ADD whose src2 is its src1 reads the run once, and
+walks a split run's pages again, so its FIFO TLB ends as two reads leave it.
 
 DOT runs: a DOT that ``step`` fetches afresh from the fetch window (not one
 in flight) runs together with the whole DOT instructions that follow it in
@@ -913,6 +916,19 @@ class SimDevice:
             words = read_local(da, count)
             return read_run(da, count) if words is None else words
 
+        def read_int(da, count):
+            """(the words as one little-endian int, read as bytes; their spans)"""
+            loc = seg_base + da
+            if da % WORD or da + count * WORD > vram_window_end or loc + count * WORD > local_end:
+                spans = self._decode_run(da, count, False)
+            else:
+                spans = ((_SPACE_VRAM, loc, count),)
+            data = b"".join([
+                self._backings[s][a:a + n * WORD]  # off the cache's envelope
+                if a > cache.hi[s] or cache.lo[s] >= a + n * WORD
+                else _words(n).pack(*cache.read(s, a, n)) for s, a, n in spans])
+            return int.from_bytes(data, "little"), len(spans)
+
         # DOT-run operand memo, (address, count) -> words in [memo_lo, memo_hi)
         memo, room, memo_lo, memo_hi = {}, DOT_MEMO_WORDS, _NO_ADDR, -1
 
@@ -1056,22 +1072,24 @@ class SimDevice:
                     if sub > CO_DOT:  # CO_ADD, CO_MUL, CO_DOT are 0, 1, 2
                         raise CmdFault(f"unknown COMPUTE sub-op 0x{sub:x}")
                     if count:
-                        a = read(src1, count)
-                        b = read(src2, count)
-                        if sub == CO_DOT:
-                            write(dst, [sum(map(mul, a, b)) & MASK32])
-                        elif sub == CO_ADD:
+                        if sub == CO_ADD:
+                            x, spans = read_int(src1, count)
+                            y = x if src2 == src1 else read_int(src2, count)[0]
+                            if src2 == src1 and spans > 1:  # walk the pages again for src2
+                                self._decode_run(src2, count, False)
                             # every lane at once: the low 31 bits add without
                             # reaching the next lane, and the top bit is the
                             # operands' top bits XOR the carry into it
                             low, top = _add_masks(count)
-                            layout = _words(count)
-                            x = int.from_bytes(layout.pack(*a), "little")
-                            y = int.from_bytes(layout.pack(*b), "little")
                             z = ((x & low) + (y & low)) ^ ((x ^ y) & top)
-                            write(dst, layout.unpack(z.to_bytes(count * WORD, "little")))
+                            write(dst, _words(count).unpack(z.to_bytes(count * WORD, "little")))
                         else:
-                            write(dst, [(x * y) & MASK32 for x, y in zip(a, b)])
+                            a = read(src1, count)
+                            b = read(src2, count)
+                            if sub == CO_DOT:
+                                write(dst, [sum(map(mul, a, b)) & MASK32])
+                            else:
+                                write(dst, [(x * y) & MASK32 for x, y in zip(a, b)])
                     elif sub == CO_DOT:
                         write(dst, [0])
                 elif opcode == OP_COPY:

@@ -10,7 +10,9 @@ from devmux.bench.workloads import MAX_COMPUTES_PER_SUBMIT
 from devmux.errors import (BadHandle, DeviceFault, InvalError, NotFoundError,
                            OutOfPool, OutOfRange, OutOfVram, PermError)
 from devmux.legacydrv import LEGACY_API, LegacyDriver
-from devmux.pool import MAX_BATCH_WORDS, RING_OFF, RING_WORDS, SLAB_FIRST_PAGE
+from devmux.platform import CostLedger
+from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_OFF, RING_WORDS,
+                         SLAB_FIRST_PAGE)
 from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, REG_DISP_ENABLE, REG_DISP_PLL,
                            REG_DISP_TIMING_H, REG_DISP_TIMING_V, REG_FB_BASE,
                            INSTR_WORDS, OP_COMPUTE, REG_RB_HEAD, REG_RB_TAIL, REG_SCRATCH0,
@@ -25,6 +27,16 @@ def legacy():
     driver = LegacyDriver(platform, device, pool_pages=64)
     client = driver.legacy_open("app")
     return platform, device, driver, client
+
+
+def test_pool_below_reserved_pages_is_refused_before_any_effect():
+    platform = make_platform(frames=512)
+    device = make_device(platform)
+    with pytest.raises(InvalError):
+        LegacyDriver(platform, device, pool_pages=MIN_POOL_PAGES - 1)
+    assert platform.ledger.snapshot() == CostLedger().snapshot()
+    assert platform.sysmem.owner == [None] * 512
+    assert device.translation_tables == {}
 
 
 def test_api_lists_eleven_syscalls(legacy):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from devmux.bench.config import BenchConfig, WorkloadSpec
+from devmux.bench.workloads import run_workload
 from devmux.errors import InvalError, OutOfMemory, PermError
 from devmux.platform import (COST_CROSSING, VADDR_BASE, CostLedger, Platform,
                              SystemMemory)
@@ -27,6 +29,36 @@ def test_ledger_custom_weights_and_delta():
     assert delta["crossings"] == 2
     assert delta["simulated_time"] == 2 * 5.0 + 100.0
     assert COST_CROSSING == 1000.0  # default stays the documented constant
+
+
+def test_equal_rows_in_a_row_are_one_shared_dict():
+    ledger = CostLedger()
+    rows = []
+    for crossings in (1, 1, 2, 1):  # rows A, A, B, A
+        before = ledger.snapshot()
+        ledger.crossings += crossings
+        rows.append(ledger.delta_since(before))
+    a1, again, b, a2 = rows
+    assert again is a1
+    assert b == {**a1, "crossings": 2, "simulated_time": 2 * COST_CROSSING}
+    # only the row returned last is shared: A after B is a new dict
+    assert a2 == a1 and a2 is not a1
+    assert a1 == {"crossings": 1, "bytes_copied": 0, "instructions_validated": 0,
+                  "device_cycles": 0, "core_calls": 0, "simulated_time": COST_CROSSING}
+
+
+def test_steady_workload_rows_are_shared_and_keep_their_values(monkeypatch):
+    spec = WorkloadSpec(kind="vertex-array", size=4, iters=4)
+    rows = run_workload(spec, BenchConfig()).per_iteration
+    assert rows[2] is rows[1] and rows[3] is rows[1]
+    assert rows[0] is not rows[1]  # the first iteration also sets up
+
+    def unshared(ledger, before):  # a new dict for every row
+        now = ledger.snapshot()
+        return {k: now[k] - before[k] for k in now}
+
+    monkeypatch.setattr(CostLedger, "delta_since", unshared)
+    assert run_workload(spec, BenchConfig()).per_iteration == rows
 
 
 def test_sysmem_alloc_free_and_zeroing():
@@ -56,6 +88,19 @@ def test_sysmem_foreign_free_and_pin_rules():
         mem.free_frames(frames, "a")
     mem.unpin(frames[0])
     mem.free_frames(frames, "a")
+
+
+def test_unpinning_a_frame_that_is_not_pinned_is_refused():
+    mem = SystemMemory(8)
+    frames = mem.alloc_frames(2, "a")
+    mem.pin(frames[0])
+    with pytest.raises(InvalError):
+        mem.unpin(frames[1])  # never pinned
+    assert mem.pins[:2] == [1, 0]
+    mem.unpin(frames[0])
+    with pytest.raises(InvalError):
+        mem.unpin(frames[0])  # its one pin is gone
+    assert mem.pins == [0] * 8
 
 
 def test_alloc_pages_owner_lookup():

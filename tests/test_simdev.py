@@ -26,10 +26,10 @@ from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
                            REG_IOMMU_ENABLE, REG_IOMMU_ROOT, REG_IRQ_ENABLE,
                            REG_MC_SEG_BASE, REG_MC_SEG_LIMIT, REG_RB_BASE,
                            REG_RB_HEAD, REG_RB_SIZE, REG_RB_TAIL, REG_SCRATCH0,
-                           S_REGISTERS, SCRATCH_REGISTERS, VRAM_WINDOW_END,
-                           WORD, Compute, Copy, Fence, IommuUnit, Nop,
-                           PageTable, SetReg, SimDevice, WriteBackCache,
-                           fnv1a64, zeroed)
+                           S_REGISTERS, SCRATCH_REGISTERS, TLB_ENTRIES_DEFAULT,
+                           VRAM_WINDOW_END, WORD, Compute, Copy, Fence,
+                           IommuUnit, Nop, PageTable, SetReg, SimDevice,
+                           WriteBackCache, fnv1a64, zeroed)
 
 
 # --- device and system memory ------------------------------------------------
@@ -706,6 +706,164 @@ def test_add_keeps_masks_for_few_run_lengths(solo):
             (x + y) & MASK32 for x, y in zip(xs[:count], ys[:count])]
     # a batch picks its run lengths: the memo may not grow with them
     assert simdev._add_masks.cache_info().currsize <= 4
+
+
+# ADD reads each operand run as bytes, and a source it names twice once.
+# The device must still end as the reference, which reads and translates
+# every source through ``_decode_run``, leaves it: memory, pending words,
+# status words, RB_HEAD and the order of the FIFO TLB.
+
+def _assert_same_add_state(run, ref):
+    _assert_same_ring_state(STATUS_AT, run, ref)
+    assert list(run[1].iommu.tlb.items()) == list(ref[1].iommu.tlb.items())
+
+
+def _full_tlb_device(cls):
+    """An aliased_device whose 64-entry TLB holds aperture pages 0 and
+    2-64, page 0 the oldest, so that the next miss evicts page 0."""
+    platform, device = aliased_device(vram=128 << 10, cls=cls)
+    pages = [0] + list(range(2, TLB_ENTRIES_DEFAULT + 1))
+    for page in pages[1:]:
+        device.translation_tables[1].map(page * PAGE_SIZE, 64 + page)
+    for page in pages:
+        device.iommu.translate(page * PAGE_SIZE, False)
+    assert list(device.iommu.tlb) == pages
+    return platform, device
+
+
+def test_a_straddling_add_of_one_source_walks_its_pages_twice():
+    src = APERTURE_BASE + PAGE_SIZE - 8 * WORD  # 8 words on page 0, 8 on page 1
+    xs = list(range(0xFFFFFFF0, 1 << 32))
+    runs = []
+    for cls in (SimDevice, DecodeRunDevice):
+        platform, device = _full_tlb_device(cls)
+        poke_device_words(platform, device, src, xs)
+        push_batch(device, [Compute(CO_ADD, DATA_AT, src, src, len(xs)), Fence(1)])
+        device.step(100)
+        assert read_status(device) == (1, 1, FLAG_FENCE)
+        assert vram_words(device, DATA_AT, len(xs)) == [2 * x & MASK32 for x in xs]
+        runs.append((platform, device))
+    _assert_same_add_state(*runs)
+    # src1's page 1 evicts page 0; src2's page 0 comes back over page 2
+    assert list(runs[0][1].iommu.tlb) == list(range(3, TLB_ENTRIES_DEFAULT + 1)) + [1, 0]
+
+
+@pytest.mark.parametrize("src1, src2", [(APERTURE_BASE, APERTURE_BASE),
+                                        (DATA_AT, APERTURE_BASE)],
+                         ids=["one-source", "second-source"])
+def test_an_add_with_translation_disabled_faults_and_writes_nothing(src1, src2):
+    runs = []
+    for cls in (SimDevice, DecodeRunDevice):
+        platform, device = aliased_device(vram=128 << 10, cls=cls)
+        device.mmio_write(REG_IOMMU_ENABLE, 0)
+        poke_device_words(platform, device, DATA_AT, [5, 6, 7, 8])
+        poke_device_words(platform, device, APERTURE_BASE, [1, 2, 3, 4])
+        push_batch(device, [Compute(CO_ADD, DATA_AT + 0x100, src1, src2, 4), Fence(1)])
+        vram, sysmem = bytes(device.vram), bytes(platform.sysmem.data)
+        device.step(100)
+        seq, irq, flags = read_status(device)
+        assert (seq, irq, flags & FAULT_FLAGS) == (0, 1, FLAG_IOMMU_FAULT)
+        assert device.mmio_read(REG_RB_HEAD) == device.mmio_read(REG_RB_TAIL)
+        assert not device.cache.pending
+        after = bytes(device.vram)  # all but the status words
+        assert after[:STATUS_AT] == vram[:STATUS_AT]
+        assert after[STATUS_AT + 16:] == vram[STATUS_AT + 16:]
+        assert bytes(platform.sysmem.data) == sysmem
+        runs.append((platform, device))
+    _assert_same_add_state(*runs)
+
+
+def test_an_add_reads_the_top_word_of_the_pending_envelope(solo):
+    _, device = solo
+    poke_words(device, DATA_AT, [1, 2, 3, 4])
+
+    def w(i):
+        return DATA_AT + i * WORD
+
+    # words 4-7 become pending, and the second ADD's sources start on word
+    # 7, the highest pending address, and run on past it
+    push_batch(device, [Compute(CO_ADD, w(4), w(0), w(0), 4),    # 2 4 6 8
+                        Compute(CO_ADD, w(10), w(7), w(7), 2),   # 16 0
+                        Compute(CO_ADD, w(12), w(3), w(7), 2),   # 12 2
+                        Fence(1)])
+    device.step(100)
+    assert vram_words(device, w(10), 4) == [16, 0, 12, 2]
+
+
+# Programs of ADDs (and COPYs) over both address windows, run with no FENCE
+# between them.  The device has aperture pages 0-2 and a TLB of two
+# entries, so a run across a page end evicts a page that the next read of
+# the same run walks again.
+
+ADD_PAGES = 3
+ADD_WORDS = ADD_PAGES * PAGE_SIZE // WORD  # the words of each window used
+
+
+def _add_device(cls, seed, tlb):
+    platform, device = aliased_device(vram=128 << 10, cls=cls)
+    device.translation_tables[1].map(2 * PAGE_SIZE, ALIAS_FRAME + 2)
+    device.iommu.tlb_entries = 2
+    for page in tlb:
+        device.iommu.translate(page * PAGE_SIZE, False)
+    rng = random.Random(seed)
+    for backing in (device.vram, platform.sysmem.data):
+        backing[DATA_AT:DATA_AT + ADD_WORDS * WORD] = rng.randbytes(ADD_WORDS * WORD)
+    return platform, device
+
+
+@st.composite
+def _add_programs(draw):
+    """(data seed, the pages the TLB holds at first, oldest first, batch):
+    2-6 ADDs of 1-300 words, a COPY among them one
+    time in four, and a FENCE at the end half the time.  Half of the ADDs
+    name one run as both sources.  A third of the operand runs start
+    inside an earlier target or at its last word, so that pending words
+    cover part of them; a third cross an aperture page end, one in five of
+    them into unmapped page 3, where they fault; and a third lie anywhere
+    in VRAM at DATA_AT or in the aperture's mapped pages."""
+    targets = []  # (address, count) of the earlier targets
+
+    def run(count):
+        kind = draw(st.integers(0 if targets else 1, 2))
+        if kind == 0:  # over an earlier target
+            at, n = draw(st.sampled_from(targets))
+            k = n - 1 if draw(st.booleans()) else draw(st.integers(1 - count, n - 1))
+            return max(APERTURE_BASE if at >= APERTURE_BASE else DATA_AT, at + k * WORD)
+        if kind == 1:  # across an aperture page end
+            end = draw(st.sampled_from((1, 1, 2, 2, ADD_PAGES))) * PAGE_SIZE
+            return APERTURE_BASE + end - draw(st.integers(1, max(1, count - 1))) * WORD
+        base = draw(st.sampled_from((DATA_AT, APERTURE_BASE)))
+        return base + draw(st.integers(0, ADD_WORDS - count)) * WORD
+
+    instrs = []
+    for _ in range(draw(st.integers(2, 6))):
+        count = draw(st.one_of(st.integers(1, 8), st.integers(1, 300)))
+        src1 = run(count)
+        if not draw(st.integers(0, 3)):
+            dst = run(count)
+            instrs.append(Copy(dst, src1, count))
+        else:
+            src2 = src1 if draw(st.booleans()) else run(count)
+            dst = run(count)
+            instrs.append(Compute(CO_ADD, dst, src1, src2, count))
+        targets.append((dst, count))
+    if draw(st.booleans()):
+        instrs.append(Fence(1))
+    return (draw(st.integers(0, 1 << 16)),
+            draw(st.permutations(range(ADD_PAGES)))[:2], instrs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_add_programs(), st.sampled_from((1 << 20, 151)))
+def test_adds_run_as_on_the_reference_interpreter(program, budget):
+    seed, tlb, instrs = program
+    runs = [_add_device(cls, seed, tlb) for cls in (SimDevice, DecodeRunDevice)]
+    for _, device in runs:
+        push_batch(device, instrs)
+    while not runs[1][1].cp_idle:
+        for _, device in runs:
+            device.step(budget)
+        _assert_same_add_state(*runs)
 
 
 # A standalone cache over one small backing per space, at equal physical
