@@ -83,25 +83,28 @@ past the window's end are read one at a time, word k from ring offset
 ``_fetch`` is the only fetch path: ``step`` hands it RB_HEAD, RB_TAIL and
 the ring size for every instruction.
 
-COMPUTE and COPY operands go through helpers that ``step`` defines once a
-call, ``read`` (ADD: ``read_int``) and ``write(da, words)``.  A word-aligned
-run that ends inside the device-local window and inside the MC segment
-and VRAM is read and written at MC_SEG_BASE + address without building a
-span list; a read that misses the write-back cache's address envelope
-unpacks straight from VRAM, and a write drops an overlapping fetch window
-and queues its words in the cache.  Every other run, and every run that
-faults, goes through ``_read_run`` or ``_write_run`` and so
-``_decode_run``, which raises the fault, so the words, the faults and the
-IOMMU's translations are the same either way.  The fetch window, FENCE,
-scanout and the status page always decode through ``_decode_run``, and
-``_sync_status_page`` alone writes the status page, once per event or FENCE.
+Operand runs move as bytes, packed little-endian words, through helpers
+that ``step`` defines once a call: ``read(da, count)`` returns a run's bytes
+and span count, ``write(da, data)`` queues bytes in the write-back cache,
+and ``read_local`` unpacks a DOT run's operands.  A word-aligned run that
+ends inside the device-local window and inside the MC segment and VRAM is
+read and written at MC_SEG_BASE + address without building a span list; a
+read that misses the cache's address envelope is a slice of VRAM (for
+words, an unpack straight from it), and a write drops an overlapping fetch
+window.  Every other run, and every run that faults, goes through
+``_decode_run``, which raises the fault (a write through ``_write_run``), so
+the words, the faults and the IOMMU's translations are the same either way.
+The fetch window, FENCE, scanout and the status page always decode through
+``_decode_run``, and ``_sync_status_page`` alone writes the status page,
+once per event or FENCE.
 
-ADD adds all lanes of its run at once (SIMD within a register): ``read_int``
-reads each operand run as bytes, into one little-endian integer of 32-bit
-lanes, slicing each span that misses the cache's envelope straight from its
-backing, and adds so that no lane carries into the next, so every word is
-(x + y) mod 2**32.  An ADD whose src2 is its src1 reads the run once, and
-walks a split run's pages again, so its FIFO TLB ends as two reads leave it.
+COPY queues the bytes it reads as they are, and MUL and a lone DOT unpack
+theirs and pack their results once.  ADD adds all lanes of its run at once
+(SIMD within a register): it reads each operand's bytes as one
+little-endian integer of 32-bit lanes and adds so that no lane carries into
+the next, so every word is (x + y) mod 2**32, and writes the sum's bytes.
+A COMPUTE whose src2 is its src1 reads the run once, and walks a split
+run's pages again, so its FIFO TLB ends as two reads leave it.
 
 DOT runs: a DOT that ``step`` fetches afresh from the fetch window (not one
 in flight) runs together with the whole DOT instructions that follow it in
@@ -470,24 +473,28 @@ class WriteBackCache:
     Writing a word that is already pending updates it in place and keeps
     its place in the queue.
 
-    ``put_run`` takes a run of consecutive words and does what one put per
-    word, in run order, does: the queue, the evicted words and the backing
-    end up the same.  ``_runs`` holds the queue as ``[space, addr, words]``
-    entries, oldest first, whose words are consecutive both in byte address
-    and in queue order, and no word is in two entries.  ``pending`` shows
-    the same queue word by word, as a fresh ``(space, byte addr) -> word``
-    dict, oldest first.
+    Runs move as bytes, packed little-endian words.  ``put_run`` takes a run
+    of consecutive words and does what one put per word, in run order,
+    does: the queue, the evicted words and the backing end up the same.
+    ``_runs`` holds the queue as ``[space, addr, bytearray]`` entries,
+    oldest first, whose words are consecutive both in byte address and in
+    queue order, and no word is in two entries; an eviction or a drain
+    writes each entry's span back with one slice assignment.  ``read``
+    returns bytes, the backing with pending bytes laid over it.
+    ``pending`` shows the queue word by word, as a fresh ``(space, byte
+    addr) -> word`` dict, oldest first.
 
     ``lo[space]`` and ``hi[space]`` bound the byte addresses put in each
     space since the last drain (the envelope).  ``put_run`` widens it before
     queueing the run, so a run or a read that misses it meets no pending
-    word; ``drain()`` empties it.
+    word, and such a read is a plain slice of the backing; ``drain()``
+    empties it.
     """
 
     def __init__(self, capacity: int, backings):
         self.capacity = capacity
         self.backings = backings  # one zeroed() buffer per space
-        self._runs = deque()  # [space, byte addr, words], oldest first
+        self._runs = deque()  # [space, byte addr, bytearray], oldest first
         self.size = 0  # pending words
         self.lo = [_NO_ADDR] * _SPACES
         self.hi = [-1] * _SPACES
@@ -496,13 +503,13 @@ class WriteBackCache:
     def pending(self) -> dict:
         """(space, byte addr) -> word, oldest first; a copy."""
         return {(space, addr + i * WORD): word
-                for space, addr, words in self._runs
-                for i, word in enumerate(words)}
+                for space, addr, data in self._runs
+                for i, (word,) in enumerate(struct.iter_unpack("<I", data))}
 
-    def put_run(self, space: int, addr: int, words):
-        """Queue ``words`` at consecutive byte addresses from ``addr``."""
-        n = len(words)
-        last = addr + (n - 1) * WORD
+    def put_run(self, space: int, addr: int, data):
+        """Queue ``data``, packed words, at consecutive byte addresses from
+        ``addr``."""
+        last = addr + len(data) - WORD
         lo = self.lo[space]
         hi = self.hi[space]
         if addr < lo:
@@ -511,29 +518,29 @@ class WriteBackCache:
             self.hi[space] = last
         if lo <= last and addr <= hi:
             # the run may meet pending words: one put per word
-            for i, word in enumerate(words):
-                self._put_word(space, addr + i * WORD, word)
+            for i in range(0, len(data), WORD):
+                self._put_word(space, addr + i, data[i:i + WORD])
         else:
-            self._append(space, addr, words)
+            self._append(space, addr, data)
 
-    def _put_word(self, space: int, addr: int, word: int):
-        """Update the word at ``addr`` in place if it is pending, else
-        queue it as a new one."""
+    def _put_word(self, space: int, addr: int, word):
+        """Update the 4 bytes at ``addr`` in place if they are pending, else
+        queue them as a new word."""
         for s, a, run in self._runs:
-            if s == space and a <= addr < a + len(run) * WORD:
-                run[(addr - a) // WORD] = word
+            if s == space and a <= addr < a + len(run):
+                run[addr - a:addr - a + WORD] = word
                 return
-        self._append(space, addr, [word])
+        self._append(space, addr, word)
 
-    def _append(self, space: int, addr: int, words):
+    def _append(self, space: int, addr: int, data):
         """Queue words none of which is pending at the tail, trimming the
         oldest words first to make room; a run longer than the cache goes
         in ``capacity`` words at a time."""
-        n = len(words)
+        n = len(data) // WORD
         capacity = self.capacity
         if n > capacity:
-            for k in range(0, n, capacity):
-                self._append(space, addr + k * WORD, words[k:k + capacity])
+            for k in range(0, len(data), capacity * WORD):
+                self._append(space, addr + k, data[k:k + capacity * WORD])
             return
         over = self.size + n - capacity
         if over > 0:
@@ -542,46 +549,45 @@ class WriteBackCache:
         self.size += n
         if runs:
             tail = runs[-1]
-            if tail[0] == space and tail[1] + len(tail[2]) * WORD == addr:
-                tail[2] += words
+            if tail[0] == space and tail[1] + len(tail[2]) == addr:
+                tail[2] += data
                 return
-        runs.append([space, addr, list(words)])
+        runs.append([space, addr, bytearray(data)])
 
     def _trim(self, k: int):
         """Evict the ``k`` oldest words (at most ``size``), writing back
-        one pack per entry they cover."""
+        one slice per entry they cover."""
         runs = self._runs
         backings = self.backings
         self.size -= k
+        k *= WORD
         while k:
             entry = runs[0]
-            space, addr, words = entry
-            n = len(words)
+            space, addr, data = entry
+            n = len(data)
             if n <= k:
                 runs.popleft()
-                _words(n).pack_into(backings[space], addr, *words)
+                backings[space][addr:addr + n] = data
                 k -= n
             else:
-                _words(k).pack_into(backings[space], addr, *words[:k])
-                del words[:k]
-                entry[1] = addr + k * WORD
+                backings[space][addr:addr + k] = data[:k]
+                del data[:k]
+                entry[1] = addr + k
                 return
 
-    def read(self, space: int, addr: int, n: int) -> list:
-        """``n`` words at ``addr``: the backing with pending words laid
-        over it."""
-        words = list(_words(n).unpack_from(self.backings[space], addr))
+    def read(self, space: int, addr: int, n: int):
+        """The ``n`` words at ``addr`` as bytes: the backing with pending
+        bytes laid over it."""
         end = addr + n * WORD
-        if addr <= self.hi[space] and self.lo[space] < end:
-            for s, a, run in self._runs:
-                if s == space and a < end and addr < a + len(run) * WORD:
-                    if a >= addr:
-                        i, j = (a - addr) // WORD, 0
-                    else:
-                        i, j = 0, (addr - a) // WORD
-                    k = min(n - i, len(run) - j)
-                    words[i:i + k] = run[j:j + k]
-        return words
+        if addr > self.hi[space] or self.lo[space] >= end:
+            return self.backings[space][addr:end]
+        data = bytearray(self.backings[space][addr:end])
+        for s, a, run in self._runs:
+            if s == space and a < end and addr < a + len(run):
+                i, j = (a - addr, 0) if a >= addr else (0, addr - a)
+                k = min(end - addr - i, len(run) - j)
+                data[i:i + k] = run[j:j + k]
+        return data
 
     def drop(self, space: int, addr: int, n: int):
         """Forget the pending words among the ``n`` at ``addr``, splitting
@@ -592,21 +598,21 @@ class WriteBackCache:
         kept = deque()
         for entry in self._runs:
             s, a, run = entry
-            stop = a + len(run) * WORD
+            stop = a + len(run)
             if s != space or stop <= addr or end <= a:
                 kept.append(entry)
                 continue
             self.size -= (min(stop, end) - max(a, addr)) // WORD
             if a < addr:
-                kept.append([s, a, run[:(addr - a) // WORD]])
+                kept.append([s, a, run[:addr - a]])
             if end < stop:
-                kept.append([s, end, run[(end - a) // WORD:]])
+                kept.append([s, end, run[end - a:]])
         self._runs = kept
 
     def drain(self):
         backings = self.backings
-        for space, addr, words in self._runs:
-            _words(len(words)).pack_into(backings[space], addr, *words)
+        for space, addr, data in self._runs:
+            backings[space][addr:addr + len(data)] = data
         self._runs.clear()
         self.size = 0
         self.lo = [_NO_ADDR] * _SPACES
@@ -752,23 +758,19 @@ class SimDevice:
 
     # -- physical word access --------------------------------------------
 
-    def _read_run(self, da: int, n_words: int):
-        """The ``n_words`` words at ``da``, as a sequence."""
+    def _read_run(self, da: int, n_words: int) -> tuple:
+        """The ``n_words`` words at ``da``."""
         spans = self._decode_run(da, n_words, False)
-        if len(spans) == 1:
-            return self.cache.read(*spans[0])
-        words = []
-        for space, addr, count in spans:
-            words.extend(self.cache.read(space, addr, count))
-        return words
+        return _words(n_words).unpack(b"".join([self.cache.read(*span) for span in spans]))
 
-    def _write_run(self, da: int, words):
-        spans = self._decode_run(da, len(words), True)  # translate before any write
+    def _write_run(self, da: int, data):
+        """Queue ``data``, packed words, at ``da``, split across its spans."""
+        spans = self._decode_run(da, len(data) // WORD, True)  # translate before any write
         k = 0
         for space, addr, count in spans:
             self._drop_window_over(space, addr, addr + (count - 1) * WORD)
-            self.cache.put_run(space, addr, words[k:k + count])
-            k += count
+            self.cache.put_run(space, addr, data[k:k + count * WORD])
+            k += count * WORD
 
     # -- interrupt status -------------------------------------------------
 
@@ -848,9 +850,12 @@ class SimDevice:
                 window = self._window = None
             else:
                 space, addr, count = span
-                window = self._window = (head, head + count * WORD,
-                                         self.cache.read(space, addr, count),
-                                         space, addr, addr + (count - 1) * WORD)
+                last = addr + (count - 1) * WORD
+                if addr > self.cache.hi[space] or self.cache.lo[space] > last:  # off the envelope
+                    fetched = _words(count).unpack_from(self._backings[space], addr)
+                else:
+                    fetched = _words(count).unpack(self.cache.read(space, addr, count))
+                window = self._window = (head, head + count * WORD, fetched, space, addr, last)
         if window is None:
             fetched, i = self._read_run(self.regs[REG_RB_BASE] + head, 1), 0
         else:
@@ -895,13 +900,12 @@ class SimDevice:
         vram = self.vram
         cache = self.cache
         put_run = cache.put_run
-        read_run = self._read_run
         write_run = self._write_run
 
         # operand runs: a word-aligned run that ends inside the device-local
         # window, the MC segment and VRAM decodes here (see the module
         # docstring); every other run, and every fault, goes through
-        # _read_run/_write_run
+        # _decode_run (writes: _write_run)
         def read_local(da, count):
             """The ``count`` words at ``da`` if they are such a run, else None."""
             n_bytes = count * WORD
@@ -910,33 +914,26 @@ class SimDevice:
                 return None
             if loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= loc + n_bytes:
                 return _words(count).unpack_from(vram, loc)
-            return cache.read(_SPACE_VRAM, loc, count)
+            return _words(count).unpack(cache.read(_SPACE_VRAM, loc, count))
 
         def read(da, count):
-            words = read_local(da, count)
-            return read_run(da, count) if words is None else words
-
-        def read_int(da, count):
-            """(the words as one little-endian int, read as bytes; their spans)"""
+            """(the ``count`` words at ``da`` as bytes, their span count)"""
             loc = seg_base + da
             if da % WORD or da + count * WORD > vram_window_end or loc + count * WORD > local_end:
                 spans = self._decode_run(da, count, False)
-            else:
-                spans = ((_SPACE_VRAM, loc, count),)
-            data = b"".join([
-                self._backings[s][a:a + n * WORD]  # off the cache's envelope
-                if a > cache.hi[s] or cache.lo[s] >= a + n * WORD
-                else _words(n).pack(*cache.read(s, a, n)) for s, a, n in spans])
-            return int.from_bytes(data, "little"), len(spans)
+                if len(spans) == 1:
+                    return cache.read(*spans[0]), 1
+                return b"".join([cache.read(*span) for span in spans]), len(spans)
+            return cache.read(_SPACE_VRAM, loc, count), 1
 
         # DOT-run operand memo, (address, count) -> words in [memo_lo, memo_hi)
         memo, room, memo_lo, memo_hi = {}, DOT_MEMO_WORDS, _NO_ADDR, -1
 
-        def write(da, words):
-            n_bytes = len(words) * WORD
+        def write(da, data):
+            n_bytes = len(data)
             loc = seg_base + da
             if da % WORD or da + n_bytes > vram_window_end or loc + n_bytes > local_end:
-                write_run(da, words)
+                write_run(da, data)
                 return
             window = self._window  # _drop_window_over, inline
             if (window is not None and window[3] == _SPACE_VRAM
@@ -944,7 +941,7 @@ class SimDevice:
                 self._window = None
             if da < memo_hi and memo_lo < da + n_bytes:
                 memo.clear()
-            put_run(_SPACE_VRAM, loc, words)
+            put_run(_SPACE_VRAM, loc, data)
 
         def dot_run(head, first, left):
             """Run the DOT at ``head``, whose target is ``first``, and the
@@ -1031,7 +1028,7 @@ class SimDevice:
                 results[at] = sum(map(mul, lane_a, x)) & MASK32
             if first < memo_hi and memo_lo < dst:
                 memo.clear()
-            put_run(_SPACE_VRAM, seg_base + first, results)
+            put_run(_SPACE_VRAM, seg_base + first, _words(len(results)).pack(*results))
             regs[REG_RB_HEAD] = (head + len(results) * 6 * WORD) % ring
             return cycles
 
@@ -1072,30 +1069,32 @@ class SimDevice:
                     if sub > CO_DOT:  # CO_ADD, CO_MUL, CO_DOT are 0, 1, 2
                         raise CmdFault(f"unknown COMPUTE sub-op 0x{sub:x}")
                     if count:
+                        a, spans = read(src1, count)
+                        b = a if src2 == src1 else read(src2, count)[0]
+                        if src2 == src1 and spans > 1:  # walk the pages again for src2
+                            self._decode_run(src2, count, False)
                         if sub == CO_ADD:
-                            x, spans = read_int(src1, count)
-                            y = x if src2 == src1 else read_int(src2, count)[0]
-                            if src2 == src1 and spans > 1:  # walk the pages again for src2
-                                self._decode_run(src2, count, False)
+                            x = int.from_bytes(a, "little")
+                            y = x if b is a else int.from_bytes(b, "little")
                             # every lane at once: the low 31 bits add without
                             # reaching the next lane, and the top bit is the
                             # operands' top bits XOR the carry into it
                             low, top = _add_masks(count)
                             z = ((x & low) + (y & low)) ^ ((x ^ y) & top)
-                            write(dst, _words(count).unpack(z.to_bytes(count * WORD, "little")))
+                            write(dst, z.to_bytes(count * WORD, "little"))
                         else:
-                            a = read(src1, count)
-                            b = read(src2, count)
+                            layout = _words(count)
+                            a, b = layout.unpack(a), layout.unpack(b)
                             if sub == CO_DOT:
-                                write(dst, [sum(map(mul, a, b)) & MASK32])
+                                write(dst, (sum(map(mul, a, b)) & MASK32).to_bytes(WORD, "little"))
                             else:
-                                write(dst, [(x * y) & MASK32 for x, y in zip(a, b)])
+                                write(dst, layout.pack(*[(x * y) & MASK32 for x, y in zip(a, b)]))
                     elif sub == CO_DOT:
-                        write(dst, [0])
+                        write(dst, bytes(WORD))
                 elif opcode == OP_COPY:
                     dst, src, count = words[1:]
                     if count:
-                        write(dst, read(src, count))
+                        write(dst, read(src, count)[0])
                 elif opcode == OP_FENCE:
                     # decode the page before the drain: a fault changes nothing
                     ih = regs[REG_IH_PAGE_ADDR]

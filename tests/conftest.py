@@ -104,13 +104,13 @@ class DecodeRunDevice(SimDevice):
                             out = [(x + y) & MASK32 for x, y in zip(a, b)]
                         else:
                             out = [(x * y) & MASK32 for x, y in zip(a, b)]
-                        self._write_run(dst, out)
+                        self._write_run(dst, pack(out))
                     elif sub == CO_DOT:
-                        self._write_run(dst, [0])
+                        self._write_run(dst, pack([0]))
                 elif opcode == OP_COPY:
                     dst, src, count = words[1:]
                     if count:
-                        self._write_run(dst, self._read_run(src, count))
+                        self._write_run(dst, pack(self._read_run(src, count)))
                 elif opcode == OP_FENCE:
                     ih = regs[REG_IH_PAGE_ADDR]
                     if ih == 0:

@@ -20,7 +20,7 @@ from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
                            DOT_MEMO_WORDS, FAULT_FLAGS, FENCE_IRQ,
                            FLAG_CMD_FAULT, FLAG_FENCE, FLAG_IOMMU_FAULT,
                            FLAG_MC_FAULT, LANE_MAX_COUNT, LANES, M_REGISTERS,
-                           MASK32, OP_SET_REG, PAGE_SIZE, REG_CP_RESET,
+                           MASK32, OP_NOP, OP_SET_REG, PAGE_SIZE, REG_CP_RESET,
                            REG_DISP_ENABLE, REG_DISP_TIMING_H,
                            REG_DISP_TIMING_V, REG_FB_BASE, REG_IH_PAGE_ADDR,
                            REG_IOMMU_ENABLE, REG_IOMMU_ROOT, REG_IRQ_ENABLE,
@@ -900,11 +900,11 @@ class FifoReference:
 def test_updating_a_pending_word_keeps_its_fifo_place():
     backings = cache_backings()
     cache = WriteBackCache(4, backings)
-    cache.put_run(0, 0, [1, 2, 3, 4])
-    cache.put_run(0, 0, [9])            # an update, not a new word
+    cache.put_run(0, 0, pack([1, 2, 3, 4]))
+    cache.put_run(0, 0, pack([9]))      # an update, not a new word
     assert list(cache.pending.items()) == [((0, 0), 9), ((0, 4), 2),
                                            ((0, 8), 3), ((0, 12), 4)]
-    cache.put_run(0, 16, [5])           # evicts the updated word first
+    cache.put_run(0, 16, pack([5]))     # evicts the updated word first
     assert list(cache.pending) == [(0, 4), (0, 8), (0, 12), (0, 16)]
     assert backing_words(backings[0], 5) == [9, 101, 102, 103, 104]
 
@@ -912,9 +912,9 @@ def test_updating_a_pending_word_keeps_its_fifo_place():
 def test_a_word_evicted_by_its_own_run_goes_back_in_at_the_tail():
     backings = cache_backings()
     cache = WriteBackCache(4, backings)
-    cache.put_run(0, 4, [1, 2, 3, 4])   # words 1..4 pending
+    cache.put_run(0, 4, pack([1, 2, 3, 4]))  # words 1..4 pending
     # word 0 evicts word 1, then word 1 (new again) evicts word 2
-    cache.put_run(0, 0, [5, 6])
+    cache.put_run(0, 0, pack([5, 6]))
     assert list(cache.pending.items()) == [((0, 12), 3), ((0, 16), 4),
                                            ((0, 0), 5), ((0, 4), 6)]
     # the backing holds the evicted values, not the re-inserted one
@@ -923,12 +923,12 @@ def test_a_word_evicted_by_its_own_run_goes_back_in_at_the_tail():
 
 def test_a_pending_word_updates_only_in_its_own_space():
     cache = WriteBackCache(4, cache_backings())
-    cache.put_run(1, 4, [9])
-    cache.put_run(0, 0, [1])            # VRAM word 0 is pending too
-    cache.put_run(1, 0, [2, 3])         # system words 0 (new) and 1 (pending)
+    cache.put_run(1, 4, pack([9]))
+    cache.put_run(0, 0, pack([1]))      # VRAM word 0 is pending too
+    cache.put_run(1, 0, pack([2, 3]))   # system words 0 (new) and 1 (pending)
     assert list(cache.pending.items()) == [((1, 4), 3), ((0, 0), 1),
                                            ((1, 0), 2)]
-    cache.put_run(0, 32, [5])           # a fourth word fits: nothing evicted
+    cache.put_run(0, 32, pack([5]))     # a fourth word fits: nothing evicted
     assert list(cache.pending.items()) == [((1, 4), 3), ((0, 0), 1),
                                            ((1, 0), 2), ((0, 32), 5)]
 
@@ -941,7 +941,7 @@ def test_a_run_longer_than_the_cache_over_pending_words_is_one_put_per_word():
             (0, 0, list(range(10, 20))),    # words 0..9, over words 2 and 3
             (0, 36, [7, 8])]                # starts at the envelope's top
     for space, addr, words in runs:
-        cache.put_run(space, addr, words)
+        cache.put_run(space, addr, pack(words))
         for i, word in enumerate(words):
             ref.put((space, addr + i * WORD), word)
         assert list(cache.pending.items()) == list(ref.pending.items())
@@ -983,17 +983,23 @@ def test_compute_longer_than_the_cache_reads_back_before_its_fence():
 def _cache_ops(draw):
     """A capacity, a list of runs, drains and drops that start within
     CACHE_SPREAD words, so runs overlap pending words and each other, and
-    after each op one read per space of up to 16 words from there."""
+    after each op one read per space of up to 16 words from there.  One run
+    in four starts where the last run ended, in the other space."""
     capacity = draw(st.integers(4, 8))
     ops = []
     reads = []
     kinds = st.sampled_from(("run", "run", "run", "drain", "drop"))
     read = st.tuples(st.integers(0, CACHE_SPREAD + 8), st.integers(1, 16))
+    last_end = None  # (space, byte addr) past the last run, if that leaves room
     for kind in draw(st.lists(kinds, min_size=1, max_size=12)):
         space = draw(st.integers(0, 1))
         first = draw(st.integers(0, CACHE_SPREAD)) * WORD
         if kind == "run":
+            if last_end and not draw(st.integers(0, 3)):
+                space, first = 1 - last_end[0], last_end[1]
             n = draw(st.integers(1, 2 * capacity))
+            end = first + n * WORD
+            last_end = (space, end) if end <= (CACHE_BACKING_WORDS - 16) * WORD else None
             words = st.lists(st.integers(0, MASK32), min_size=n, max_size=n)
             ops.append(("run", space, first, draw(words)))
         elif kind == "drop":
@@ -1013,7 +1019,7 @@ def test_cache_runs_equal_one_put_per_word(program):
     for op, per_space in zip(ops, reads):
         if op[0] == "run":
             _, space, addr, words = op
-            cache.put_run(space, addr, words)
+            cache.put_run(space, addr, pack(words))
             for i, word in enumerate(words):
                 ref.put((space, addr + i * WORD), word)
         elif op[0] == "drop":
@@ -1034,7 +1040,7 @@ def test_cache_runs_equal_one_put_per_word(program):
             backing = backing_words(ref.backings[space])
             want = [ref.pending.get((space, i * WORD), backing[i])
                     for i in range(first, first + n)]
-            assert cache.read(space, first * WORD, n) == want
+            assert cache.read(space, first * WORD, n) == pack(want)
 
 
 # Entry boundaries of the run-kept queue, each against the per-word FIFO.
@@ -1042,39 +1048,39 @@ def test_cache_runs_equal_one_put_per_word(program):
 def test_an_eviction_can_trim_the_front_entry_partway():
     backings = cache_backings()
     cache = WriteBackCache(4, backings)
-    cache.put_run(0, 0, [1, 2, 3])
-    cache.put_run(1, 0, [4])
-    cache.put_run(0, 64, [5, 6])        # evicts words 0 and 1 only
+    cache.put_run(0, 0, pack([1, 2, 3]))
+    cache.put_run(1, 0, pack([4]))
+    cache.put_run(0, 64, pack([5, 6]))  # evicts words 0 and 1 only
     assert list(cache.pending.items()) == [((0, 8), 3), ((1, 0), 4),
                                            ((0, 64), 5), ((0, 68), 6)]
     assert backing_words(backings[0], 3) == [1, 2, 102]
-    cache.put_run(0, 8, [7])            # the rest of the entry updates in place
-    assert cache.read(0, 0, 3) == [1, 2, 7]
-    cache.put_run(0, 72, [8])           # and is the next to go
+    cache.put_run(0, 8, pack([7]))      # the rest of the entry updates in place
+    assert cache.read(0, 0, 3) == pack([1, 2, 7])
+    cache.put_run(0, 72, pack([8]))     # and is the next to go
     assert backing_words(backings[0], 3) == [1, 2, 7]
     assert list(cache.pending) == [(1, 0), (0, 64), (0, 68), (0, 72)]
 
 
 def test_a_read_across_two_entries_and_a_gap_overlays_both():
     cache = WriteBackCache(8, cache_backings())
-    cache.put_run(0, 4, [1, 2])
-    cache.put_run(0, 20, [5, 6])
-    cache.put_run(1, 12, [9])           # the other space at the gap
-    assert cache.read(0, 0, 8) == [100, 1, 2, 103, 104, 5, 6, 107]
-    assert cache.read(0, 8, 4) == [2, 103, 104, 5]
-    assert cache.read(0, 12, 2) == [103, 104]
-    assert cache.read(1, 8, 3) == [102, 9, 104]
+    cache.put_run(0, 4, pack([1, 2]))
+    cache.put_run(0, 20, pack([5, 6]))
+    cache.put_run(1, 12, pack([9]))     # the other space at the gap
+    assert cache.read(0, 0, 8) == pack([100, 1, 2, 103, 104, 5, 6, 107])
+    assert cache.read(0, 8, 4) == pack([2, 103, 104, 5])
+    assert cache.read(0, 12, 2) == pack([103, 104])
+    assert cache.read(1, 8, 3) == pack([102, 9, 104])
 
 
 def test_a_run_that_continues_the_tail_in_the_other_space_starts_an_entry():
     backings = cache_backings()
     cache = WriteBackCache(3, backings)
-    cache.put_run(0, 0, [1, 2])
-    cache.put_run(1, 8, [3])            # system word 2, after VRAM word 1
+    cache.put_run(0, 0, pack([1, 2]))
+    cache.put_run(1, 8, pack([3]))      # system word 2, after VRAM word 1
     assert list(cache.pending.items()) == [((0, 0), 1), ((0, 4), 2),
                                            ((1, 8), 3)]
-    assert cache.read(0, 8, 1) == [102]
-    cache.put_run(0, 32, [4, 5])        # evicts both VRAM words
+    assert cache.read(0, 8, 1) == pack([102])
+    cache.put_run(0, 32, pack([4, 5]))  # evicts both VRAM words
     assert backing_words(backings[0], 3) == [1, 2, 102]
     assert backing_words(backings[1], 3) == [100, 101, 102]
     cache.drain()
@@ -1098,7 +1104,7 @@ def test_a_status_write_through_inside_a_pending_result_splits_it(solo):
         del ref.pending[(0, STATUS_AT + i * WORD)]
         ref.backings[0][STATUS_AT + i * WORD:STATUS_AT + (i + 1) * WORD] = pack([word])
     assert list(device.cache.pending.items()) == list(ref.pending.items())
-    assert device.cache.read(0, dst, 12) == (
+    assert device.cache.read(0, dst, 12) == pack(
         [2 * x for x in data[:4]] + [0, 0, 1, FLAG_CMD_FAULT]
         + [2 * x for x in data[8:]])
     device.mmio_write(simdev.REG_CACHE_FLUSH, 1)
@@ -1305,6 +1311,19 @@ def test_a_read_that_meets_the_only_pending_word_at_its_edge_sees_it(solo, src):
     assert read_status(device)[0] == 1
     assert 7 in vram_words(device, DATA_AT + 0x200, 4)
     assert vram_words(device, DATA_AT + 0x200, 4) == vram_words(device, src, 4)
+
+
+def test_a_fetch_window_that_starts_on_the_only_pending_word_sees_it(solo):
+    # the COPY turns the SET_REG's opcode into a NOP, and its register and
+    # value words (0, 0) are NOPs too; the window read afresh at that word
+    # starts on the envelope's only pending word
+    _, device = solo
+    poke_words(device, DATA_AT, [OP_NOP])
+    push_batch(device, [Copy(RING_AT + 4 * WORD, DATA_AT, 1), SetReg(0, 0)])
+    device.step(100)
+    assert device.cp_idle
+    assert read_status(device)[2] & FAULT_FLAGS == 0
+    assert device.cache.lo[0] == device.cache.hi[0] == RING_AT + 4 * WORD
 
 
 # 128-word rings across a device page end, one in VRAM and one in the
@@ -1668,7 +1687,7 @@ def test_a_dot_run_stops_at_a_target_on_the_fetch_window():
     third = RING_AT + 12 * WORD
     device = _dot_case(_dots(2, third, src1=DATA_AT + 0x80) + _dots(4, DOT_OUT)
                        + [Fence(1)], data=[0] * 32 + list(range(32)))
-    assert device.cache.read(0, third, 2) == [0, 0]  # pending: the fault drained nothing
+    assert device.cache.read(0, third, 2) == pack([0, 0])  # pending: the fault drained nothing
     assert read_status(device)[2] & FAULT_FLAGS == FLAG_CMD_FAULT
 
 
@@ -1814,7 +1833,7 @@ def test_a_dot_fetched_without_a_fetch_window_runs_on_its_own():
     assert read_status(device)[2] & FAULT_FLAGS == FLAG_MC_FAULT
     ring = vram_words(device, RING_AT, 8)
     dot = sum(x * y for x, y in zip(ring[:4], ring[4:8])) & MASK32
-    assert device.cache.read(0, 0x3000, 3) == [dot, dot, 0]  # pending: no drain
+    assert device.cache.read(0, 0x3000, 3) == pack([dot, dot, 0])  # pending: no drain
 
 
 # --- lane passes -------------------------------------------------------------
@@ -1942,6 +1961,83 @@ def test_a_matmul_shaped_product_with_lane_passes_reads_as_on_the_reference_inte
     assert device.device_digest() == ref.device_digest()
 
 
+# Lane stretches: LANES to 40 DOTs of one count that read one src1 run,
+# targets past the operand data, the stretches of a program one after
+# another, so that a later one may read what an earlier one left pending.
+
+LANE_DATA_WORDS = 128
+LANE_BUDGETS = (1024, 2048, 8192)  # a chunk of count 64 needs 1,040 cycles
+
+
+@st.composite
+def _lane_stretches(draw):
+    """1-3 stretches of LANES to 40 DOTs, each of one count from LANES to
+    64 and one src1 run, whose targets follow the last stretch's, so that
+    stretches with nothing between them form one run.  Once there are
+    earlier targets, one source in four (src1 among them) lies on them,
+    where the words are pending, or drained if a FENCE came between; in a
+    run that holds both stretches this ends the run.  Half of the later
+    stretches repeat the last one's sources.  A FENCE follows a stretch
+    half the time, and so does a COPY of 1-4 words over the operand data,
+    which a repeated stretch must read afresh."""
+    out = DATA_AT + LANE_DATA_WORDS * WORD
+    instrs, written, last = [], 0, None  # written: target words so far
+
+    def source(count):
+        if written >= count and not draw(st.integers(0, 3)):
+            return out + draw(st.integers(0, written - count)) * WORD
+        return DATA_AT + draw(st.integers(0, LANE_DATA_WORDS - count)) * WORD
+
+    for _ in range(draw(st.integers(1, 3))):
+        if last and draw(st.booleans()):
+            src1, srcs2, count = last
+        else:
+            count = draw(st.integers(LANES, 64))
+            src1 = source(count)
+            srcs2 = [source(count) for _ in range(draw(st.integers(LANES, 40)))]
+        instrs += [Compute(CO_DOT, out + (written + j) * WORD, src1, src2, count)
+                   for j, src2 in enumerate(srcs2)]
+        written += len(srcs2)
+        last = src1, srcs2, count
+        if draw(st.booleans()):
+            instrs.append(Fence(draw(st.integers(0, 8))))
+        if draw(st.booleans()):
+            n = draw(st.integers(1, 4))
+            dst, src = (DATA_AT + draw(st.integers(0, LANE_DATA_WORDS - n)) * WORD
+                        for _ in range(2))
+            instrs.append(Copy(dst, src, n))
+    return instrs
+
+
+def test_lane_stretches_run_as_on_the_reference_interpreter():
+    passes = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(_lane_stretches(), st.lists(st.integers(0, MASK32), min_size=LANE_DATA_WORDS,
+                                       max_size=LANE_DATA_WORDS),
+           st.sampled_from(LANE_BUDGETS))
+    def check(instrs, data, budget):
+        runs = []
+        for cls in (SimDevice, DecodeRunDevice):
+            platform = make_platform()
+            device = boot_solo(cls(platform.sysmem, vram_size=128 << 10))
+            poke_words(device, DATA_AT, data)
+            push_batch(device, instrs)
+            runs.append((platform, device))
+        (_, device), (_, ref) = runs
+        with mock.patch.object(simdev, "_lanes", wraps=simdev._lanes) as lanes:
+            while not device.cp_idle:
+                assert device.step(budget).cycles_used == ref.step(budget).cycles_used
+                _assert_same_ring_state(STATUS_AT, *runs)
+                assert device._window == ref._window
+                assert device.cache.size == ref.cache.size
+        assert ref.cp_idle
+        passes.append(lanes.call_count > 0)
+
+    check()
+    assert sum(passes) > len(passes) / 2  # most examples make a lane pass
+
+
 # --- inline device-local operand decode -------------------------------------
 
 DIFF_VRAM_WORDS = 2048   # the largest device memory drawn
@@ -2018,7 +2114,7 @@ def _run_device(cls, vram_words, base, limit, pending):
     device.mmio_write(REG_RB_BASE, DIFF_RING)
     device.mmio_write(REG_RB_SIZE, DIFF_RING_WORDS)
     for space, addr, n in pending:
-        device.cache.put_run(space, addr, [addr + i for i in range(n)])
+        device.cache.put_run(space, addr, pack([addr + i for i in range(n)]))
     return platform, device
 
 
