@@ -102,8 +102,12 @@ class LegacyDriver:
         self._push_ring(Copy(dst, src, n_words).encode(), drain=True)
 
     def _client(self, client: int) -> int:
-        if not isinstance(client, int) or client not in self.clients:
-            raise BadHandle(f"no client {client}")
+        """The caller's client id as a plain-int copy, which the syscall
+        then checks and uses in its place, as ``_word`` does for numbers."""
+        if type(client) is not int and isinstance(client, int):
+            client = int.__index__(client)
+        if type(client) is not int or client not in self.clients:
+            raise BadHandle(f"no client {client!r}")
         return client
 
     def _release(self, buf: Buffer):
@@ -137,32 +141,32 @@ class LegacyDriver:
 
     def legacy_close(self, client: int):
         self._charge()
-        self._client(client)
+        client = self._client(client)
         for buf in [b for b in self.buffers.values() if b.owner == client]:
             self._release(buf)
         del self.clients[client]
 
     def legacy_alloc(self, client: int, size: int, placement: str) -> int:
         self._charge()
-        self._client(client)
+        client = self._client(client)
         return self.pool.create(_word(size, "size"), placement, owner=client)
 
     def legacy_free(self, client: int, buffer_id: int):
         self._charge()
-        self._client(client)
+        client = self._client(client)
         self._release(self._buffer(client, buffer_id))
 
     def legacy_write(self, client: int, buffer_id: int, offset: int, data: bytes):
         data = payload(data)
         self._charge(len(data))
-        self._client(client)
+        client = self._client(client)
         self.pool.write_buffer(self._buffer(client, buffer_id),
                                _word(offset, "offset"), data)
 
     def legacy_read(self, client: int, buffer_id: int, offset: int, n: int) -> bytes:
         n = _word(n, "size")
         self._charge(n)
-        self._client(client)
+        client = self._client(client)
         return self.pool.read_buffer(self._buffer(client, buffer_id),
                                      _word(offset, "offset"), n)
 
@@ -211,7 +215,7 @@ class LegacyDriver:
         are those ``simdev.encode_batch`` gives for the patched
         instructions.  The whole batch is checked before its first chunk
         reaches the ring."""
-        self._client(client)
+        client = self._client(client)
         if not isinstance(batch, (list, tuple)):
             raise InvalError(f"batch must be a list of instructions, got {batch!r}")
         resolve = self._resolver(client)
@@ -257,7 +261,7 @@ class LegacyDriver:
 
     def legacy_wait(self, client: int, seq: int):
         """Syscall-based completion wait: one crossing per poll round."""
-        self._client(client)
+        client = self._client(client)
         seq = _word(seq, "fence seq")
         while True:
             self._charge()
@@ -269,7 +273,7 @@ class LegacyDriver:
 
     def legacy_fence_status(self, client: int, seq: int) -> bool:
         self._charge()
-        self._client(client)
+        client = self._client(client)
         return self.pool.poll() >= _word(seq, "fence seq")
 
     def legacy_set_mode(self, client: int, display: int, mode, fb=None):
@@ -277,7 +281,7 @@ class LegacyDriver:
         display register is written, it must be the caller's own,
         device-visible, and a whole frame long."""
         self._charge()
-        self._client(client)
+        client = self._client(client)
         width, height, _ = simdev.check_mode(display, mode)
         buf = self._buffer(client, fb)
         if buf.device_addr is None or buf.size < width * height * WORD:
@@ -288,7 +292,7 @@ class LegacyDriver:
 
     def legacy_info(self, client: int) -> dict:
         self._charge()
-        self._client(client)
+        client = self._client(client)
         return {"vram_total": len(self.device.vram),
                 "displays": DISPLAY_MODES,
                 "api": LEGACY_API}

@@ -555,6 +555,29 @@ def test_a_sub_op_that_claims_to_be_dot_is_checked_as_what_it_encodes(legacy):
     assert driver.legacy_read(other, theirs, 0, 256) == SECRET
 
 
+class _OwnsEverything(int):
+    """A client id that differs from no buffer's owner."""
+
+    def __ne__(self, other):
+        return False
+
+
+@pytest.mark.parametrize("call", [
+    lambda driver, client, mine, theirs: driver.legacy_read(client, theirs, 0, 16),
+    lambda driver, client, mine, theirs: driver.legacy_submit(
+        client, [Copy((mine, 0), (theirs, 0), 16)]),
+], ids=["read", "submit"])
+def test_a_client_id_that_differs_from_no_owner_reaches_only_its_own_buffers(legacy, call):
+    _, _, driver, client = legacy
+    mine, other, theirs = _neighbours(legacy)
+    with pytest.raises(PermError):
+        call(driver, _OwnsEverything(client), mine, theirs)
+    # whatever the refused call queued has run before the reads
+    driver.legacy_wait(client, driver.legacy_submit(client, [Nop()]))
+    assert SECRET[:8] not in driver.legacy_read(client, mine, 0, 256)
+    assert driver.legacy_read(other, theirs, 0, 256) == SECRET
+
+
 @pytest.mark.parametrize("sub", [CO_DOT + 1, -1, 1.0, "0"])
 def test_an_unknown_sub_op_is_refused(legacy, sub):
     platform, device, driver, client = legacy
