@@ -38,9 +38,9 @@ RING_WORDS = 4096
 RING_PAGES = RING_WORDS * WORD // PAGE_SIZE
 RING_OFF = PAGE_SIZE                       # pool offset of ring page 0
 STAGING_OFF = (1 + RING_PAGES) * PAGE_SIZE  # the page after the ring
-SLAB_FIRST_PAGE = 2 + RING_PAGES           # first page of the GTT region
-GTT_OFF = SLAB_FIRST_PAGE * PAGE_SIZE
-MIN_POOL_PAGES = SLAB_FIRST_PAGE + 1
+GTT_FIRST_PAGE = 2 + RING_PAGES           # first page of the GTT region
+GTT_OFF = GTT_FIRST_PAGE * PAGE_SIZE
+MIN_POOL_PAGES = GTT_FIRST_PAGE + 1
 
 
 def payload(data) -> bytes:
@@ -88,7 +88,7 @@ class PagePool:
     def __init__(self, sysmem, frames: list, *, alloc_vram, free_vram, copy):
         self.sysmem = sysmem
         self.frames = frames
-        self._gtt = FirstFitAllocator((len(frames) - SLAB_FIRST_PAGE) * PAGE_SIZE)
+        self._gtt = FirstFitAllocator((len(frames) - GTT_FIRST_PAGE) * PAGE_SIZE)
         self._alloc_vram = alloc_vram
         self._free_vram = free_vram
         self._copy = copy

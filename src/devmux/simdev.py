@@ -53,12 +53,11 @@ index (bits 12-21) and a 12-bit page offset.
 The command processor is one loop, ``SimDevice.step``: it fetches an
 instruction, pays its cycles from the budget and executes it in place, and
 an instruction the budget cannot pay for stays in flight until the next
-call.  The loop reads the ring size, RB_TAIL, MC_SEG_BASE and the end of
-device-local memory (the lower of MC_SEG_LIMIT and the VRAM size) once a
-call: nothing a call runs writes a register other than RB_HEAD and the
-scratch registers, since SET_REG may target only scratch registers and a
-fault, a FENCE and the status page move only RB_HEAD and the status words.
-Faults never have partial effects: an instruction either fully
+call.  The loop reads the ring size, RB_TAIL, MC_SEG_BASE and MC_SEG_LIMIT
+once a call: nothing a call runs writes a register other than RB_HEAD and
+the scratch registers, since SET_REG may target only scratch registers and
+a fault, a FENCE and the status page move only RB_HEAD and the status
+words.  Faults never have partial effects: an instruction either fully
 executes or leaves all target memory untouched, and a fault consumes the
 remainder of the batch.  Checks run in a fixed order: a COMPUTE checks its
 sub-op, reads src1, then src2, then decodes its target, and a DOT of count 0
@@ -85,15 +84,15 @@ the ring size for every instruction.
 
 Operand runs move as bytes, packed little-endian words, through helpers
 that ``step`` defines once a call: ``read(da, count)`` returns a run's bytes
-and span count, ``write(da, data)`` queues bytes in the write-back cache,
-and ``read_local`` unpacks a DOT run's operands.  A word-aligned run that
-ends inside the device-local window and inside the MC segment and VRAM is
-read and written at MC_SEG_BASE + address without building a span list; a
-read that misses the cache's address envelope is a slice of VRAM (for
-words, an unpack straight from it), and a write drops an overlapping fetch
-window.  Every other run, and every run that faults, goes through
-``_decode_run``, which raises the fault (a write through ``_write_run``), so
-the words, the faults and the IOMMU's translations are the same either way.
+and span count, and ``write(da, data)`` queues bytes in the write-back
+cache.  A word-aligned run that ends at or below ``local_hi`` (the lowest
+of the window's end, the MC segment's and VRAM's, as a device address) is
+device-local: it is read and written at MC_SEG_BASE + address without
+building a span list; a read that misses the cache's address envelope is
+a slice of VRAM, and a write drops an overlapping fetch window.  Every
+other run, and every run that faults, goes through ``_decode_run``, which
+raises the fault (a write through ``_write_run``), so the words, the
+faults and the IOMMU's translations are the same either way.
 The fetch window, FENCE, scanout and the status page always decode through
 ``_decode_run``, and ``_sync_status_page`` alone writes the status page,
 once per event or FENCE.
@@ -110,37 +109,42 @@ DOT runs: a DOT that ``step`` fetches afresh from the fetch window (not one
 in flight) runs together with the whole DOT instructions that follow it in
 the window, as one instruction: ``step`` computes every product, queues the
 results with one ``put_run``, bills the summed cycles and moves RB_HEAD
-once.  The runs of one ``step()`` call share an operand memo that reads
-each distinct operand run (address and count) once and stores at most
-DOT_MEMO_WORDS words a call.  A device-local write over its words empties
-it, and so does a FENCE, whose status page may lie on them; a fault ends
-the call's work.  A run takes a DOT only while all these hold, and happens
-only with two DOTs or more; others run alone:
+once.  A scan checks each DOT against the conditions below, computes
+those that take no lane pass and records the others for the lane passes.
+The runs of one ``step()`` call share an operand memo that reads each
+distinct operand run (address and count) once, through ``operand``, and
+stores at most DOT_MEMO_WORDS words a call.  A device-local write over its
+words empties it, and so does a FENCE, whose status page may lie on them;
+a fault ends the call's work.  A run takes a DOT only while all these
+hold, and happens only with two DOTs or more; others run alone:
 
 1. it is a COMPUTE DOT of count 1 or more (a DOT of count 0 writes a zero);
 2. its target is the word after the previous DOT's, so the results are one
    run of words, and one ``put_run`` of them is one put per word in order;
 3. its cycles fit the budget left, so the first DOT that does not fit is
    left to become in flight as before;
-4. both operand runs and the target word are word-aligned device-local
-   runs, as ``read`` and ``write`` test, so nothing in the run faults or
-   translates;
+4. both operand runs and the target word are device-local, as ``read`` and
+   ``write`` test them against ``local_hi``, so nothing in the run faults
+   or translates;
 5. neither operand run overlaps the targets of the run's earlier DOTs,
    whose results are not queued yet;
 6. its target misses the fetch window's words, since a write there drops
    the window and changes what is fetched next.
 
 A run computes its DOTs of count LANES to LANE_MAX_COUNT in lane passes
-(SIMD within a register).  Each LANES of them that read one src1 run form
-a chunk: word k of their src2 runs is packed into one integer, a lane per
-DOT, so ``sum(map(mul, src1 words, columns))`` holds each DOT's sum in its
-lane, and a lane's low word is its DOT's result, in the DOT's own place.
-A lane is 8 + ceil(count.bit_length() / 8) bytes: a sum is below count *
-2**64, so none carries into the next lane.  DOTs that fill no chunk run
-alone.  The chunk width is fixed, as integers of many sizes would each keep
+(SIMD within a register).  Its lane DOTs that follow one another and read
+one src1 run with one count form a row, and each LANES of a row a chunk:
+word k of their src2 runs is packed into one integer, a lane per DOT, so
+``sum(map(mul, src1 words, columns))`` holds each DOT's sum in its lane,
+and a lane's low word is its DOT's result.  A lane is
+8 + ceil(count.bit_length() / 8) bytes: a sum is below count * 2**64, so
+none carries into the next lane.  The rest of a row runs one DOT at a time.
+The chunk width is fixed, as integers of many sizes would each keep
 allocator memory of their own, and LANE_MAX_COUNT bounds the LANES operand
-runs a pass holds.  The memo keeps a chunk's columns, as count * LANES
-words, only while it keeps every src2 run, so whatever empties it drops them.
+runs a pass holds.  The memo keeps a chunk's columns (count * LANES words)
+only if it has the room; room only shrinks within a call, so every src2
+run of the chunk had room and is in the memo too: what empties it drops
+the columns.
 """
 
 from __future__ import annotations
@@ -149,7 +153,8 @@ import mmap
 import struct
 from collections import deque
 from functools import lru_cache
-from operator import mul
+from itertools import groupby
+from operator import itemgetter, mul
 
 from devmux.errors import (CmdFault, HardwareFault, IommuFault, InvalError,
                            McFault, OutOfMemory, RegFault)
@@ -481,8 +486,6 @@ class WriteBackCache:
     queue order, and no word is in two entries; an eviction or a drain
     writes each entry's span back with one slice assignment.  ``read``
     returns bytes, the backing with pending bytes laid over it.
-    ``pending`` shows the queue word by word, as a fresh ``(space, byte
-    addr) -> word`` dict, oldest first.
 
     ``lo[space]`` and ``hi[space]`` bound the byte addresses put in each
     space since the last drain (the envelope).  ``put_run`` widens it before
@@ -498,13 +501,6 @@ class WriteBackCache:
         self.size = 0  # pending words
         self.lo = [_NO_ADDR] * _SPACES
         self.hi = [-1] * _SPACES
-
-    @property
-    def pending(self) -> dict:
-        """(space, byte addr) -> word, oldest first; a copy."""
-        return {(space, addr + i * WORD): word
-                for space, addr, data in self._runs
-                for i, (word,) in enumerate(struct.iter_unpack("<I", data))}
 
     def put_run(self, space: int, addr: int, data):
         """Queue ``data``, packed words, at consecutive byte addresses from
@@ -850,12 +846,9 @@ class SimDevice:
                 window = self._window = None
             else:
                 space, addr, count = span
-                last = addr + (count - 1) * WORD
-                if addr > self.cache.hi[space] or self.cache.lo[space] > last:  # off the envelope
-                    fetched = _words(count).unpack_from(self._backings[space], addr)
-                else:
-                    fetched = _words(count).unpack(self.cache.read(space, addr, count))
-                window = self._window = (head, head + count * WORD, fetched, space, addr, last)
+                fetched = _words(count).unpack(self.cache.read(space, addr, count))
+                window = self._window = (head, head + count * WORD, fetched, space, addr,
+                                         addr + (count - 1) * WORD)
         if window is None:
             fetched, i = self._read_run(self.regs[REG_RB_BASE] + head, 1), 0
         else:
@@ -895,46 +888,53 @@ class SimDevice:
         ring = regs[REG_RB_SIZE] * WORD
         tail = regs[REG_RB_TAIL]
         seg_base = regs[REG_MC_SEG_BASE]
-        local_end = min(regs[REG_MC_SEG_LIMIT], len(self.vram))
-        vram_window_end = VRAM_WINDOW_END
+        # a word-aligned run at da is device-local if it ends at or below
+        # local_hi: inside the window, the MC segment and VRAM
+        local_hi = min(VRAM_WINDOW_END, regs[REG_MC_SEG_LIMIT] - seg_base,
+                       len(self.vram) - seg_base)
         vram = self.vram
         cache = self.cache
         put_run = cache.put_run
         write_run = self._write_run
 
-        # operand runs: a word-aligned run that ends inside the device-local
-        # window, the MC segment and VRAM decodes here (see the module
+        # operand runs: a device-local run decodes here (see the module
         # docstring); every other run, and every fault, goes through
         # _decode_run (writes: _write_run)
-        def read_local(da, count):
-            """The ``count`` words at ``da`` if they are such a run, else None."""
-            n_bytes = count * WORD
-            loc = seg_base + da
-            if da % WORD or da + n_bytes > vram_window_end or loc + n_bytes > local_end:
-                return None
-            if loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= loc + n_bytes:
-                return _words(count).unpack_from(vram, loc)
-            return _words(count).unpack(cache.read(_SPACE_VRAM, loc, count))
-
         def read(da, count):
             """(the ``count`` words at ``da`` as bytes, their span count)"""
-            loc = seg_base + da
-            if da % WORD or da + count * WORD > vram_window_end or loc + count * WORD > local_end:
+            if da % WORD or da + count * WORD > local_hi:
                 spans = self._decode_run(da, count, False)
                 if len(spans) == 1:
                     return cache.read(*spans[0]), 1
                 return b"".join([cache.read(*span) for span in spans]), len(spans)
-            return cache.read(_SPACE_VRAM, loc, count), 1
+            return cache.read(_SPACE_VRAM, seg_base + da, count), 1
 
         # DOT-run operand memo, (address, count) -> words in [memo_lo, memo_hi)
         memo, room, memo_lo, memo_hi = {}, DOT_MEMO_WORDS, _NO_ADDR, -1
 
+        def operand(da, count):
+            """The ``count`` words of the device-local run at ``da``, which
+            the memo misses; the memo keeps them while it has room."""
+            nonlocal room, memo_lo, memo_hi
+            loc, end = seg_base + da, da + count * WORD
+            if loc > cache.hi[_SPACE_VRAM] or cache.lo[_SPACE_VRAM] >= seg_base + end:
+                words = _words(count).unpack_from(vram, loc)
+            else:
+                words = _words(count).unpack(cache.read(_SPACE_VRAM, loc, count))
+            if count <= room:
+                memo[da, count] = words
+                room -= count
+                # not min() and max(): their calls cost tenants' steps 5%
+                memo_lo = da if da < memo_lo else memo_lo
+                memo_hi = end if end > memo_hi else memo_hi
+            return words
+
         def write(da, data):
             n_bytes = len(data)
-            loc = seg_base + da
-            if da % WORD or da + n_bytes > vram_window_end or loc + n_bytes > local_end:
+            if da % WORD or da + n_bytes > local_hi:
                 write_run(da, data)
                 return
+            loc = seg_base + da
             window = self._window  # _drop_window_over, inline
             if (window is not None and window[3] == _SPACE_VRAM
                     and loc <= window[5] and window[4] <= loc + n_bytes - WORD):
@@ -948,7 +948,7 @@ class SimDevice:
             DOTs after it in the fetch window as one instruction, if at least
             two in a row meet the DOT-run conditions (see the module
             docstring); the cycles they cost, or 0."""
-            nonlocal room, memo_lo, memo_hi
+            nonlocal room
             window = self._window
             if window is None or first % WORD:
                 return 0
@@ -957,75 +957,59 @@ class SimDevice:
             # DOTs of 24 bytes in the window and the batch, at 2 cycles or
             # more each, whose consecutive targets meet conditions 4 and 6
             n = min(window[1] - head, (tail - head) % ring, left * 12,
-                    (min(vram_window_end, local_end - seg_base) - first) * 6) // 24
+                    (local_hi - first) * 6) // 24
             if window[3] == _SPACE_VRAM and first <= window[5] - seg_base:
                 n = min(n, (window[4] - seg_base - first) // WORD)
             if n < 2 or fetched[i + 5] + 3 > left:  # the first DOT, 2 cycles for a second
                 return 0
-            results, cycles, dst, stop = [], 0, first, i + 6 * n
-            lane_count = 0  # with lane_s1, the src1 run of the DOTs in waiting
-            waiting = ()  # (result slot, src2, src2 words) of lane DOTs
-            for opcode, sub, d, s1, s2, count in zip(*[iter(fetched[i:stop])] * 6):
+            # the scan: a DOT that takes no lane pass is computed at once,
+            # a lane DOT (src1, count, src2, result slot) waits for its row
+            results, lane_dots, cycles, dst = [], [], 0, first
+            for opcode, sub, d, s1, s2, count in zip(*[iter(fetched[i:i + 6 * n])] * 6):
                 spent = cycles + 1 + count
                 n_bytes = count * WORD
                 if (opcode != OP_COMPUTE or sub != CO_DOT or not count or d != dst
-                        or spent > left
+                        or spent > left or s1 % WORD or s2 % WORD
+                        or s1 + n_bytes > local_hi or s2 + n_bytes > local_hi
                         # the earlier targets, [first, dst), are not queued yet
                         or results and (s1 < dst and first < s1 + n_bytes
                                         or s2 < dst and first < s2 + n_bytes)):
                     break
-                # inline: a call costs tenants 2-4%; a memo hit is never None
-                a = memo.get((s1, count))
-                if a is None:
-                    a = read_local(s1, count)
-                    if a is None:
-                        break
-                    if count <= room:
-                        memo[s1, count] = a
-                        room -= count
-                        memo_lo = s1 if s1 < memo_lo else memo_lo
-                        memo_hi = s1 + n_bytes if s1 + n_bytes > memo_hi else memo_hi
-                b = memo.get((s2, count))
-                if b is None:
-                    b = read_local(s2, count)
-                    if b is None:
-                        break
-                    if count <= room:
-                        memo[s2, count] = b
-                        room -= count
-                        memo_lo = s2 if s2 < memo_lo else memo_lo
-                        memo_hi = s2 + n_bytes if s2 + n_bytes > memo_hi else memo_hi
-                if count >= LANES and count <= LANE_MAX_COUNT:
-                    # a lane DOT: its slot waits for a full chunk
-                    if count != lane_count or s1 != lane_s1:
-                        for at, _, x in waiting:
-                            results[at] = sum(map(mul, lane_a, x)) & MASK32
-                        lane_s1, lane_count, lane_a, waiting = s1, count, a, []
-                    waiting.append((len(results), s2, b))
+                if LANES <= count <= LANE_MAX_COUNT:
+                    lane_dots.append((s1, count, s2, len(results)))
                     results.append(0)
-                    if len(waiting) == LANES:
-                        slots, addrs, runs = zip(*waiting)
-                        waiting = []
-                        layout = _lanes(count)
-                        columns = memo.get((addrs, count))
-                        if columns is None:  # word k of every run, one per lane
-                            columns = [int.from_bytes(column, "little")
-                                       for column in map(layout.pack, *runs)]
-                            if (count * LANES <= room  # and memo keeps every run
-                                    and memo.keys() >= set(zip(addrs, [count] * LANES))):
-                                memo[addrs, count] = columns
-                                room -= count * LANES
-                        lanes = sum(map(mul, a, columns)).to_bytes(layout.size, "little")
-                        for at, word in zip(slots, layout.unpack(lanes)):
-                            results[at] = word
-                else:
+                else:  # the memo probes inline: operand() only on a miss
+                    a = memo.get((s1, count)) or operand(s1, count)
+                    b = memo.get((s2, count)) or operand(s2, count)
                     results.append(sum(map(mul, a, b)) & MASK32)
                 cycles = spent
                 dst += WORD
             if len(results) < 2:
                 return 0
-            for at, _, x in waiting:  # fewer than LANES: one at a time
-                results[at] = sum(map(mul, lane_a, x)) & MASK32
+            # the lane passes: each row of lane DOTs that read one src1 run
+            # with one count, LANES DOTs a pass and the rest one at a time
+            for (s1, count), row in groupby(lane_dots, itemgetter(0, 1)) if lane_dots else ():
+                a = memo.get((s1, count)) or operand(s1, count)
+                row = list(row)
+                full = len(row) - len(row) % LANES
+                for k in range(0, full, LANES):
+                    chunk = row[k:k + LANES]
+                    addrs = tuple([dot[2] for dot in chunk])
+                    layout = _lanes(count)
+                    columns = memo.get((addrs, count))
+                    if columns is None:  # word k of every run, one per lane
+                        runs = [memo.get((s2, count)) or operand(s2, count) for s2 in addrs]
+                        columns = [int.from_bytes(column, "little")
+                                   for column in map(layout.pack, *runs)]
+                        if count * LANES <= room:  # so the memo kept every run
+                            memo[addrs, count] = columns
+                            room -= count * LANES
+                    lanes = sum(map(mul, a, columns)).to_bytes(layout.size, "little")
+                    for dot, word in zip(chunk, layout.unpack(lanes)):
+                        results[dot[3]] = word
+                for _, _, s2, at in row[full:]:
+                    b = memo.get((s2, count)) or operand(s2, count)
+                    results[at] = sum(map(mul, a, b)) & MASK32
             if first < memo_hi and memo_lo < dst:
                 memo.clear()
             put_run(_SPACE_VRAM, seg_base + first, _words(len(results)).pack(*results))

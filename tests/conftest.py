@@ -185,6 +185,14 @@ def poke_words(device, addr, words):
     device.vram[addr:addr + len(words) * WORD] = pack(words)
 
 
+def pending(cache):
+    """A write-back cache's queue word by word: a fresh ``(space, byte
+    addr) -> word`` dict, oldest first."""
+    return {(space, addr + i * WORD): word
+            for space, addr, data in cache._runs
+            for i, (word,) in enumerate(struct.iter_unpack("<I", data))}
+
+
 @pytest.fixture
 def solo():
     """(platform, booted standalone device) for register-level tests."""

@@ -12,7 +12,7 @@ from devmux.errors import (BadHandle, DeviceFault, InvalError, NotFoundError,
 from devmux.legacydrv import LEGACY_API, LegacyDriver
 from devmux.platform import CostLedger
 from devmux.pool import (MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_OFF, RING_WORDS,
-                         SLAB_FIRST_PAGE)
+                         GTT_FIRST_PAGE)
 from devmux.simdev import (CO_ADD, CO_DOT, CO_MUL, REG_DISP_ENABLE, REG_DISP_PLL,
                            REG_DISP_TIMING_H, REG_DISP_TIMING_V, REG_FB_BASE,
                            INSTR_WORDS, OP_COMPUTE, REG_RB_HEAD, REG_RB_TAIL, REG_SCRATCH0,
@@ -409,8 +409,8 @@ def test_a_closed_clients_gtt_space_comes_back_whole(legacy):
             break
     driver.legacy_close(client)
     fresh = driver.legacy_open("next")
-    whole = driver.legacy_alloc(fresh, (64 - SLAB_FIRST_PAGE) * PAGE_SIZE, "GTT")
-    assert driver.buffers[whole].pool_off == SLAB_FIRST_PAGE * PAGE_SIZE
+    whole = driver.legacy_alloc(fresh, (64 - GTT_FIRST_PAGE) * PAGE_SIZE, "GTT")
+    assert driver.buffers[whole].pool_off == GTT_FIRST_PAGE * PAGE_SIZE
 
 
 def test_oversized_batches_are_chunked_through_the_ring(legacy):

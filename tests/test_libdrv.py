@@ -12,7 +12,7 @@ from devmux.errors import (BadHandle, BatchTooBig, DeviceFault, InvalError,
                            OutOfVram)
 from devmux.libdrv import LibraryDriver
 from devmux.pool import (GTT, MAX_BATCH_WORDS, MIN_POOL_PAGES, RING_WORDS,
-                         SLAB_FIRST_PAGE, SYS, VRAM)
+                         GTT_FIRST_PAGE, SYS, VRAM)
 from devmux.simdev import (APERTURE_BASE, CO_ADD, CO_DOT, FAULT_FLAGS,
                            FLAG_CMD_FAULT, MASK32, PAGE_SIZE, REG_FB_BASE,
                            REG_MC_SEG_LIMIT, REG_MC_SEG_BASE, REG_RB_TAIL,
@@ -95,14 +95,14 @@ def test_gtt_buffers_live_in_the_pool_window(bound_lib):
     h = lib.create_buffer(6000, GTT)
     buf = lib.buffers[h]
     assert buf.device_addr == APERTURE_BASE + buf.pool_off
-    assert SLAB_FIRST_PAGE * PAGE_SIZE <= buf.pool_off
+    assert GTT_FIRST_PAGE * PAGE_SIZE <= buf.pool_off
     assert buf.pool_off + buf.size <= POOL * PAGE_SIZE
 
 
 def test_gtt_pool_exhaustion(bound_lib):
     _, _, _, lib = bound_lib
     with pytest.raises(OutOfPool):
-        lib.create_buffer((POOL - SLAB_FIRST_PAGE) * PAGE_SIZE + 1, GTT)
+        lib.create_buffer((POOL - GTT_FIRST_PAGE) * PAGE_SIZE + 1, GTT)
 
 
 @settings(max_examples=50, deadline=None)
@@ -128,10 +128,10 @@ def test_gtt_ranges_stay_disjoint_and_freed_space_comes_back_whole(ops):
         for (_, end), (start, _) in zip(spans, spans[1:]):
             assert end <= start, "live GTT buffers overlap"
         for start, end in spans:
-            assert SLAB_FIRST_PAGE * PAGE_SIZE <= start and end <= POOL * PAGE_SIZE
+            assert GTT_FIRST_PAGE * PAGE_SIZE <= start and end <= POOL * PAGE_SIZE
     for handle in live:
         lib.destroy_buffer(handle)
-    lib.create_buffer((POOL - SLAB_FIRST_PAGE) * PAGE_SIZE, GTT)
+    lib.create_buffer((POOL - GTT_FIRST_PAGE) * PAGE_SIZE, GTT)
 
 
 def test_vram_segment_exhaustion_and_address_reuse(bound_lib):

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (DATA_AT, RING_AT, RING_WORDS, STATUS_AT, SW_PAGES, SW_RING_WORDS,
                       DecodeRunDevice, UnflushedRootIommu, assert_same_device,
-                      boot_solo, make_device, make_platform, pack, poke_words,
-                      push_batch, read_status, swarm_examples, unpack, vram_words)
+                      boot_solo, make_device, make_platform, pack, pending,
+                      poke_words, push_batch, read_status, swarm_examples,
+                      unpack, vram_words)
 from devmux import simdev
 from devmux.errors import IommuFault, InvalError, OutOfMemory, RegFault
 from devmux.simdev import (APERTURE_BASE, CACHE_WORDS, CO_ADD, CO_DOT, CO_MUL,
@@ -387,6 +388,31 @@ def test_mc_limit_fault_leaves_memory_untouched(solo):
     assert after[STATUS_AT + 16:] == before[STATUS_AT + 16:]
 
 
+VRAM_END_128K = 128 << 10
+
+
+@pytest.mark.parametrize("instrs", [
+    [Copy(DATA_AT, VRAM_END_128K - 2 * WORD, 4)],
+    [Copy(VRAM_END_128K - 2 * WORD, DATA_AT, 4)],
+    [Compute(CO_DOT, DATA_AT + 0x100 + j * WORD, DATA_AT, DATA_AT + 0x40, 4) for j in range(2)]
+    + [Compute(CO_DOT, DATA_AT + 0x108, VRAM_END_128K - 2 * WORD, DATA_AT, 4)],
+], ids=["copy-src", "copy-dst", "dot-run-src"])
+def test_a_run_past_the_end_of_vram_faults_inside_a_wider_segment(instrs):
+    # the segment's limit lies past the end of VRAM, so VRAM's own end
+    # bounds the device-local runs
+    runs = []
+    for cls in (SimDevice, DecodeRunDevice):
+        platform = make_platform()
+        device = boot_solo(cls(platform.sysmem, vram_size=VRAM_END_128K))
+        device.mmio_write(REG_MC_SEG_LIMIT, 2 * VRAM_END_128K)
+        poke_words(device, DATA_AT, range(1, 33))
+        push_batch(device, instrs + [Fence(1)])
+        device.step(1000)
+        assert read_status(device)[2] & FAULT_FLAGS == FLAG_MC_FAULT
+        runs.append((platform, device))
+    assert_same_device(*runs)
+
+
 def test_pte_walk_example():
     platform = make_platform()
     device = boot_solo(make_device(platform))
@@ -545,7 +571,7 @@ def test_a_fence_that_faults_on_its_status_page_changes_nothing(solo, ih, flag):
     assert device.mmio_read(REG_SCRATCH0) == 0  # the fault took the batch
     # the fence drained nothing and retired nothing
     assert vram_words(device, DATA_AT + 0x100, 2) == [0, 0]
-    assert list(device.cache.pending.items()) == [
+    assert list(pending(device.cache).items()) == [
         ((0, DATA_AT + 0x100), 10), ((0, DATA_AT + 0x104), 12)]
     device.mmio_write(REG_IH_PAGE_ADDR, STATUS_AT)
     assert read_status(device) == (0, 1, flag)
@@ -779,7 +805,7 @@ def test_an_add_with_translation_disabled_faults_and_writes_nothing(src1, src2):
         seq, irq, flags = read_status(device)
         assert (seq, irq, flags & FAULT_FLAGS) == (0, 1, FLAG_IOMMU_FAULT)
         assert device.mmio_read(REG_RB_HEAD) == device.mmio_read(REG_RB_TAIL)
-        assert not device.cache.pending
+        assert not pending(device.cache)
         after = bytes(device.vram)  # all but the status words
         assert after[:STATUS_AT] == vram[:STATUS_AT]
         assert after[STATUS_AT + 16:] == vram[STATUS_AT + 16:]
@@ -841,10 +867,10 @@ def test_updating_a_pending_word_keeps_its_fifo_place():
     cache = WriteBackCache(4, backings)
     cache.put_run(0, 0, pack([1, 2, 3, 4]))
     cache.put_run(0, 0, pack([9]))      # an update, not a new word
-    assert list(cache.pending.items()) == [((0, 0), 9), ((0, 4), 2),
+    assert list(pending(cache).items()) == [((0, 0), 9), ((0, 4), 2),
                                            ((0, 8), 3), ((0, 12), 4)]
     cache.put_run(0, 16, pack([5]))     # evicts the updated word first
-    assert list(cache.pending) == [(0, 4), (0, 8), (0, 12), (0, 16)]
+    assert list(pending(cache)) == [(0, 4), (0, 8), (0, 12), (0, 16)]
     assert backing_words(backings[0], 5) == [9, 101, 102, 103, 104]
 
 
@@ -854,7 +880,7 @@ def test_a_word_evicted_by_its_own_run_goes_back_in_at_the_tail():
     cache.put_run(0, 4, pack([1, 2, 3, 4]))  # words 1..4 pending
     # word 0 evicts word 1, then word 1 (new again) evicts word 2
     cache.put_run(0, 0, pack([5, 6]))
-    assert list(cache.pending.items()) == [((0, 12), 3), ((0, 16), 4),
+    assert list(pending(cache).items()) == [((0, 12), 3), ((0, 16), 4),
                                            ((0, 0), 5), ((0, 4), 6)]
     # the backing holds the evicted values, not the re-inserted one
     assert backing_words(backings[0], 5) == [100, 1, 2, 103, 104]
@@ -865,10 +891,10 @@ def test_a_pending_word_updates_only_in_its_own_space():
     cache.put_run(1, 4, pack([9]))
     cache.put_run(0, 0, pack([1]))      # VRAM word 0 is pending too
     cache.put_run(1, 0, pack([2, 3]))   # system words 0 (new) and 1 (pending)
-    assert list(cache.pending.items()) == [((1, 4), 3), ((0, 0), 1),
+    assert list(pending(cache).items()) == [((1, 4), 3), ((0, 0), 1),
                                            ((1, 0), 2)]
     cache.put_run(0, 32, pack([5]))     # a fourth word fits: nothing evicted
-    assert list(cache.pending.items()) == [((1, 4), 3), ((0, 0), 1),
+    assert list(pending(cache).items()) == [((1, 4), 3), ((0, 0), 1),
                                            ((1, 0), 2), ((0, 32), 5)]
 
 
@@ -883,7 +909,7 @@ def test_a_run_longer_than_the_cache_over_pending_words_is_one_put_per_word():
         cache.put_run(space, addr, pack(words))
         for i, word in enumerate(words):
             ref.put((space, addr + i * WORD), word)
-        assert list(cache.pending.items()) == list(ref.pending.items())
+        assert list(pending(cache).items()) == list(ref.pending.items())
         assert backings == ref.backings
 
 
@@ -905,7 +931,7 @@ def test_compute_longer_than_the_cache_reads_back_before_its_fence():
     assert not device.cp_idle
     assert vram_words(device, fill, CACHE_WORDS) == sums[:CACHE_WORDS]
     assert vram_words(device, dst, count) == sums[:100] + [0] * CACHE_WORDS
-    assert list(device.cache.pending.items()) == [
+    assert list(pending(device.cache).items()) == [
         ((0, dst + i * WORD), sums[i]) for i in range(100, count)]
     # the digest sees exactly those bytes: a twin that never ran, given
     # the written-back words and the same RB_HEAD, hashes the same
@@ -970,10 +996,10 @@ def test_cache_runs_equal_one_put_per_word(program):
             cache.drain()
             while ref.pending:
                 ref.write_back(next(iter(ref.pending)))
-        assert list(cache.pending.items()) == list(ref.pending.items())
+        assert list(pending(cache).items()) == list(ref.pending.items())
         assert cache.size == len(ref.pending)
         assert cache.backings == ref.backings
-        for space, addr in cache.pending:
+        for space, addr in pending(cache):
             assert cache.lo[space] <= addr <= cache.hi[space]
         for space, (first, n) in enumerate(per_space):
             backing = backing_words(ref.backings[space])
@@ -990,14 +1016,14 @@ def test_an_eviction_can_trim_the_front_entry_partway():
     cache.put_run(0, 0, pack([1, 2, 3]))
     cache.put_run(1, 0, pack([4]))
     cache.put_run(0, 64, pack([5, 6]))  # evicts words 0 and 1 only
-    assert list(cache.pending.items()) == [((0, 8), 3), ((1, 0), 4),
+    assert list(pending(cache).items()) == [((0, 8), 3), ((1, 0), 4),
                                            ((0, 64), 5), ((0, 68), 6)]
     assert backing_words(backings[0], 3) == [1, 2, 102]
     cache.put_run(0, 8, pack([7]))      # the rest of the entry updates in place
     assert cache.read(0, 0, 3) == pack([1, 2, 7])
     cache.put_run(0, 72, pack([8]))     # and is the next to go
     assert backing_words(backings[0], 3) == [1, 2, 7]
-    assert list(cache.pending) == [(1, 0), (0, 64), (0, 68), (0, 72)]
+    assert list(pending(cache)) == [(1, 0), (0, 64), (0, 68), (0, 72)]
 
 
 def test_a_read_across_two_entries_and_a_gap_overlays_both():
@@ -1016,7 +1042,7 @@ def test_a_run_that_continues_the_tail_in_the_other_space_starts_an_entry():
     cache = WriteBackCache(3, backings)
     cache.put_run(0, 0, pack([1, 2]))
     cache.put_run(1, 8, pack([3]))      # system word 2, after VRAM word 1
-    assert list(cache.pending.items()) == [((0, 0), 1), ((0, 4), 2),
+    assert list(pending(cache).items()) == [((0, 0), 1), ((0, 4), 2),
                                            ((1, 8), 3)]
     assert cache.read(0, 8, 1) == pack([102])
     cache.put_run(0, 32, pack([4, 5]))  # evicts both VRAM words
@@ -1042,7 +1068,7 @@ def test_a_status_write_through_inside_a_pending_result_splits_it(solo):
     for i, word in enumerate((0, 0, 1, FLAG_CMD_FAULT)):
         del ref.pending[(0, STATUS_AT + i * WORD)]
         ref.backings[0][STATUS_AT + i * WORD:STATUS_AT + (i + 1) * WORD] = pack([word])
-    assert list(device.cache.pending.items()) == list(ref.pending.items())
+    assert list(pending(device.cache).items()) == list(ref.pending.items())
     assert device.cache.read(0, dst, 12) == pack(
         [2 * x for x in data[:4]] + [0, 0, 1, FLAG_CMD_FAULT]
         + [2 * x for x in data[8:]])
@@ -1203,7 +1229,7 @@ def test_a_write_from_the_vram_window_past_its_end_faults_whole(
         queue(platform, device, simdev.encode_batch([make(dst), Fence(1)]))
         device.step(100)
         assert read_status(device) == (0, 1, FLAG_MC_FAULT)
-        assert not device.cache.pending
+        assert not pending(device.cache)
         return device.device_digest()
 
     # two words inside the window and two past it leave the same state as
@@ -1230,7 +1256,7 @@ def test_an_operand_one_word_past_the_vram_window_end_faults_whole(make, monkeyp
         queue(platform, device, simdev.encode_batch([make(da), Fence(1)]))
         device.step(100)
         assert read_status(device) == (0, 1, FLAG_MC_FAULT)
-        assert not device.cache.pending
+        assert not pending(device.cache)
         return device.device_digest()
 
     # three words inside the window and one past it leave the same state
@@ -1379,7 +1405,7 @@ def test_a_run_of_64_dots_in_one_window_is_one_fetch(solo):
         assert device.step(10_000).cycles_used == 64 * 9
     assert fetch.call_count == 1
     assert device.cp_idle
-    assert [word for _, word in device.cache.pending.items()] == [
+    assert [word for _, word in pending(device.cache).items()] == [
         sum(x * y for x, y in zip(xs[j:j + 8], xs[16:24])) & MASK32 for j in range(64)]
 
 
@@ -1508,7 +1534,7 @@ def test_a_dot_run_keeps_no_more_operand_words_than_its_bound():
     ref.step(n * (count + 1) + 4)
     assert device.cp_idle and read_status(device)[0] == 1
     assert vram_words(device, out, n) == vram_words(ref, out, n)
-    assert list(device.cache.pending.items()) == list(ref.cache.pending.items())
+    assert list(pending(device.cache).items()) == list(pending(ref.cache).items())
     assert device.device_digest() == ref.device_digest()
     # the bound's words and the two operand runs in hand, at up to 96
     # bytes a word: an int object and its tuple slot take 40
@@ -1574,6 +1600,22 @@ def test_a_run_of_two_chunks_and_a_remainder_reads_as_one_dot_at_a_time():
         _dot_words(data, DATA_AT, src2, count) for src2 in srcs2]
 
 
+def test_a_lane_row_ends_where_the_count_changes():
+    # two chunks read one src1 run and the same src2 runs, the second with
+    # one word more: two rows of one chunk each
+    rng = random.Random(33)
+    data = [rng.getrandbits(32) for _ in range(3 * LANES)]
+    srcs2 = [DATA_AT + (j + 1) * WORD for j in range(LANES)]
+    instrs = [dot for k, count in enumerate((LANES, LANES + 1)) for dot in _lane_dots(
+        [LANE_OUT + (k * LANES + j) * WORD for j in range(LANES)], DATA_AT, srcs2, count)]
+    with mock.patch.object(simdev, "_lanes", wraps=simdev._lanes) as lanes:
+        device = _dot_case(instrs + [Fence(1)], budget=2 * LANES * (LANES + 2) + 4, data=data)
+    assert lanes.call_count == 2
+    assert vram_words(device, LANE_OUT, 2 * LANES) == [
+        _dot_words(data, DATA_AT, src2, count) for count in (LANES, LANES + 1)
+        for src2 in srcs2]
+
+
 def test_a_lane_pass_reads_what_a_copy_between_runs_put_over_a_partner():
     # both runs read one src1 run and the same LANES src2 runs; the COPY
     # between them writes over the src2 run of the fifth DOT
@@ -1592,6 +1634,29 @@ def test_a_lane_pass_reads_what_a_copy_between_runs_put_over_a_partner():
     data[5 * count + 1:5 * count + 3] = data[(LANES + 1) * count:(LANES + 1) * count + 2]
     assert vram_words(device, LANE_OUT + LANES * WORD, LANES) == [
         _dot_words(data, DATA_AT, src2, count) for src2 in srcs2]
+
+
+def test_a_lane_pass_keeps_no_columns_of_runs_the_memo_had_no_room_for():
+    # a DOT of 4,000 words leaves the memo 96 words of room: the chunk's
+    # src1 run and its top five src2 runs take them, and the eleven below
+    # are read but not kept, so a COPY over the lowest one's first word
+    # misses the memo's span; the second chunk must not reuse the columns
+    count, big = LANES, DATA_AT + 64 * WORD
+    rng = random.Random(32)
+    data = [rng.getrandbits(32) | 1 for _ in range(64 + 4000)]
+    srcs2 = [DATA_AT + (LANES - 1 - j) * WORD for j in range(LANES)]
+    src1 = DATA_AT + 32 * WORD
+    first = _lane_dots([LANE_OUT + (1 + j) * WORD for j in range(LANES)], src1, srcs2, count)
+    again = _lane_dots([LANE_OUT + (0x40 + j) * WORD for j in range(LANES)], src1, srcs2,
+                       count)
+    with mock.patch.object(simdev, "_lanes", wraps=simdev._lanes) as lanes:
+        device = _dot_case([Compute(CO_DOT, LANE_OUT, big, big, 4000)] + first
+                           + [Copy(DATA_AT, LANE_OUT + 0x800, 1)] + again + [Fence(1)],
+                           budget=5000, data=data)
+    assert lanes.call_count == 2
+    data[0] = 0
+    assert vram_words(device, LANE_OUT + 0x40 * WORD, LANES) == [
+        _dot_words(data, src1, src2, count) for src2 in srcs2]
 
 
 def test_a_lane_pass_takes_no_operand_run_longer_than_its_bound():
@@ -1641,9 +1706,9 @@ def test_a_matmul_shaped_product_with_lane_passes_reads_as_on_the_reference_inte
     device, ref = devices
     rows = [data[n * i:n * i + n] for i in range(n)]
     cols = [data[n * n + n * j:n * n + n * j + n] for j in range(n)]
-    assert [word for _, word in device.cache.pending.items()] == [
+    assert [word for _, word in pending(device.cache).items()] == [
         sum(x * y for x, y in zip(row, col)) & MASK32 for row in rows for col in cols]
-    assert list(device.cache.pending.items()) == list(ref.cache.pending.items())
+    assert list(pending(device.cache).items()) == list(pending(ref.cache).items())
     assert device.device_digest() == ref.device_digest()
 
 
@@ -1732,7 +1797,7 @@ def _run_swarm(example):
     """Run ``example`` on SimDevice and the references; the paths it formed."""
     run, ref = example.build(SimDevice), example.build(DecodeRunDevice)
     device, reference = run[1], ref[1]
-    before = (bytes(device.vram), bytes(run[0].sysmem.data), device.cache.pending)
+    before = (bytes(device.vram), bytes(run[0].sysmem.data), pending(device.cache))
     fetched = _spy(device, "_fetch", lambda: device._window)
     ref_fetched = _spy(reference, "_fetch", lambda: reference._window)
     spans = _spy(device, "_decode_run", lambda: None)
